@@ -13,6 +13,11 @@ exponentiation, and both have algorithmic structure a per-element
   costs one bucket sweep instead of a fresh exponentiation per element.
   At 512-bit keys and 32-bit weights this is ~5-8x faster than the
   naive loop in pure Python (see ``benchmarks/test_kernels.py``).
+  The deployed server folds chunks as they arrive, so
+  :func:`plane_insert` keeps 4-bit digit-plane buckets *across*
+  batches and one closing :func:`multi_exponent` over the buckets
+  (:func:`plane_terms`) pays the sweep and squaring chain once per
+  query instead of once per chunk.
 
 * **The encryption obfuscator** ``r^n mod n^2`` raises a *varying* base
   to the *fixed* per-key exponent ``n``.  Written as ``r = h^x mod n``
@@ -39,7 +44,15 @@ from typing import List, Optional, Sequence, Tuple, Union
 from repro.crypto.montgomery import MontgomeryContext
 from repro.exceptions import ParameterError
 
-__all__ = ["multi_exponent", "select_window", "FixedBaseTable"]
+__all__ = [
+    "multi_exponent",
+    "select_window",
+    "plane_insert",
+    "plane_terms",
+    "PLANE_WINDOW",
+    "PLANE_DIGITS",
+    "FixedBaseTable",
+]
 
 #: Largest window the selector will consider.  2^(16+1) bucket slots is
 #: already far past the break-even point for any batch this library sees.
@@ -154,6 +167,76 @@ def multi_exponent(
     else:
         result = _bucket_fold(pairs, modulus, max_bits, window)
     return acc * result % modulus
+
+
+#: Digit width, in bits, of the persistent bucket accumulator
+#: (:func:`plane_insert`).  A module constant, not an option: 3 bits
+#: costs more multiplications per element, and 5-6 bits make every
+#: journalled bucket blob too large (``docs/performance.md``).
+PLANE_WINDOW = 4
+
+#: Buckets per digit plane: one for each nonzero digit.
+PLANE_DIGITS = (1 << PLANE_WINDOW) - 1
+
+
+def plane_insert(
+    buckets: List[int],
+    bases: Sequence[int],
+    exponents: Sequence[int],
+    modulus: int,
+) -> None:
+    """Fold ``prod_i bases[i]^exponents[i]`` into digit-plane buckets.
+
+    ``buckets`` is a flat accumulator that persists across calls: slot
+    ``p * PLANE_DIGITS + d - 1`` holds the product of every base whose
+    exponent has digit ``d`` in plane ``p`` (bits ``4p .. 4p+3``).  The
+    Pippenger bucket pass is linear, so batches can be inserted one at
+    a time and closed once: each base costs one multiplication per
+    nonzero digit of its exponent (~7.5 for a 32-bit weight), whatever
+    the batch size.  Start from an empty list; planes are appended as
+    exponents need them.  :func:`plane_terms` turns the buckets into
+    the closing :func:`multi_exponent` batch.
+    """
+    if len(bases) != len(exponents):
+        raise ParameterError(
+            "base/exponent length mismatch: %d vs %d"
+            % (len(bases), len(exponents))
+        )
+    if modulus < 2:
+        raise ParameterError("modulus must be at least 2")
+    mask = PLANE_DIGITS
+    for base, exponent in zip(bases, exponents):
+        if exponent < 0:
+            raise ParameterError(
+                "exponents must be non-negative (got %d); reduce into "
+                "the exponent group first" % exponent
+            )
+        needed = -(-exponent.bit_length() // PLANE_WINDOW) * PLANE_DIGITS
+        if needed > len(buckets):
+            buckets.extend([1] * (needed - len(buckets)))
+        slot = -1
+        while exponent:
+            digit = exponent & mask
+            if digit:
+                buckets[slot + digit] = buckets[slot + digit] * base % modulus
+            exponent >>= PLANE_WINDOW
+            slot += PLANE_DIGITS
+
+
+def plane_terms(buckets: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """The non-unit buckets and their exponents ``d * 2^(4p)``.
+
+    ``multi_exponent(*plane_terms(buckets), modulus)`` equals the
+    product of every ``base^exponent`` inserted by :func:`plane_insert`.
+    """
+    bases: List[int] = []
+    exponents: List[int] = []
+    for slot, bucket in enumerate(buckets):
+        if bucket != 1:
+            plane, digit = divmod(slot, PLANE_DIGITS)
+            bases.append(bucket)
+            exponents.append((digit + 1) << (plane * PLANE_WINDOW))
+    return bases, exponents
 
 
 def _bucket_fold(

@@ -44,7 +44,8 @@ import time
 from collections import OrderedDict
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
-from repro.crypto.multiexp import multi_exponent
+from repro.crypto.multiexp import multi_exponent, plane_insert, plane_terms
+from repro.crypto.ntheory import bytes_for_bits
 from repro.crypto.paillier import (
     PaillierPrivateKey,
     PaillierPublicKey,
@@ -312,10 +313,10 @@ class _ResumeState:
         "chunk_size",
         "public_key",
         "aggregate",
+        "buckets",
         "received",
         "chunks_received",
         "done",
-        "resident_bytes",
     )
 
     def __init__(self, key_bits: int, chunk_size: int, public_key: PaillierPublicKey) -> None:
@@ -323,17 +324,28 @@ class _ResumeState:
         self.chunk_size = chunk_size
         self.public_key = public_key
         self.aggregate = 1
+        #: digit-plane buckets of the chunks folded so far (see
+        #: :func:`~repro.crypto.multiexp.plane_insert`); None once the
+        #: session is done and they have collapsed into ``aggregate``
+        self.buckets: Optional[List[int]] = []
         self.received = 0
         self.chunks_received = 0
         self.done = False
-        #: what this state costs the registry's byte budget
-        self.resident_bytes = resume_state_bytes(key_bits)
+
+    @property
+    def resident_bytes(self) -> int:
+        """What this state costs the registry's byte budget."""
+        base = resume_state_bytes(self.key_bits)
+        if not self.buckets:
+            return base
+        return base + len(self.buckets) * bytes_for_bits(2 * self.key_bits)
 
     def snapshot(self) -> "_ResumeState":
         """An independent copy (the public key is shared — it is never
         mutated)."""
         dup = _ResumeState(self.key_bits, self.chunk_size, self.public_key)
         dup.aggregate = self.aggregate
+        dup.buckets = None if self.buckets is None else list(self.buckets)
         dup.received = self.received
         dup.chunks_received = self.chunks_received
         dup.done = self.done
@@ -422,6 +434,7 @@ class SessionRegistry:
             received=state.received,
             chunks_received=state.chunks_received,
             done=state.done,
+            buckets=None if state.buckets is None else tuple(state.buckets),
         )
 
     @staticmethod
@@ -432,6 +445,13 @@ class SessionRegistry:
             PaillierPublicKey(record.public_n),
         )
         state.aggregate = record.aggregate
+        if record.done:
+            state.buckets = None
+        else:
+            # A row journalled before buckets were stored (schema v3)
+            # carries its folded chunks in the aggregate alone; the
+            # closing fold then starts from that aggregate.
+            state.buckets = list(record.buckets or ())
         state.received = record.received
         state.chunks_received = record.chunks_received
         state.done = record.done
@@ -556,11 +576,9 @@ class ServerSession:
     by :class:`~repro.net.aio.AsyncSpfeServer`.  The only shared objects
     it reaches are the :class:`SessionRegistry` (every method takes the
     registry lock; its optional :class:`~repro.store.state.StateStore`
-    serialises on its own connection lock), the metrics/tracer
-    instruments (each mutation under the instrument's lock), and the
-    :class:`~repro.crypto.engine.CryptoEngine`, whose submission path is
-    already shared by the threaded worker pool.  A *single* session
-    object must still not be fed from two threads at once — both
+    serialises on its own connection lock) and the metrics/tracer
+    instruments (each mutation under the instrument's lock).  A *single*
+    session object must still not be fed from two threads at once — both
     front-ends guarantee that by construction (one connection, one
     worker thread or one handler task).
     """
@@ -586,9 +604,9 @@ class ServerSession:
         self.tracer = tracer
         #: trust-boundary limits; None preserves the legacy permissive mode
         self.policy = policy
-        #: optional :class:`~repro.crypto.engine.CryptoEngine`; chunks are
-        #: folded with the multiexp kernel either way, the engine adds
-        #: multi-process partitioning for large chunks
+        #: optional :class:`~repro.crypto.engine.CryptoEngine`, kept for
+        #: callers that pass one; it no longer drives the fold, which is
+        #: always the in-process digit-plane accumulator
         self.engine = engine
         self._decoder = FrameDecoder(
             max_payload=policy.max_frame_payload if policy else None
@@ -598,6 +616,9 @@ class ServerSession:
         self._chunk_size = 0
         self._public_key: Optional[PaillierPublicKey] = None
         self._aggregate = 1
+        #: digit-plane buckets of the chunks folded so far; collapsed
+        #: into ``_aggregate`` (and set to None) when the last one lands
+        self._buckets: Optional[List[int]] = []
         self._received = 0
         self._chunks_received = 0
         self._session_id: Optional[bytes] = None
@@ -739,6 +760,7 @@ class ServerSession:
         self._chunk_size = state.chunk_size
         self._public_key = state.public_key
         self._aggregate = state.aggregate
+        self._buckets = state.buckets
         self._received = state.received
         self._chunks_received = state.chunks_received
         reply = codec.encode_ack(state.chunks_received, self._reply_sequence())
@@ -768,6 +790,7 @@ class ServerSession:
         ciphertexts = codec.decode_ciphertext_chunk(frame.payload, self._key_bits)
         if self._received + len(ciphertexts) > len(self.database):
             raise ProtocolError("client sent more ciphertexts than elements")
+        assert self._buckets is not None
         nsquare = self._public_key.nsquare
         n = self._public_key.n
         batch_cts: List[int] = []
@@ -780,40 +803,39 @@ class ServerSession:
             value = self.database[self._received]
             if value:
                 batch_cts.append(ct)
-                batch_weights.append(value)
+                batch_weights.append(value % n)
             self.ciphertext_log.append(ct)
             self._received += 1
-        if batch_cts:
-            # Fold the whole chunk with the simultaneous-multiexp kernel
-            # (one shared squaring chain) instead of one pow() per
-            # element; an engine additionally partitions across workers.
-            fold_started = time.perf_counter()
-            if self.engine is not None:
-                self._aggregate = self.engine.weighted_product(
-                    nsquare, n, batch_cts, batch_weights, self._aggregate
-                )
-            else:
-                self._aggregate = multi_exponent(
-                    batch_cts,
-                    [w % n for w in batch_weights],
-                    nsquare,
-                    initial=self._aggregate,
-                )
-            if self.tracer is not None:
-                self.tracer.record("fold", time.perf_counter() - fold_started)
+        done = self._received == len(self.database)
+        # Fold each element into the persistent digit-plane buckets: a
+        # fixed ~7.5 multiplications per element at any chunk size (the
+        # paper's §3.2 pipelining).  The bucket sweep and squaring chain
+        # are paid once, by the closing multiexp when the last chunk
+        # lands; the product is a function of the frames alone, so the
+        # RESULT is the same ciphertext a per-chunk fold produces.
+        fold_started = time.perf_counter()
+        plane_insert(self._buckets, batch_cts, batch_weights, nsquare)
+        if done:
+            bases, exponents = plane_terms(self._buckets)
+            self._aggregate = multi_exponent(
+                bases, exponents, nsquare, initial=self._aggregate
+            )
+            self._buckets = None
+        if self.tracer is not None:
+            self.tracer.record("fold", time.perf_counter() - fold_started)
         self._chunks_received += 1
         self.chunk_frames_processed += 1
-        done = self._received == len(self.database)
         if self._resume_state is not None:
             state = self._resume_state
             state.aggregate = self._aggregate
+            state.buckets = self._buckets
             state.received = self._received
             state.chunks_received = self._chunks_received
             state.done = done
             if self._session_id is not None and self.registry is not None:
                 # Publish a frozen snapshot: registry entries are never
                 # mutated in place, so a concurrent resume always reads
-                # a self-consistent (aggregate, received) pair and can
+                # a self-consistent (buckets, received) pair and can
                 # never double-fold a chunk.
                 self.registry.save(self._session_id, state.snapshot())
         if done:

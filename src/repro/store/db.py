@@ -21,7 +21,8 @@ The schema itself (see :data:`MIGRATIONS`):
 
 * ``sessions`` — the resumable-session journal: one frozen snapshot per
   session id, exactly the fields of
-  :class:`repro.spfe.session._ResumeState` plus an LRU timestamp.
+  :class:`repro.spfe.session._ResumeState` (digit-plane buckets
+  included, since v4) plus an LRU timestamp.
 * ``fixed_base_tables`` — serialized
   :class:`~repro.crypto.multiexp.FixedBaseTable` precomputation, keyed
   by key fingerprint.
@@ -124,6 +125,16 @@ MIGRATIONS: Tuple[Tuple[int, str, Tuple[str, ...]], ...] = (
                 updated_at REAL NOT NULL
             )
             """,
+        ),
+    ),
+    (
+        4,
+        "session digit-plane buckets: the chunks folded so far",
+        (
+            # NULL for a finished session (its buckets have collapsed
+            # into `aggregate`) and for rows journalled before v4, whose
+            # folded chunks live in `aggregate` alone.
+            "ALTER TABLE sessions ADD COLUMN buckets BLOB",
         ),
     ),
 )

@@ -37,12 +37,13 @@ from __future__ import annotations
 
 import hashlib
 import sqlite3
+import struct
 import threading
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.crypto.multiexp import FixedBaseTable
+from repro.crypto.multiexp import PLANE_DIGITS, FixedBaseTable
 from repro.crypto.ntheory import bytes_for_bits
 from repro.crypto.paillier import PaillierPublicKey, RandomnessPool
 from repro.crypto.rng import RandomSource
@@ -120,6 +121,11 @@ def _int_blob(value: int) -> bytes:
     return encode_int(value, bytes_for_bits(max(1, value.bit_length())))
 
 
+def _bucket_width(key_bits: int) -> int:
+    """Bytes per journalled bucket: one ciphertext (mod ``n^2``)."""
+    return bytes_for_bits(2 * key_bits)
+
+
 @dataclass(frozen=True)
 class SessionRecord:
     """One journalled session snapshot, as plain data.
@@ -137,6 +143,10 @@ class SessionRecord:
     chunks_received: int
     done: bool
     touched_at: float = 0.0
+    #: digit-plane buckets of an in-progress session (see
+    #: :func:`~repro.crypto.multiexp.plane_insert`); None once done,
+    #: and for rows journalled before schema v4
+    buckets: Optional[Tuple[int, ...]] = None
 
 
 class StateStore:
@@ -212,6 +222,11 @@ class StateStore:
         process (RESULT in particular is journalled before it is sent).
         """
         touched = record.touched_at if record.touched_at else time.time()
+        buckets = (
+            None
+            if record.buckets is None
+            else encode_int_seq(record.buckets, _bucket_width(record.key_bits))
+        )
         try:
             with self._lock:
                 conn = self._require_conn()
@@ -219,13 +234,15 @@ class StateStore:
                     conn.execute(
                         "INSERT INTO sessions (session_id, key_bits, chunk_size,"
                         " public_n, aggregate, received, chunks_received, done,"
-                        " touched_at) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)"
+                        " touched_at, buckets)"
+                        " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
                         " ON CONFLICT(session_id) DO UPDATE SET"
                         " aggregate=excluded.aggregate,"
                         " received=excluded.received,"
                         " chunks_received=excluded.chunks_received,"
                         " done=excluded.done,"
-                        " touched_at=excluded.touched_at",
+                        " touched_at=excluded.touched_at,"
+                        " buckets=excluded.buckets",
                         (
                             record.session_id,
                             record.key_bits,
@@ -236,6 +253,7 @@ class StateStore:
                             record.chunks_received,
                             1 if record.done else 0,
                             touched,
+                            buckets,
                         ),
                     )
         except sqlite3.Error as exc:
@@ -249,7 +267,7 @@ class StateStore:
                 conn = self._require_conn()
                 row = conn.execute(
                     "SELECT key_bits, chunk_size, public_n, aggregate,"
-                    " received, chunks_received, done, touched_at"
+                    " received, chunks_received, done, touched_at, buckets"
                     " FROM sessions WHERE session_id = ?",
                     (session_id,),
                 ).fetchone()
@@ -258,10 +276,26 @@ class StateStore:
         if row is None:
             self._count("repro_store_journal_misses_total")
             return None
+        key_bits = int(row[0])
+        buckets: Optional[Tuple[int, ...]] = None
+        if row[8] is not None:
+            try:
+                buckets = decode_int_seq(row[8], _bucket_width(key_bits))
+            except (ValueError, struct.error) as exc:
+                raise StoreError(
+                    "corrupt bucket blob for session %s: %s"
+                    % (session_id.hex(), exc)
+                ) from exc
+            if len(buckets) % PLANE_DIGITS:
+                raise StoreError(
+                    "corrupt bucket blob for session %s: %d buckets is not"
+                    " a whole number of %d-digit planes"
+                    % (session_id.hex(), len(buckets), PLANE_DIGITS)
+                )
         self._count("repro_store_journal_hits_total")
         return SessionRecord(
             session_id=session_id,
-            key_bits=int(row[0]),
+            key_bits=key_bits,
             chunk_size=int(row[1]),
             public_n=decode_int(row[2]),
             aggregate=decode_int(row[3]),
@@ -269,6 +303,7 @@ class StateStore:
             chunks_received=int(row[5]),
             done=bool(row[6]),
             touched_at=float(row[7]),
+            buckets=buckets,
         )
 
     def delete_session(self, session_id: bytes) -> None:

@@ -25,11 +25,12 @@ real pure-Python cryptosystem on the current machine and fits a profile,
 which the live benches use to sanity-check the model's op-cost ratios.
 
 The calibration is *kernel-aware*: by default it charges the server's
-``WEIGHTED_STEP`` at the amortised per-ciphertext cost of the
-simultaneous-multiexp kernel (:func:`repro.crypto.multiexp.
-multi_exponent`) and ``PRECOMPUTE`` at the fixed-base windowed table's
-per-obfuscator cost — the code paths the measured protocols actually
-take since the kernel engine landed.  Pass ``use_kernels=False`` to fit
+``WEIGHTED_STEP`` at the per-ciphertext cost of the deployed server's
+fold (one digit-plane bucket insert, :func:`repro.crypto.multiexp.
+plane_insert`, plus its share of the closing
+:func:`~repro.crypto.multiexp.multi_exponent`) and ``PRECOMPUTE`` at
+the fixed-base windowed table's per-obfuscator cost — the code paths
+the measured protocols actually take.  Pass ``use_kernels=False`` to fit
 the naive square-and-multiply costs instead (the paper-era baseline,
 and what ``--no-multiexp`` runs match).
 """
@@ -39,7 +40,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.exceptions import CalibrationError, ParameterError
 
@@ -170,6 +171,11 @@ class _ProfilePresets:
 profiles = _ProfilePresets()
 
 
+#: database size the calibrated server step spreads one query's closing
+#: multiexp over (the paper's n)
+_FOLD_ELEMENTS = 1000
+
+
 def calibrate_profile(
     name: str = "local",
     key_bits: int = 256,
@@ -187,13 +193,20 @@ def calibrate_profile(
     reproducible).
 
     With ``use_kernels`` (the default) the server step and the offline
-    obfuscator are charged at the batch-kernel rates — amortised
-    simultaneous multiexp and fixed-base table lookups respectively —
-    matching what engine-backed runs actually execute.  The fixed-base
+    obfuscator are charged at the kernel rates the deployed system
+    executes.  The server step is one digit-plane bucket insert per
+    element plus the closing multiexp over the buckets, which a query
+    pays once and is spread over the paper's n = 1000 elements; the
+    obfuscator is a fixed-base table lookup.  The fixed-base
     table build is a one-time per-key cost and is excluded, like key
     generation, from the per-op figure.
     """
-    from repro.crypto.multiexp import FixedBaseTable, multi_exponent
+    from repro.crypto.multiexp import (
+        FixedBaseTable,
+        multi_exponent,
+        plane_insert,
+        plane_terms,
+    )
     from repro.crypto.paillier import generate_keypair
     from repro.crypto.rng import DeterministicRandom
 
@@ -220,14 +233,19 @@ def calibrate_profile(
         table = FixedBaseTable(pow(h, pk.n, pk.nsquare), pk.nsquare, pk.bits)
         exps = [rng.randrange(1, table.capacity) for _ in range(iterations)]
         t_precompute = measure(lambda i: table.pow(exps[i]))
-        # Server step: amortised cost per ciphertext of one multiexp
-        # batch.  Cycle the ciphertext pool up to a realistic batch so
-        # the bucket method's shared squaring chain is actually shared.
-        batch = (ciphertexts * (max(64, iterations) // len(ciphertexts) + 1))[:64]
+        # Server step, timed the way ServerSession folds: a bucket
+        # insert per element, then the closing multiexp once per query.
+        # 64 random 32-bit weights fill nearly every bucket, so the
+        # close costs what it does at the end of a full query.
+        batch = (ciphertexts * (64 // len(ciphertexts) + 1))[:64]
         weights = [rng.randrange(1, 1 << 32) for _ in batch]
+        buckets: List[int] = []
         start = clock()
-        multi_exponent(batch, weights, pk.nsquare)
-        t_step = (clock() - start) / len(batch)
+        plane_insert(buckets, batch, weights, pk.nsquare)
+        t_insert = (clock() - start) / len(batch)
+        start = clock()
+        multi_exponent(*plane_terms(buckets), pk.nsquare)
+        t_step = t_insert + (clock() - start) / _FOLD_ELEMENTS
     else:
         t_precompute = measure(lambda i: pk.obfuscator(rng))
         t_step = measure(

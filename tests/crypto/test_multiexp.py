@@ -7,16 +7,26 @@ does), ``FixedBaseTable.pow`` against ``pow(base, x, modulus)``.  The
 hypothesis suites here drive both across random batches — including the
 zero/one-weight fast paths, negative encoded scalars, and the
 ``initial`` accumulator argument — at tiny moduli where thousands of
-examples are cheap.
+examples are cheap.  The digit-plane accumulator (``plane_insert`` /
+``plane_terms``) must match both, however its batches are split and
+across a journal round trip of its buckets.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.multiexp import FixedBaseTable, multi_exponent, select_window
+from repro.crypto.multiexp import (
+    PLANE_DIGITS,
+    FixedBaseTable,
+    multi_exponent,
+    plane_insert,
+    plane_terms,
+    select_window,
+)
 from repro.crypto.paillier import generate_keypair
 from repro.crypto.rng import DeterministicRandom
 from repro.exceptions import ParameterError
+from repro.store.state import SessionRecord, StateStore
 
 
 def naive_product(bases, exponents, modulus, initial=None):
@@ -139,6 +149,90 @@ class TestMultiExponent:
     def test_empty_batch_returns_initial(self):
         assert multi_exponent([], [], 101) == 1
         assert multi_exponent([], [], 101, initial=42) == 42
+
+
+WEIGHT_MAX = (1 << 32) - 1  # the paper's 32-bit database values
+
+weights = st.one_of(
+    st.sampled_from([0, 1, WEIGHT_MAX]), st.integers(0, WEIGHT_MAX)
+)
+
+
+def journal_round_trip(buckets, public_n, received, chunks_received):
+    """Buckets as a restarted server reads them back from the journal."""
+    with StateStore(":memory:") as store:
+        store.save_session(
+            SessionRecord(
+                session_id=b"p" * 16,
+                key_bits=public_n.bit_length(),
+                chunk_size=1,
+                public_n=public_n,
+                aggregate=1,
+                received=received,
+                chunks_received=chunks_received,
+                done=False,
+                buckets=tuple(buckets),
+            )
+        )
+        return list(store.load_session(b"p" * 16).buckets)
+
+
+class TestDigitPlanes:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_chunked_folds_with_a_journal_restore(self, data):
+        # n plays the Paillier modulus; the buckets live mod n^2.
+        public_n = data.draw(st.integers(3, 1 << 48).map(lambda v: v | 1))
+        modulus = public_n * public_n
+        count = data.draw(st.integers(0, 30))
+        bases = data.draw(
+            st.lists(st.integers(1, modulus - 1), min_size=count, max_size=count)
+        )
+        exponents = data.draw(st.lists(weights, min_size=count, max_size=count))
+        cuts = sorted(data.draw(st.sets(st.integers(0, count), max_size=6)))
+        bounds = [0] + cuts + [count]
+        chunks = list(zip(bounds, bounds[1:]))
+        restore_at = data.draw(st.integers(0, len(chunks)))
+
+        buckets = []
+        for index, (start, stop) in enumerate(chunks):
+            if index == restore_at:
+                buckets = journal_round_trip(buckets, public_n, start, index)
+            plane_insert(buckets, bases[start:stop], exponents[start:stop], modulus)
+        if restore_at == len(chunks):
+            buckets = journal_round_trip(buckets, public_n, count, len(chunks))
+
+        closed = multi_exponent(*plane_terms(buckets), modulus)
+        assert closed == naive_product(bases, exponents, modulus)
+        assert closed == multi_exponent(bases, exponents, modulus)
+
+    def test_planes_cover_each_nonzero_digit(self):
+        buckets = []
+        plane_insert(buckets, [3, 5, 7], [0x21, 0x1, 0x0], 1009)
+        assert len(buckets) == 2 * PLANE_DIGITS  # 0x21 spans two planes
+        assert buckets[0] == 3 * 5 % 1009  # digit 1 of plane 0
+        assert buckets[PLANE_DIGITS + 1] == 3  # digit 2 of plane 1
+        assert plane_terms(buckets) == ([15, 3], [1, 0x20])
+
+    def test_exponents_wider_than_32_bits_grow_planes(self):
+        buckets = []
+        plane_insert(buckets, [2], [1 << 40], 10007)
+        plane_insert(buckets, [3], [5], 10007)
+        assert len(buckets) == 11 * PLANE_DIGITS
+        assert multi_exponent(*plane_terms(buckets), 10007) == (
+            pow(2, 1 << 40, 10007) * 3**5 % 10007
+        )
+
+    def test_empty_and_invalid_input(self):
+        buckets = []
+        plane_insert(buckets, [], [], 101)
+        assert buckets == [] and plane_terms(buckets) == ([], [])
+        with pytest.raises(ParameterError):
+            plane_insert(buckets, [2], [-1], 101)
+        with pytest.raises(ParameterError):
+            plane_insert(buckets, [2, 3], [1], 101)
+        with pytest.raises(ParameterError):
+            plane_insert(buckets, [2], [1], 1)
 
 
 class TestSelectWindow:

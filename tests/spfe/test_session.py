@@ -50,6 +50,39 @@ class TestInMemory:
         }
         assert values == {database.select_sum(selection)}
 
+    @pytest.mark.parametrize("chunk_size", [1, 7, 60])
+    def test_result_matches_per_chunk_multiexp_fold(self, workload_bytes, chunk_size):
+        """The RESULT ciphertext for fixed frames is bit-identical to the
+        one a fold of one multi_exponent call per chunk produces."""
+        from repro.crypto.multiexp import multi_exponent
+
+        database, selection = workload_bytes
+        client = make_client(selection, chunk_size=chunk_size)
+        server = ServerSession(database)
+        replies = b"".join(server.receive_bytes(f) for f in client.initial_bytes())
+        decoder = codec.FrameDecoder()
+        decoder.feed(replies)
+        (frame,) = decoder.frames()
+        assert frame.frame_type == FrameType.RESULT
+
+        n, nsquare = client.public_key.n, client.public_key.nsquare
+        per_chunk = 1
+        log = server.ciphertext_log
+        for start in range(0, len(log), chunk_size):
+            pairs = [
+                (ct, database[i] % n)
+                for i, ct in enumerate(log[start : start + chunk_size], start)
+                if database[i]
+            ]
+            if pairs:
+                per_chunk = multi_exponent(
+                    [ct for ct, _ in pairs], [w for _, w in pairs],
+                    nsquare, initial=per_chunk,
+                )
+        assert codec.decode_result(frame.payload, 128) == per_chunk
+        client.receive_bytes(replies)
+        assert client.result == database.select_sum(selection)
+
     def test_byte_accounting_symmetric(self, workload_bytes):
         database, selection = workload_bytes
         client = make_client(selection)
@@ -396,6 +429,36 @@ class TestRegistryByteBudget:
         )
         from repro.spfe.validation import resume_state_bytes
 
+        assert registry.resident_bytes == resume_state_bytes(128)
+
+    def test_in_progress_sessions_account_their_buckets(self, workload_bytes):
+        """Buckets cost registry bytes while a session is in progress
+        and are released once they collapse into the aggregate."""
+        from repro.crypto.multiexp import PLANE_DIGITS
+        from repro.spfe.validation import resume_state_bytes
+
+        database, selection = workload_bytes
+        registry = SessionRegistry(capacity=8, max_bytes=1 << 20)
+        client = make_client(selection, chunk_size=20)
+        server = ServerSession(database, registry=registry)
+        frames = list(client.initial_bytes())  # HELLO, KEY, 3 chunks
+        for data in frames[:2]:
+            server.receive_bytes(data)
+        assert registry.resident_bytes == resume_state_bytes(128)
+
+        server.receive_bytes(frames[2])
+        (state,) = registry._states.values()
+        planes = -(-database.value_bits // 4)  # 16-bit values: 4 planes
+        assert len(state.buckets) == planes * PLANE_DIGITS
+        bucket_bytes = len(state.buckets) * (2 * 128 // 8)
+        assert state.resident_bytes == resume_state_bytes(128) + bucket_bytes
+        assert registry.resident_bytes == state.resident_bytes
+
+        for data in frames[3:]:
+            client.receive_bytes(server.receive_bytes(data))
+        assert client.result == database.select_sum(selection)
+        (state,) = registry._states.values()
+        assert state.done and state.buckets is None
         assert registry.resident_bytes == resume_state_bytes(128)
 
     def test_bad_byte_budget_rejected(self):

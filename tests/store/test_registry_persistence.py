@@ -7,13 +7,18 @@ and an *evicted* session answers ``RESUME_UNKNOWN`` — never a stale
 snapshot from before the eviction.
 """
 
+import sqlite3
+
 import pytest
 
+from repro.crypto.multiexp import multi_exponent
 from repro.crypto.rng import DeterministicRandom
+from repro.crypto.serialization import encode_int
 from repro.datastore.database import ServerDatabase
 from repro.net import codec
 from repro.net.codec import FrameDecoder, FrameType
 from repro.spfe.session import ClientSession, ServerSession, SessionRegistry
+from repro.store.db import MIGRATIONS, open_store_db, schema_version
 from repro.store.state import StateStore
 
 KEY_BITS = 128
@@ -177,3 +182,64 @@ def test_protocol_violation_clears_the_journal(store_path):
         assert decode_frames(error)[0].frame_type == FrameType.ERROR
         assert client.session_id not in registry
         assert store.load_session(client.session_id) is None
+
+
+def chunk_ciphertexts(frame_bytes):
+    (frame,) = decode_frames(frame_bytes)
+    return codec.decode_ciphertext_chunk(frame.payload, KEY_BITS)
+
+
+def test_v3_row_without_buckets_resumes_to_the_exact_sum(store_path):
+    """A session journalled before schema v4 kept its folded chunks in
+    the aggregate alone.  New code migrates the store, resumes the row,
+    and closes the fold with that aggregate as its initial value."""
+    client = make_client("legacy")
+    frames = list(client.initial_bytes())  # HELLO, KEY, two chunks
+    n = client.public_key.n
+    nsquare = client.public_key.nsquare
+    first = chunk_ciphertexts(frames[2])
+    # what the v3 server journalled after folding chunk 0
+    legacy_aggregate = multi_exponent(first, list(DB.values[:CHUNK]), nsquare)
+    assert legacy_aggregate != 1
+
+    conn = open_store_db(store_path, migrations=MIGRATIONS[:3])
+    conn.execute(
+        "INSERT INTO sessions (session_id, key_bits, chunk_size, public_n,"
+        " aggregate, received, chunks_received, done, touched_at)"
+        " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+        (
+            client.session_id,
+            KEY_BITS,
+            CHUNK,
+            encode_int(n, (n.bit_length() + 7) // 8),
+            encode_int(legacy_aggregate, (nsquare.bit_length() + 7) // 8),
+            CHUNK,
+            1,
+            0,
+            1.0,
+        ),
+    )
+    conn.commit()
+    assert schema_version(conn) == 3
+    conn.close()
+
+    with StateStore(store_path) as store:
+        assert store.load_session(client.session_id).buckets is None
+        server = ServerSession(DB, registry=SessionRegistry(store=store))
+        client.receive_bytes(server.receive_bytes(client.resume_request()))
+        assert client.resume_ready
+        replies = b"".join(server.receive_bytes(f) for f in client.resume_bytes())
+        (result,) = decode_frames(replies)
+        assert result.frame_type == FrameType.RESULT
+        client.receive_bytes(replies)
+
+    assert client.result == expected_sum(client)
+    every = first + chunk_ciphertexts(frames[3])
+    assert codec.decode_result(result.payload, KEY_BITS) == multi_exponent(
+        every, list(DB.values), nsquare
+    )
+    conn = sqlite3.connect(store_path)
+    try:
+        assert schema_version(conn) == 4
+    finally:
+        conn.close()

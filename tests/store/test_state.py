@@ -4,9 +4,10 @@ import threading
 
 import pytest
 
-from repro.crypto.multiexp import FixedBaseTable
+from repro.crypto.multiexp import PLANE_DIGITS, FixedBaseTable
 from repro.crypto.paillier import RandomnessPool, generate_keypair
 from repro.crypto.rng import DeterministicRandom
+from repro.crypto.serialization import encode_int_seq
 from repro.datastore.database import ServerDatabase
 from repro.exceptions import StoreError
 from repro.obs.registry import MetricsRegistry
@@ -86,6 +87,55 @@ def test_zero_aggregate_round_trips(store, keypair):
     record = SessionRecord(b"Z" * 16, KEY_BITS, 4, keypair.public.n, 0, 0, 0, False)
     store.save_session(record)
     assert store.load_session(b"Z" * 16).aggregate == 0
+
+
+def test_session_buckets_round_trip(store, keypair):
+    nsquare = keypair.public.nsquare
+    buckets = tuple(nsquare - 1 - i for i in range(2 * PLANE_DIGITS))
+    record = SessionRecord(
+        b"B" * 16, KEY_BITS, 4, keypair.public.n, 1, 8, 2, False,
+        buckets=buckets,
+    )
+    store.save_session(record)
+    assert store.load_session(b"B" * 16).buckets == buckets
+    # a finished session's buckets collapse: the upsert clears them
+    store.save_session(
+        SessionRecord(b"B" * 16, KEY_BITS, 4, keypair.public.n, 77, 9, 3, True)
+    )
+    loaded = store.load_session(b"B" * 16)
+    assert loaded.buckets is None and loaded.aggregate == 77
+    # buckets are optional: in-progress rows without them still load
+    assert SessionRecord(b"x" * 16, KEY_BITS, 4, 5, 1, 0, 0, False).buckets is None
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda blob: blob[:-1],  # truncated mid-bucket
+        lambda blob: blob[:2],  # shorter than the count prefix
+        # a well-formed sequence that is not a whole number of planes
+        lambda blob: encode_int_seq((1,) * 7, 2 * KEY_BITS // 8),
+    ],
+)
+def test_corrupt_bucket_blob_raises_store_error(store, keypair, corrupt):
+    buckets = tuple(range(2, 2 + PLANE_DIGITS))
+    store.save_session(
+        SessionRecord(
+            b"C" * 16, KEY_BITS, 4, keypair.public.n, 1, 4, 1, False,
+            buckets=buckets,
+        )
+    )
+    conn = store._conn
+    (blob,) = conn.execute(
+        "SELECT buckets FROM sessions WHERE session_id = ?", (b"C" * 16,)
+    ).fetchone()
+    with conn:
+        conn.execute(
+            "UPDATE sessions SET buckets = ? WHERE session_id = ?",
+            (corrupt(blob), b"C" * 16),
+        )
+    with pytest.raises(StoreError, match="corrupt bucket blob"):
+        store.load_session(b"C" * 16)
 
 
 # -- fixed-base tables ----------------------------------------------------
