@@ -11,8 +11,10 @@ This benchmark measures both paths at the paper's 512-bit key size —
 * **warm**: restore the same pool (table rows + single-use encryptions
   of zero) from the SQLite store;
 
-— plus the per-operation cost of the session-journal write that sits
-on the server's per-chunk hot path, and writes the numbers to
+— plus the per-operation cost of the session-journal write the server
+commits once per socket read that folded chunks, timed on the row it
+really writes (an in-progress chunk-8 session carrying its 120
+digit-plane buckets), and writes the numbers to
 ``BENCH_store_warmstart.json`` at the repo root.
 
 The only hard assertion is ``speedup >= 1``: restoring bytes must beat
@@ -24,14 +26,19 @@ import json
 import time
 from pathlib import Path
 
+from repro.crypto.multiexp import PLANE_DIGITS, PLANE_WINDOW
 from repro.crypto.paillier import RandomnessPool, generate_keypair
 from repro.crypto.rng import DeterministicRandom
 from repro.obs.registry import MetricsRegistry
 from repro.store.state import SessionRecord, StateStore
 
 KEY_BITS = 512  # the paper's deployment size
+VALUE_BITS = 32  # the paper's value width
 POOL_SIZE = 128
 JOURNAL_OPS = 500
+#: buckets of an in-progress session: one per nonzero digit of each
+#: digit plane of a 32-bit weight (8 planes x 15 digits = 120)
+JOURNAL_BUCKETS = VALUE_BITS // PLANE_WINDOW * PLANE_DIGITS
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_store_warmstart.json"
 
@@ -65,16 +72,23 @@ def test_warm_restart_beats_cold_precomputation(tmp_path):
         ciphertext = public.raw_encrypt(0, warm.take())
         assert keypair.private.raw_decrypt(ciphertext) == 0
 
-        # -- the per-chunk journal write on the server's hot path -------
+        # -- the per-read journal write on the server's hot path --------
+        # what ServerSession journals mid-query at chunk 8: aggregate
+        # still 1, every bucket a full-width residue mod n^2
+        bucket_rng = DeterministicRandom("buckets")
         record = SessionRecord(
             session_id=b"\x42" * 16,
             key_bits=KEY_BITS,
-            chunk_size=64,
+            chunk_size=8,
             public_n=public.n,
-            aggregate=public.nsquare - 1,
-            received=640,
-            chunks_received=10,
+            aggregate=1,
+            received=400,
+            chunks_received=50,
             done=False,
+            buckets=tuple(
+                bucket_rng.randbelow(public.nsquare)
+                for _ in range(JOURNAL_BUCKETS)
+            ),
         )
         started = time.perf_counter()
         for _ in range(JOURNAL_OPS):
@@ -113,6 +127,7 @@ def test_warm_restart_beats_cold_precomputation(tmp_path):
         "table_hits": counters.get("repro_store_table_hits_total", 0),
         "journal_write_us": journal_write_us,
         "journal_read_us": journal_read_us,
+        "journal_buckets": JOURNAL_BUCKETS,
         "journal_ops_per_measurement": JOURNAL_OPS,
     }
     RESULT_PATH.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")

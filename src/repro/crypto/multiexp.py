@@ -170,9 +170,11 @@ def multi_exponent(
 
 
 #: Digit width, in bits, of the persistent bucket accumulator
-#: (:func:`plane_insert`).  A module constant, not an option: 3 bits
-#: costs more multiplications per element, and 5-6 bits make every
-#: journalled bucket blob too large (``docs/performance.md``).
+#: (:func:`plane_insert`).  A module constant, not an option: journalled
+#: bucket rows are laid out by it, so changing it needs a store
+#: migration.  3 bits costs more multiplications per element; 5 bits
+#: folds ~10% cheaper once journal commits are per read, not per chunk
+#: (``docs/performance.md``).
 PLANE_WINDOW = 4
 
 #: Buckets per digit plane: one for each nonzero digit.

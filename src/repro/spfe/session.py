@@ -379,7 +379,11 @@ class SessionRegistry:
     delete the journal row too — an evicted session answers
     ``RESUME_UNKNOWN`` after a restart exactly as it does before one,
     never a stale snapshot.  Store writes happen outside the registry
-    lock (lock order: registry, then store, never back).
+    lock but under a journal-order lock taken *before* the registry lock
+    is released (lock order: registry, journal order, store, never
+    back), so the store sees deletes and upserts in the same order as
+    the in-memory map — a delayed upsert can never bring back a row
+    that a later eviction deleted.
     """
 
     def __init__(
@@ -396,6 +400,9 @@ class SessionRegistry:
         self.max_bytes = max_bytes
         self.store = store
         self._lock = threading.Lock()
+        #: serialises journal writes in registry order; see the class
+        #: docstring for the lock order
+        self._journal_lock = threading.Lock()
         self._states: "OrderedDict[bytes, _ResumeState]" = OrderedDict()
         self.evictions = 0
         #: sessions recovered from the journal after a memory miss
@@ -492,6 +499,23 @@ class SessionRegistry:
                 evicted.append(self._evict_lru_locked())
         return evicted
 
+    def _journal_released(
+        self,
+        deleted: Sequence[bytes],
+        record: Optional[SessionRecord] = None,
+    ) -> None:
+        """Apply journal deletes, then an optional upsert, and release
+        ``self._journal_lock`` — which the caller took while still
+        holding ``self._lock``."""
+        assert self.store is not None
+        try:
+            for session_id in deleted:
+                self.store.delete_session(session_id)
+            if record is not None:
+                self.store.save_session(record)
+        finally:
+            self._journal_lock.release()
+
     def save(self, session_id: bytes, state: _ResumeState) -> None:
         """Insert or refresh a session, evicting LRU beyond either bound.
 
@@ -499,15 +523,20 @@ class SessionRegistry:
         larger than ``max_bytes`` by itself still resumes, it just has
         the registry to itself.  With a store attached the snapshot is
         journalled durably *before* this method returns — which is what
-        lets :meth:`ServerSession._on_chunk` guarantee that a RESULT is
-        journalled before it is sent.
+        lets :meth:`ServerSession.receive_bytes` guarantee that a RESULT
+        is journalled before it is sent.
         """
+        record = (
+            None
+            if self.store is None
+            else self._record_from_state(session_id, state)
+        )
         with self._lock:
             evicted = self._insert_locked(session_id, state)
-        if self.store is not None:
-            for evicted_id in evicted:
-                self.store.delete_session(evicted_id)
-            self.store.save_session(self._record_from_state(session_id, state))
+            if record is None:
+                return
+            self._journal_lock.acquire()
+        self._journal_released(evicted, record)
 
     def get(self, session_id: bytes) -> Optional[_ResumeState]:
         """Look up (and LRU-touch) a session; None when unknown/evicted.
@@ -539,9 +568,8 @@ class SessionRegistry:
                 return existing
             evicted = self._insert_locked(session_id, state)
             self.recoveries += 1
-        if self.store is not None:
-            for evicted_id in evicted:
-                self.store.delete_session(evicted_id)
+            self._journal_lock.acquire()
+        self._journal_released(evicted)
         return state
 
     def discard(self, session_id: bytes) -> None:
@@ -550,8 +578,10 @@ class SessionRegistry:
             state = self._states.pop(session_id, None)
             if state is not None:
                 self.resident_bytes -= self._state_bytes(state)
-        if self.store is not None:
-            self.store.delete_session(session_id)
+            if self.store is None:
+                return
+            self._journal_lock.acquire()
+        self._journal_released([session_id])
 
     def __len__(self) -> int:
         with self._lock:
@@ -623,6 +653,9 @@ class ServerSession:
         self._chunks_received = 0
         self._session_id: Optional[bytes] = None
         self._resume_state: Optional[_ResumeState] = None
+        #: True once this read registered the session or folded a chunk:
+        #: :meth:`receive_bytes` then publishes one snapshot at its end
+        self._unpublished = False
         self._peer_wire_version = codec.WIRE_VERSION_1
         self.bytes_received = 0
         self.bytes_sent = 0
@@ -644,7 +677,17 @@ class ServerSession:
         return codec.ERROR_CODE_PROTOCOL
 
     def receive_bytes(self, data: bytes) -> bytes:
-        """Consume client bytes; returns reply bytes (possibly empty)."""
+        """Consume client bytes; returns reply bytes (possibly empty).
+
+        Resume state is published once per call — one registry snapshot
+        and, with a store attached, one journal commit — and only if
+        the call registered the session or folded at least one chunk.
+        The commit happens before the reply is returned, so a RESULT is
+        journalled before it can be sent; a crash loses at most the
+        chunks of one read, which the client re-sends from its cache.
+        A call that ends in a protocol violation publishes nothing: the
+        session is discarded instead.
+        """
         self.bytes_received += len(data)
         out = bytearray()
         try:
@@ -663,6 +706,7 @@ class ServerSession:
         except ProtocolError as exc:
             self.errored = True
             self.last_error = exc
+            self._unpublished = False
             if self.registry is not None and self._session_id is not None:
                 # Never keep resume state for a session that violated the
                 # protocol: a rejected peer must restart, not resume.
@@ -672,6 +716,15 @@ class ServerSession:
             )
             self.bytes_sent += len(error)
             return bytes(error)
+        if self._unpublished:
+            # Publish a frozen snapshot: registry entries are never
+            # mutated in place, so a concurrent resume always reads a
+            # self-consistent (buckets, received) pair and can never
+            # double-fold a chunk.
+            assert self.registry is not None and self._session_id is not None
+            assert self._resume_state is not None
+            self._unpublished = False
+            self.registry.save(self._session_id, self._resume_state.snapshot())
         self.bytes_sent += len(out)
         return bytes(out)
 
@@ -738,7 +791,7 @@ class ServerSession:
             self._resume_state = _ResumeState(
                 self._key_bits, self._chunk_size, self._public_key
             )
-            self.registry.save(self._session_id, self._resume_state.snapshot())
+            self._unpublished = True
         return b""
 
     def _on_resume(self, frame: Frame) -> bytes:
@@ -832,12 +885,7 @@ class ServerSession:
             state.received = self._received
             state.chunks_received = self._chunks_received
             state.done = done
-            if self._session_id is not None and self.registry is not None:
-                # Publish a frozen snapshot: registry entries are never
-                # mutated in place, so a concurrent resume always reads
-                # a self-consistent (buckets, received) pair and can
-                # never double-fold a chunk.
-                self.registry.save(self._session_id, state.snapshot())
+            self._unpublished = True
         if done:
             self._state = self._DONE
             return codec.encode_result(

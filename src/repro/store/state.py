@@ -4,7 +4,8 @@ Four kinds of state, one SQLite file (see :mod:`repro.store.db` for the
 schema and durability model):
 
 * **Session journal** — frozen resumable-session snapshots, written by
-  :class:`~repro.spfe.session.SessionRegistry` on every save.  A client
+  :class:`~repro.spfe.session.SessionRegistry` on every save (once per
+  socket read that made progress).  A client
   whose server was SIGKILLed reconnects, sends RESUME, and the restarted
   process answers from the journal: same ACK semantics, zero
   re-encryption of already-acknowledged chunks.
@@ -217,9 +218,12 @@ class StateStore:
     def save_session(self, record: SessionRecord) -> None:
         """Journal one frozen session snapshot (upsert by session id).
 
-        Called on every chunk fold; the WAL commit makes the snapshot
-        process-crash durable before the server's reply leaves the
-        process (RESULT in particular is journalled before it is sent).
+        Called once per socket read that registered a session or
+        folded at least one chunk (``ServerSession.receive_bytes``
+        publishes at the end of each read); the WAL commit makes the
+        snapshot process-crash durable before the server's reply leaves
+        the process (RESULT in particular is journalled before it is
+        sent), and a crash loses at most one read of chunks.
         """
         touched = record.touched_at if record.touched_at else time.time()
         buckets = (
