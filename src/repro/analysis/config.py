@@ -144,8 +144,7 @@ class AnalysisConfig:
         ),
         LockGuard("KeyContextCache", "_lock", frozenset({"_contexts"})),
         LockGuard("SpfeServer", "_active_lock", frozenset({"_active"})),
-        # the backend-neutral accounting core shared by both server
-        # front-ends (threads and asyncio)
+        # the server's admission budget and concurrency high-water mark
         LockGuard("ServerAccounting", "_budget_lock", frozenset({"_in_flight"})),
         LockGuard("ServerAccounting", "_peak_lock", frozenset({"_active_peak"})),
         # the durable-state tier: one SQLite connection behind one lock,

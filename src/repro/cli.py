@@ -135,13 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--host", default="127.0.0.1")
     serve_cmd.add_argument("--port", type=int, default=0, help="0 = ephemeral")
     serve_cmd.add_argument(
-        "--backend", choices=("threads", "asyncio"), default="threads",
-        help="connection front-end: 'threads' runs one worker thread per "
-        "concurrent session; 'asyncio' multiplexes connections on an "
-        "event loop (folds still run off-loop).  Same protocol, policy, "
-        "accounting, and metrics either way",
-    )
-    serve_cmd.add_argument(
         "--queries", type=int, default=1,
         help="completed queries to serve before draining (0 = serve "
         "until interrupted); admission is gated on the budget, so "
@@ -182,16 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument(
         "--min-key-bits", type=int, default=64,
         help="smallest client Paillier modulus accepted (policy knob)",
-    )
-    serve_cmd.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for the aggregation kernels "
-        "(1 = in-process serial)",
-    )
-    serve_cmd.add_argument(
-        "--no-multiexp", action="store_true",
-        help="fold chunks with naive per-ciphertext pow instead of the "
-        "simultaneous-multiexp kernel",
     )
     serve_cmd.add_argument(
         "--stats-port", type=int, default=None, metavar="PORT",
@@ -555,11 +538,8 @@ def cmd_keygen(args, out) -> int:
 def cmd_serve(args, out) -> int:
     import threading
 
-    from repro.net.aio import AsyncSpfeServer
     from repro.net.server import SpfeServer
     from repro.spfe.validation import ServerPolicy
-
-    server_cls = AsyncSpfeServer if args.backend == "asyncio" else SpfeServer
 
     if args.queries < 0:
         raise ReproError("--queries must be non-negative")
@@ -589,27 +569,7 @@ def cmd_serve(args, out) -> int:
             if store is not None and args.db_name:
                 store.save_database(args.db_name, database)
                 out.write("database saved to store as %r\n" % args.db_name)
-        engine = None
-        calibration = None
-        if store is not None:
-            from repro.crypto.calibration import load_profile
-
-            calibration = load_profile(store)
-            if calibration is not None:
-                out.write(
-                    "calibration profile loaded (%d measured points)\n"
-                    % len(calibration)
-                )
-        if args.workers > 1 or args.no_multiexp or calibration is not None:
-            from repro.crypto.engine import CryptoEngine
-
-            engine = CryptoEngine(
-                workers=max(1, args.workers),
-                use_multiexp=not args.no_multiexp,
-                calibration=calibration,
-                metrics=registry,
-            )
-        server = server_cls(
+        server = SpfeServer(
             database,
             host=args.host,
             port=args.port,
@@ -620,7 +580,6 @@ def cmd_serve(args, out) -> int:
             read_timeout=args.timeout or None,
             connection_deadline_s=args.session_timeout or None,
             max_queries=args.queries,
-            engine=engine,
             metrics=registry,
             stats_port=args.stats_port,
             log=out.write,
@@ -629,9 +588,9 @@ def cmd_serve(args, out) -> int:
         host, port = server.address
         timeout = args.timeout or None
         out.write(
-            "serving %d rows on %s:%d (%s backend, %s queries, %d sessions, "
+            "serving %d rows on %s:%d (%s queries, %d sessions, "
             "%s read deadline)\n"
-            % (len(database), host, port, args.backend,
+            % (len(database), host, port,
                str(args.queries) if args.queries else "unlimited",
                args.max_sessions, "%.1fs" % timeout if timeout else "no")
         )

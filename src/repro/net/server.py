@@ -32,18 +32,22 @@ Architecture (all plain threads, no extra dependencies):
   by :meth:`install_signal_handlers`) stops accepting, sheds anything
   still queued, lets in-flight sessions finish under a drain deadline,
   then force-closes stragglers.
-* **observability**: every counter lives in a
-  :class:`~repro.obs.registry.MetricsRegistry`
-  (:class:`~repro.net.core.ServerStats` is a thin view over it), phase
-  latencies flow through a shared :class:`~repro.obs.tracing.Tracer`,
-  and ``stats_port=...`` opts into a
-  :class:`~repro.obs.http.StatsEndpoint` serving ``/metrics`` and
-  ``/healthz`` on a separate listener.
+* **accounting**: :class:`ServerAccounting` owns the ``max_queries``
+  budget, the in-flight and active-connection gauges, and the one
+  classification path that turns a finished connection into exactly
+  one of served / dropped / rejected.  Once the server has drained::
 
-The budget, gauge, and outcome bookkeeping is *not* implemented here:
-it lives in the backend-neutral :class:`~repro.net.core.ServerAccounting`
-shared with the asyncio front-end (:mod:`repro.net.aio`), so the two
-backends cannot drift in what their counters mean.
+      sessions_served + sessions_dropped + sessions_rejected
+          == sessions_admitted
+
+  ``sessions_admitted`` counts connections handed to the protocol
+  layer; shed connections never enter the invariant.
+* **observability**: every counter lives in a
+  :class:`~repro.obs.registry.MetricsRegistry` (:class:`ServerStats` is
+  a thin view over it), phase latencies flow through a shared
+  :class:`~repro.obs.tracing.Tracer`, and ``stats_port=...`` opts into
+  a :class:`~repro.obs.http.StatsEndpoint` serving ``/metrics`` and
+  ``/healthz`` on a separate listener.
 """
 
 from __future__ import annotations
@@ -56,24 +60,347 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.datastore.database import ServerDatabase
-from repro.exceptions import ParameterError, TransportError
-from repro.net import codec
-from repro.net.core import (
-    DEFAULT_DRAIN_DEADLINE_S,
-    _POLL_S,
-    _SHED_SEND_BUDGET_S,
-    ServerAccounting,
-    ServerStats,
+from repro.exceptions import (
+    ParameterError,
+    TransportError,
+    TransportTimeout,
+    ValidationError,
 )
+from repro.net import codec
 from repro.net.transport import DEFAULT_RECV_BYTES, SocketTransport
 from repro.obs.http import StatsEndpoint
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import Counter, MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.spfe.session import ServerSession, SessionRegistry
 from repro.spfe.validation import ServerPolicy
 from repro.store.state import StateStore
 
-__all__ = ["ServerStats", "SpfeServer", "DEFAULT_DRAIN_DEADLINE_S"]
+__all__ = [
+    "DEFAULT_DRAIN_DEADLINE_S",
+    "ServerAccounting",
+    "ServerStats",
+    "SpfeServer",
+]
+
+DEFAULT_DRAIN_DEADLINE_S = 30.0
+
+#: how often blocking loops wake to check for drain (also the accept poll)
+_POLL_S = 0.1
+
+#: per-connection send budget for BUSY frames — small enough that even a
+#: flood of never-reading peers drains quickly
+_SHED_SEND_BUDGET_S = 0.05
+
+#: prefix turning a ServerStats field into its registry metric name
+_METRIC_PREFIX = "repro_server_"
+
+#: built-in counters and their exposition help text
+_FIELD_HELP: Dict[str, str] = {
+    "connections_accepted": "TCP connections accepted by the listener.",
+    "sessions_admitted":
+        "Connections that passed admission control and were handed to "
+        "the protocol layer (served + dropped + rejected reconcile "
+        "against this at drain).",
+    "sessions_served": "Protocol runs served to completion.",
+    "sessions_dropped":
+        "Sessions lost to transport failures, peer disconnects, or "
+        "internal errors.",
+    "sessions_shed":
+        "Connections refused with a typed BUSY frame (admission control).",
+    "sessions_rejected": "Sessions answered with a typed ERROR frame.",
+    "validation_rejections":
+        "Rejected sessions that failed a trust-boundary or policy check.",
+    "sessions_errored_internal":
+        "Dropped sessions whose cause was a server-side internal error, "
+        "not the peer (also counted in sessions_dropped).",
+    "bytes_in": "Application bytes received across all sessions.",
+    "bytes_out": "Application bytes sent across all sessions.",
+}
+
+
+class ServerStats:
+    """Named per-server counters, backed by a metrics registry.
+
+    Historically this class kept its own closed dict of counters; it is
+    now a thin view over :class:`~repro.obs.registry.MetricsRegistry`
+    :class:`~repro.obs.registry.Counter` instruments (one
+    ``repro_server_<field>_total`` each), so the same numbers that
+    :meth:`snapshot` reports in-process are scraped from ``/metrics``
+    without a second bookkeeping path that could drift.  ``add``/``get``
+    still reject unknown names — accounting typos stay loud — but the
+    field set is open: :meth:`register` adds new counters.
+
+    ``sessions_admitted`` counts connections that passed admission
+    control; ``sessions_served`` counts completed protocol runs;
+    ``dropped`` is transport-level losses (timeouts, resets, budget
+    exhaustion), of which ``sessions_errored_internal`` were the
+    server's own fault; ``shed`` is admission-control rejections (BUSY);
+    ``rejected`` is sessions answered with a typed ERROR, of which
+    ``validation_rejections`` failed a trust-boundary or policy check.
+    Byte counters aggregate the per-session accounting.
+    """
+
+    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._counters: Dict[str, Counter] = {}
+        for name, help_text in _FIELD_HELP.items():
+            self.register(name, help_text)
+
+    def register(self, name: str, help_text: str = "") -> Counter:
+        """Add (or fetch) the counter for ``name``; returns the instrument.
+
+        Call during setup, before concurrent ``add``/``get`` traffic:
+        the name->instrument map itself is not lock-guarded.
+        """
+        counter = self.metrics.counter(_METRIC_PREFIX + name + "_total", help_text)
+        self._counters[name] = counter
+        return counter
+
+    def add(self, name: str, amount: int = 1) -> int:
+        """Bump a counter; returns its new value."""
+        counter = self._counters.get(name)
+        if counter is None:
+            raise ParameterError("unknown counter %r" % name)
+        return counter.inc(amount)
+
+    def get(self, name: str) -> int:
+        """Read one counter."""
+        counter = self._counters.get(name)
+        if counter is None:
+            raise ParameterError("unknown counter %r" % name)
+        return counter.value
+
+    def snapshot(self) -> Dict[str, int]:
+        """A copy of all counters (one consistent read per counter)."""
+        return {name: counter.value for name, counter in self._counters.items()}
+
+    def summary(self) -> str:
+        """Human-readable multi-line summary (printed on shutdown)."""
+        snap = self.snapshot()
+        return (
+            "sessions: %d served, %d dropped (%d internal), %d shed, "
+            "%d rejected (%d validation)\n"
+            "bytes: %d in, %d out (%d connections)"
+            % (
+                snap["sessions_served"],
+                snap["sessions_dropped"],
+                snap["sessions_errored_internal"],
+                snap["sessions_shed"],
+                snap["sessions_rejected"],
+                snap["validation_rejections"],
+                snap["bytes_in"],
+                snap["bytes_out"],
+                snap["connections_accepted"],
+            )
+        )
+
+
+class ServerAccounting:
+    """The admission, budget, and outcome bookkeeping of one server.
+
+    :class:`SpfeServer` owns sockets and threads; this class owns the
+    numbers:
+
+    * the ``max_queries`` budget — :meth:`admit_query_budget`,
+      :meth:`release_query_budget`, and the atomic :meth:`retire_session`
+      (served-bump and in-flight release under one ``_budget_lock``
+      acquisition, so an admission check can never observe a finishing
+      session in both totals);
+    * the in-flight / active-connection gauges plus a peak-concurrency
+      gauge the fleet tests assert ``max_sessions`` bounds against;
+    * :meth:`budgeted_timeout`, the per-read deadline under an optional
+      total ``connection_deadline_s`` wall-clock budget;
+    * :meth:`account_outcome`, the single classification path from a
+      finished connection to exactly one of served / dropped / rejected
+      (plus the byte totals and the ``sessions_errored_internal`` tag).
+    """
+
+    def __init__(
+        self,
+        stats: ServerStats,
+        *,
+        metrics: MetricsRegistry,
+        max_queries: int = 0,
+        note: Optional[Callable[[str], None]] = None,
+    ) -> None:
+        self.stats = stats
+        self.max_queries = max_queries
+        self._note = note if note is not None else (lambda message: None)
+        self._budget_lock = threading.Lock()
+        #: admitted-but-unfinished sessions counted against max_queries
+        self._in_flight = 0
+        self._in_flight_gauge = metrics.gauge(
+            "repro_server_in_flight_sessions",
+            "Admitted sessions not yet retired (queued or being served).",
+        )
+        self._active_gauge = metrics.gauge(
+            "repro_server_active_connections",
+            "Connections currently attached to a worker.",
+        )
+        self._peak_lock = threading.Lock()
+        self._active_peak = 0
+        self._active_peak_gauge = metrics.gauge(
+            "repro_server_active_connections_peak",
+            "High-water mark of concurrently served connections.",
+        )
+
+    # -- query budget -------------------------------------------------------
+
+    def admit_query_budget(self) -> bool:
+        """Reserve an in-flight slot; False when max_queries is spent.
+
+        The budget counts served plus in-flight sessions, so admission
+        stops as soon as enough work to satisfy the budget has *started*
+        — extra clients are shed with BUSY and can retry, and a slot is
+        released if its session drops or is rejected.  In-flight is
+        tracked (and exported as a gauge) even without a budget.
+        """
+        with self._budget_lock:
+            if self.max_queries:
+                served = self.stats.get("sessions_served")
+                if served + self._in_flight >= self.max_queries:
+                    return False
+            self._in_flight += 1
+            self._in_flight_gauge.set(self._in_flight)
+            return True
+
+    def release_query_budget(self) -> None:
+        """Release an admitted slot that never became a served session."""
+        with self._budget_lock:
+            self._in_flight -= 1
+            self._in_flight_gauge.set(self._in_flight)
+
+    def retire_session(self, served: bool) -> bool:
+        """Atomically retire one admitted session; True = budget now met.
+
+        The ``sessions_served`` bump and the in-flight release happen
+        under the same ``_budget_lock`` acquisition that
+        :meth:`admit_query_budget` takes.  When they were two separate
+        steps, an admission check running between them saw the finishing
+        session counted in *both* ``served`` and in-flight and could
+        shed a connection the budget actually allowed (transient
+        double-count at the ``max_queries`` boundary).  The caller
+        initiates its drain when this returns True — the accounting holds
+        no reference to the server.
+        """
+        with self._budget_lock:
+            self._in_flight -= 1
+            self._in_flight_gauge.set(self._in_flight)
+            if served:
+                total = self.stats.add("sessions_served")
+                if self.max_queries and total >= self.max_queries:
+                    return True
+        return False
+
+    def in_flight(self) -> int:
+        """The current number of admitted-but-unretired sessions."""
+        with self._budget_lock:
+            return self._in_flight
+
+    # -- per-connection bookkeeping -----------------------------------------
+
+    def session_admitted(self) -> None:
+        """Count one connection handed to the protocol layer."""
+        self.stats.add("sessions_admitted")
+
+    def connection_attached(self) -> None:
+        """A connection is now actively being served; tracks the peak."""
+        active = int(self._active_gauge.inc())
+        with self._peak_lock:
+            if active > self._active_peak:
+                self._active_peak = active
+                self._active_peak_gauge.set(active)
+
+    def connection_detached(self) -> None:
+        """The active connection's worker let go of it."""
+        self._active_gauge.dec()
+
+    @property
+    def peak_active(self) -> int:
+        """High-water mark of concurrently served connections."""
+        with self._peak_lock:
+            return self._active_peak
+
+    def budgeted_timeout(
+        self,
+        started: float,
+        read_timeout: Optional[float],
+        connection_deadline_s: Optional[float],
+    ) -> Optional[float]:
+        """The next read's deadline under the connection budget.
+
+        Raises :class:`~repro.exceptions.TransportTimeout` once the
+        total wall-clock budget (when configured) is spent.
+        """
+        if connection_deadline_s is None:
+            return read_timeout
+        remaining = connection_deadline_s - (time.monotonic() - started)
+        if remaining <= 0:
+            raise TransportTimeout(
+                "connection exceeded its %.1fs budget" % connection_deadline_s
+            )
+        if read_timeout is None:
+            return remaining
+        return min(read_timeout, remaining)
+
+    # -- outcome classification ---------------------------------------------
+
+    def account_outcome(
+        self, session, outcome: str, peer: Tuple, detail: str
+    ) -> bool:
+        """Account one finished connection; True when served to completion.
+
+        ``outcome`` is the worker's transport-level verdict:
+        ``"detached"`` (the session loop exited on its own terms),
+        ``"dropped"`` (a transport error or deadline cut it off), or
+        ``"internal"`` (a server-side bug).  Combined with the session's
+        own state this yields exactly one of served / dropped / rejected
+        — classification order matters:
+
+        1. internal errors are drops the server owns;
+        2. an errored session was answered (or at least owed) a typed
+           ERROR — it is rejected even if that final send failed;
+        3. a transport-level drop is a drop *even when the session
+           finished*: a RESULT the peer never received was not served
+           (this branch used to be unreachable behind ``finished``, so
+           a failed RESULT send vanished from every outcome counter);
+        4. a finished session whose transport survived was served;
+        5. anything else is a peer that went away mid-run.
+        """
+        self.stats.add("bytes_in", session.bytes_received)
+        self.stats.add("bytes_out", session.bytes_sent)
+        if outcome == "internal":
+            self.stats.add("sessions_dropped")
+            self.stats.add("sessions_errored_internal")
+            self._note("dropped %s: internal error: %s" % (peer, detail))
+            return False
+        if session.errored:
+            self.stats.add("sessions_rejected")
+            if isinstance(session.last_error, ValidationError):
+                self.stats.add("validation_rejections")
+            self._note("rejected %s: %s" % (peer, session.last_error))
+            return False
+        if outcome == "dropped":
+            self.stats.add("sessions_dropped")
+            if session.finished:
+                self._note(
+                    "dropped %s: result computed but never delivered: %s"
+                    % (peer, detail)
+                )
+            else:
+                self._note("dropped %s: %s" % (peer, detail))
+            return False
+        if session.finished:
+            self._note(
+                "served %s: %d bytes in, %d out"
+                % (peer, session.bytes_received, session.bytes_sent)
+            )
+            return True
+        # Clean EOF before completion: the peer went away mid-run (it
+        # may resume on a later connection).
+        self.stats.add("sessions_dropped")
+        self._note("dropped %s: peer closed mid-session" % (peer,))
+        return False
 
 
 class SpfeServer:
@@ -112,16 +439,10 @@ class SpfeServer:
             one query actually succeeds (it does not exit after the
             first failed connection, as the pre-concurrency server did).
         busy_retry_ms: retry-after hint carried in BUSY frames.
-        engine: optional :class:`~repro.crypto.engine.CryptoEngine`
-            shared by every session for kernel-partitioned aggregation;
-            the server owns it once passed and closes it as the final
-            step of its drain path, so worker processes never outlive
-            the server.
         metrics: optional shared
             :class:`~repro.obs.registry.MetricsRegistry`; None builds a
             private one.  All counters, gauges, and phase histograms of
-            this server live there (and an engine passed in can share
-            it for a single unified exposition).
+            this server live there.
         stats_port: when not None, :meth:`start` also binds a
             :class:`~repro.obs.http.StatsEndpoint` on ``(host,
             stats_port)`` (0 = ephemeral; see :attr:`stats_address`)
@@ -145,7 +466,6 @@ class SpfeServer:
         connection_deadline_s: Optional[float] = None,
         max_queries: int = 0,
         busy_retry_ms: int = 250,
-        engine: Optional[object] = None,
         metrics: Optional[MetricsRegistry] = None,
         stats_port: Optional[int] = None,
         log: Optional[Callable[[str], object]] = None,
@@ -173,7 +493,6 @@ class SpfeServer:
         self.connection_deadline_s = connection_deadline_s
         self.max_queries = max_queries
         self.busy_retry_ms = busy_retry_ms
-        self.engine = engine
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.stats = ServerStats(self.metrics)
         self.tracer = Tracer(registry=self.metrics)
@@ -184,7 +503,6 @@ class SpfeServer:
             self.stats,
             metrics=self.metrics,
             max_queries=max_queries,
-            backend="threads",
             note=self._note,
         )
         self._requested_port = port
@@ -399,20 +717,25 @@ class SpfeServer:
                 if drain_deadline_s is not None
                 else DEFAULT_DRAIN_DEADLINE_S
             )
-            if self._accept_thread is not None:
-                self._accept_thread.join(timeout=max(deadline, 1.0))
+            # One cutoff for every thread: the accept loop hands out the
+            # workers' stop markers with a blocking put, so it can be
+            # waiting on the same busy workers, and a deadline of its own
+            # would spend the drain deadline twice.
             cutoff = time.monotonic() + deadline
-            for worker in self._workers:
-                worker.join(timeout=max(0.0, cutoff - time.monotonic()))
-            if any(worker.is_alive() for worker in self._workers):
+            threads = self._workers + (
+                [self._accept_thread] if self._accept_thread is not None else []
+            )
+            for thread in threads:
+                thread.join(timeout=max(0.0, cutoff - time.monotonic()))
+            if any(thread.is_alive() for thread in threads):
                 # Drain deadline exceeded: cut the remaining sessions'
-                # sockets out from under them; their workers observe a
-                # transport error and exit as drops.
+                # sockets out from under them; their workers read EOF or
+                # a transport error and exit as drops.
                 with self._active_lock:
                     for transport in self._active.values():
                         transport.close()
-                for worker in self._workers:
-                    worker.join(timeout=5.0)
+                for thread in threads:
+                    thread.join(timeout=5.0)
             if self._shed_thread is not None:
                 # The accept loop enqueues the sentinel on its way out; a
                 # second one covers the never-accepted edge.  It must be
@@ -441,11 +764,6 @@ class SpfeServer:
                     self._listener.close()
                 except OSError:
                     pass
-            if self.engine is not None:
-                # Last step of the drain: no session can still be folding
-                # once the workers have joined, so the kernel pool can be
-                # torn down without cutting work short.
-                self.engine.close()
             if self._stats_endpoint is not None:
                 self._stats_endpoint.close()
             self._finalized = True
@@ -456,30 +774,6 @@ class SpfeServer:
     def _note(self, message: str) -> None:
         if self._log is not None:
             self._log(message + "\n")
-
-    def _admit_query_budget(self) -> bool:
-        """Reserve an in-flight slot; False when max_queries is spent.
-
-        Delegates to :meth:`ServerAccounting.admit_query_budget` — the
-        budget semantics are shared with the asyncio front-end.
-        """
-        return self._core.admit_query_budget()
-
-    def _release_query_budget(self) -> None:
-        """Release an admitted slot that never became a served session."""
-        self._core.release_query_budget()
-
-    def _retire_session(self, served: bool) -> None:
-        """Atomically retire one admitted session, served or not.
-
-        :meth:`ServerAccounting.retire_session` bumps ``sessions_served``
-        and releases the in-flight slot under one lock acquisition (the
-        budget-boundary atomicity regression lives there); when it
-        reports the ``max_queries`` budget met, this front-end begins
-        its drain.
-        """
-        if self._core.retire_session(served):
-            self.initiate_drain()
 
     def _accept_loop(self) -> None:
         assert self._listener is not None
@@ -494,13 +788,13 @@ class SpfeServer:
             if self._drain.is_set():
                 self._shed(connection, peer, "draining")
                 break
-            if not self._admit_query_budget():
+            if not self._core.admit_query_budget():
                 self._shed(connection, peer, "query budget exhausted")
                 continue
             try:
                 self._queue.put_nowait((connection, peer))
             except queue.Full:
-                self._release_query_budget()
+                self._core.release_query_budget()
                 self._shed(connection, peer)
         # Drain: refuse new connections at the TCP level, shed whatever
         # was queued but never started, then release the workers and
@@ -514,7 +808,7 @@ class SpfeServer:
                 connection, peer = self._queue.get_nowait()  # type: ignore[misc]
             except queue.Empty:
                 break
-            self._release_query_budget()
+            self._core.release_query_budget()
             self._shed(connection, peer, "draining")
         for _ in self._workers:
             self._queue.put(None)
@@ -620,7 +914,8 @@ class SpfeServer:
                 except OSError:
                     pass
             finally:
-                self._retire_session(served)
+                if self._core.retire_session(served):
+                    self.initiate_drain()
 
     def _serve_connection(self, connection: socket.socket, peer: Tuple) -> bool:
         """Run one session on ``connection``; True when served to completion.
@@ -638,7 +933,6 @@ class SpfeServer:
             self.database,
             registry=self.registry,
             policy=self.policy,
-            engine=self.engine,
             tracer=self.tracer,
         )
         transport = SocketTransport(connection, read_timeout=self.read_timeout)

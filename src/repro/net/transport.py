@@ -188,9 +188,20 @@ class SocketTransport(Transport):
         return data
 
     def close(self) -> None:
-        """Close the socket (idempotent; shutdown errors are ignored)."""
+        """Shut down and close the socket (idempotent; errors are ignored).
+
+        The ``shutdown`` is what wakes a thread blocked in :meth:`recv`
+        on this socket: on Linux a bare ``close`` from another thread
+        leaves that reader asleep until its read deadline, so a server
+        force-closing stragglers at its drain deadline would wait out
+        every one of them.
+        """
         if not self._closed:
             self._closed = True
+            try:
+                self._sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # never connected, or the peer already reset
             try:
                 self._sock.close()
             except OSError:

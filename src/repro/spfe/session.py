@@ -599,18 +599,16 @@ class ServerSession:
     across connections; without one the server still speaks v1 and v2
     wire but answers every RESUME with "unknown, restart".
 
-    Event-loop safety (audited for the asyncio front-end): this class
-    performs **no I/O** — :meth:`receive_bytes` maps input bytes to
-    output bytes and touches only per-session state, so one session may
-    be driven from any single thread, including an executor thread owned
-    by :class:`~repro.net.aio.AsyncSpfeServer`.  The only shared objects
-    it reaches are the :class:`SessionRegistry` (every method takes the
-    registry lock; its optional :class:`~repro.store.state.StateStore`
-    serialises on its own connection lock) and the metrics/tracer
-    instruments (each mutation under the instrument's lock).  A *single*
-    session object must still not be fed from two threads at once — both
-    front-ends guarantee that by construction (one connection, one
-    worker thread or one handler task).
+    Thread safety: this class performs **no I/O** —
+    :meth:`receive_bytes` maps input bytes to output bytes and touches
+    only per-session state, so one session may be driven from any single
+    thread.  The only shared objects it reaches are the
+    :class:`SessionRegistry` (every method takes the registry lock; its
+    optional :class:`~repro.store.state.StateStore` serialises on its own
+    connection lock) and the metrics/tracer instruments (each mutation
+    under the instrument's lock).  A *single* session object must still
+    not be fed from two threads at once — :class:`~repro.net.server.SpfeServer`
+    guarantees that by construction (one connection, one worker thread).
     """
 
     _WAIT_HELLO = "wait-hello"
@@ -623,7 +621,6 @@ class ServerSession:
         database: ServerDatabase,
         registry: Optional[SessionRegistry] = None,
         policy: Optional[ServerPolicy] = None,
-        engine: Optional[object] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.database = database
@@ -634,10 +631,6 @@ class ServerSession:
         self.tracer = tracer
         #: trust-boundary limits; None preserves the legacy permissive mode
         self.policy = policy
-        #: optional :class:`~repro.crypto.engine.CryptoEngine`, kept for
-        #: callers that pass one; it no longer drives the fold, which is
-        #: always the in-process digit-plane accumulator
-        self.engine = engine
         self._decoder = FrameDecoder(
             max_payload=policy.max_frame_payload if policy else None
         )

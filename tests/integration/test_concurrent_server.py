@@ -1,10 +1,8 @@
 """Concurrent-server integration suite: the ISSUE acceptance scenarios.
 
-One server — each test runs against *both* connection front-ends, the
-threaded :class:`~repro.net.server.SpfeServer` and the event-loop
-:class:`~repro.net.aio.AsyncSpfeServer`, via the ``make_server``
-fixture — faces a fleet of threaded clients — honest, malicious, slow,
-and silent — over real kernel sockets.  The suite asserts the hardening
+One :class:`~repro.net.server.SpfeServer` faces a fleet of threaded
+clients — honest, malicious, slow, and silent — over real kernel
+sockets.  The suite asserts the hardening
 properties end to end:
 
 * a mixed fleet never corrupts an honest answer: every honest client
@@ -35,6 +33,7 @@ from repro.datastore.workload import WorkloadGenerator
 from repro.exceptions import ReproError, ValidationError
 from repro.net import codec
 from repro.net.codec import FrameDecoder, FrameType
+from repro.net.server import SpfeServer
 from repro.net.transport import RetryPolicy, SocketTransport
 from repro.spfe.session import ClientSession, run_over_transport, run_resilient
 from repro.spfe.validation import ServerPolicy
@@ -111,7 +110,7 @@ def wait_for(predicate, timeout=JOIN_TIMEOUT):
 
 
 class TestMixedFleet:
-    def test_honest_malicious_and_silent_clients(self, workload, make_server):
+    def test_honest_malicious_and_silent_clients(self, workload):
         """Four honest, two malicious, one silent client, concurrently.
 
         Every honest client gets the exact sum; each malicious client is
@@ -119,7 +118,7 @@ class TestMixedFleet:
         dropped on deadline — and none of it disturbs the others.
         """
         database, selection, expected, keypair = workload
-        server = make_server(
+        server = SpfeServer(
             database,
             policy=POLICY,
             max_sessions=4,
@@ -258,12 +257,12 @@ def corpus(workload):
 
 class TestMalformedFrameCorpus:
     def test_every_reject_path_is_typed_and_survivable(
-        self, workload, make_server
+        self, workload
     ):
         """Each corpus entry earns its typed ERROR; the server then
         serves an honest client as if nothing happened."""
         database, selection, expected, _ = workload
-        server = make_server(
+        server = SpfeServer(
             database, policy=POLICY, max_sessions=2, read_timeout=READ_TIMEOUT
         ).start()
         try:
@@ -299,7 +298,7 @@ class TestMalformedFrameCorpus:
         finally:
             server.stop(drain_deadline_s=10.0)
 
-    def test_session_byte_quota_is_enforced(self, workload, make_server):
+    def test_session_byte_quota_is_enforced(self, workload):
         """A peer streaming more bytes than the per-session quota gets a
         typed POLICY error even though every individual frame is valid."""
         database, _, __, keypair = workload
@@ -309,7 +308,7 @@ class TestMalformedFrameCorpus:
             max_frame_payload=192,
             max_session_bytes=192,
         )
-        server = make_server(
+        server = SpfeServer(
             database, policy=quota_policy, read_timeout=READ_TIMEOUT
         ).start()
         try:
@@ -350,12 +349,12 @@ class TestMalformedFrameCorpus:
 
 
 class TestBusyRetry:
-    def test_shed_client_retries_to_completion(self, workload, make_server):
+    def test_shed_client_retries_to_completion(self, workload):
         """Acceptance: with the pool saturated, the surplus client gets
         BUSY and, through run_resilient's retry loop, still finishes
         with the exact answer once capacity frees up."""
         database, selection, expected, _ = workload
-        server = make_server(
+        server = SpfeServer(
             database,
             policy=POLICY,
             max_sessions=1,
@@ -418,13 +417,13 @@ class _SlowTransport:
 
 class TestSignalDrain:
     def test_sigterm_drains_active_session_to_completion(
-        self, workload, make_server
+        self, workload
     ):
         """Acceptance: SIGTERM while a query is in flight stops the
         accept loop but lets the in-flight session finish; the client
         still gets the exact answer."""
         database, selection, expected, _ = workload
-        server = make_server(
+        server = SpfeServer(
             database, policy=POLICY, read_timeout=READ_TIMEOUT
         ).start()
         restore = server.install_signal_handlers()
@@ -476,17 +475,17 @@ class TestSignalDrain:
 
 class TestOutcomeInvariant:
     def test_served_dropped_rejected_reconcile_with_admitted(
-        self, workload, make_server
+        self, workload
     ):
         """At drain, every admitted session is in exactly one outcome
         bucket: ``served + dropped + rejected == admitted``, in-flight
         zero.  Drives all three outcome classes concurrently — honest
         (served), malicious (rejected), silent (dropped on deadline) —
-        on both backends; a session that slips between counters (the
+        a session that slips between counters (the
         vanished-outcome family of bugs) breaks the equality.
         """
         database, selection, expected, _ = workload
-        server = make_server(
+        server = SpfeServer(
             database,
             policy=POLICY,
             max_sessions=3,

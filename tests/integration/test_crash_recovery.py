@@ -28,8 +28,6 @@ import time
 
 import pytest
 
-from tests.conftest import SERVER_BACKENDS
-
 from repro.crypto.rng import DeterministicRandom
 from repro.datastore.database import ServerDatabase
 from repro.net import codec
@@ -254,12 +252,10 @@ def free_port():
     return port
 
 
-@pytest.mark.parametrize("backend", SERVER_BACKENDS)
-def test_sigkill_fleet_survives_three_crashes(tmp_path, backend):
+def test_sigkill_fleet_survives_three_crashes(tmp_path):
     """`repro serve --state-dir` under the supervisor, SIGKILLed at
     three journal-verified fault points; the resilient client finishes
-    with the exact sum and zero re-encryption.  Runs once per connection
-    front-end: warm-restart recovery must hold on asyncio too."""
+    with the exact sum and zero re-encryption."""
     n = 96
     values = [(7 * i + 3) % 251 for i in range(n)]
     selection = [1 if i % 3 else 0 for i in range(n)]
@@ -278,7 +274,6 @@ def test_sigkill_fleet_survives_three_crashes(tmp_path, backend):
             "--queries", "0",
             "--timeout", "5",
             "--state-dir", state_dir,
-            "--backend", backend,
         ],
         policy=SupervisorPolicy(max_restarts=10, base_delay_s=0.05),
         stdout=subprocess.DEVNULL,

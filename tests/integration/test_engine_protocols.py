@@ -2,19 +2,15 @@
 
 The acceptance bar for the engine is behavioural equivalence: every
 protocol variant must decrypt to the same sums with an engine-backed
-scheme as without one, seeded runs must be deterministic across worker
-counts, and a server handed an engine must aggregate correctly and shut
-the engine down on drain.
+scheme as without one, and seeded runs must be deterministic across
+worker counts.
 """
 
 import pytest
 
 from repro.crypto.engine import CryptoEngine
 from repro.crypto.paillier import PaillierScheme
-from repro.crypto.rng import DeterministicRandom
 from repro.datastore.workload import WorkloadGenerator
-from repro.net.server import SpfeServer
-from repro.net.transport import SocketTransport
 from repro.spfe.batching import BatchedSelectedSumProtocol
 from repro.spfe.combined import CombinedSelectedSumProtocol
 from repro.spfe.context import ExecutionContext
@@ -22,16 +18,9 @@ from repro.spfe.grouped import GroupedSumProtocol
 from repro.spfe.multiclient import MultiClientSelectedSumProtocol
 from repro.spfe.preprocessing import PreprocessedSelectedSumProtocol
 from repro.spfe.selected_sum import SelectedSumProtocol
-from repro.spfe.session import (
-    ClientSession,
-    ServerSession,
-    run_resilient,
-    run_sessions_in_memory,
-)
 
 KEY_BITS = 128
 N = 24
-READ_TIMEOUT = 5.0
 
 
 @pytest.fixture(scope="module")
@@ -102,66 +91,3 @@ class TestEngineBackedVariants:
             ctx = engine_context(engine, "fixed-base")
             result = SelectedSumProtocol(ctx).run(database, selection)
         assert result.value == database.select_sum(selection)
-
-
-class TestEngineSessions:
-    def test_server_session_folds_through_engine(self, workload):
-        database, selection = workload
-        with CryptoEngine(workers=1, chunk_size=4) as engine:
-            client = ClientSession(
-                selection,
-                key_bits=KEY_BITS,
-                chunk_size=4,
-                rng=DeterministicRandom("session-engine"),
-            )
-            server = ServerSession(database, engine=engine)
-            value = run_sessions_in_memory(client, server)
-        assert value == database.select_sum(selection)
-
-    def test_session_aggregate_matches_engineless(self, workload):
-        database, selection = workload
-        values = []
-        for engine in (None, CryptoEngine(workers=1, chunk_size=4)):
-            client = ClientSession(
-                selection,
-                key_bits=KEY_BITS,
-                chunk_size=4,
-                rng=DeterministicRandom("session-same"),
-            )
-            values.append(
-                run_sessions_in_memory(
-                    client, ServerSession(database, engine=engine)
-                )
-            )
-            if engine is not None:
-                engine.close()
-        assert values[0] == values[1] == database.select_sum(selection)
-
-
-class TestEngineServer:
-    def test_server_serves_and_closes_engine_on_drain(self, workload):
-        database, selection = workload
-        engine = CryptoEngine(workers=2, chunk_size=8)
-        server = SpfeServer(
-            database, read_timeout=READ_TIMEOUT, engine=engine
-        ).start()
-        try:
-            client = ClientSession(
-                selection,
-                key_bits=KEY_BITS,
-                chunk_size=4,
-                rng=DeterministicRandom("server-engine"),
-            )
-            value = run_resilient(
-                client,
-                lambda: SocketTransport.connect(
-                    "127.0.0.1",
-                    server.port,
-                    connect_timeout=READ_TIMEOUT,
-                    read_timeout=READ_TIMEOUT,
-                ),
-            )
-            assert value == database.select_sum(selection)
-        finally:
-            server.stop(drain_deadline_s=5.0)
-        assert engine.closed

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro.crypto.paillier import generate_keypair
 from repro.crypto.rng import DeterministicRandom
 from repro.datastore.workload import WorkloadGenerator
 from repro.exceptions import ParameterError, ServerBusy, TransportError
@@ -30,18 +31,19 @@ def workload():
     return database, selection
 
 
-def make_client(selection, seed="c"):
+def make_client(selection, seed="c", keypair=None):
     return ClientSession(
         selection,
         key_bits=KEY_BITS,
         chunk_size=4,
         rng=DeterministicRandom("server-test-%s" % seed),
+        keypair=keypair,
     )
 
 
-def connect(port):
+def connect(port, read_timeout=READ_TIMEOUT):
     return SocketTransport.connect(
-        "127.0.0.1", port, connect_timeout=READ_TIMEOUT, read_timeout=READ_TIMEOUT
+        "127.0.0.1", port, connect_timeout=READ_TIMEOUT, read_timeout=read_timeout
     )
 
 
@@ -427,7 +429,7 @@ class TestAccountingRegressions:
         succeed."""
         database, _ = workload
         server = SpfeServer(database, max_queries=2)  # never started
-        assert server._admit_query_budget() is True  # the finishing session
+        assert server._core.admit_query_budget() is True  # the finishing session
         original_add = server.stats.add
         bump_entered = threading.Event()
 
@@ -443,11 +445,11 @@ class TestAccountingRegressions:
 
         def admit():
             bump_entered.wait(5.0)
-            admitted.append(server._admit_query_budget())
+            admitted.append(server._core.admit_query_budget())
 
         prober = threading.Thread(target=admit)
         prober.start()
-        server._retire_session(served=True)
+        server._core.retire_session(served=True)
         prober.join(5.0)
         assert not prober.is_alive()
         assert admitted == [True]
@@ -563,6 +565,57 @@ class TestOutcomeAndShutdownRegressions:
         ), snap
         assert any("never delivered" in note for note in notes), notes
 
+    @pytest.mark.parametrize(
+        "accept_backlog, silent",
+        [(8, 4), (1, 2)],
+        ids=["every-worker-silent", "backlog-below-pool"],
+    )
+    def test_forced_drain_cuts_silent_sessions_at_the_deadline(
+        self, workload, accept_backlog, silent
+    ):
+        """Silent peers hold workers past the drain deadline, so
+        ``stop()`` force-closes their transports.  A bare ``close`` did
+        not wake a worker blocked in ``recv``: ``stop()`` took the
+        deadline plus 5 s per worker and returned with the workers
+        alive and no outcome counted for their sessions.  And with
+        ``max_sessions > accept_backlog`` the accept loop blocks handing
+        out stop markers, so joining it under its own deadline spent
+        the drain deadline twice.  Both sessions' outcomes must land as
+        drops within about one deadline."""
+        database, _ = workload
+        server = SpfeServer(
+            database,
+            max_sessions=4,
+            accept_backlog=accept_backlog,
+            read_timeout=60.0,
+        ).start()
+        peers = []
+        try:
+            # one at a time: a second connect racing the first worker's
+            # pickup would be shed from a one-slot backlog
+            for count in range(1, silent + 1):
+                peers.append(
+                    socket.create_connection(
+                        ("127.0.0.1", server.port), timeout=5.0
+                    )
+                )
+                admitted_by = time.monotonic() + 5.0
+                while server.stats.get("sessions_admitted") < count:
+                    assert time.monotonic() < admitted_by, "peer not admitted"
+                    time.sleep(0.01)
+            started = time.monotonic()
+            server.stop(drain_deadline_s=1.0)
+            elapsed = time.monotonic() - started
+        finally:
+            for peer in peers:
+                peer.close()
+        # one 1 s deadline plus slack, not two deadlines
+        assert elapsed < 1.75, "stop() took %.1fs" % elapsed
+        assert not any(worker.is_alive() for worker in server._workers)
+        snap = server.stats.snapshot()
+        assert snap["sessions_admitted"] == silent
+        assert snap["sessions_dropped"] == snap["sessions_admitted"], snap
+
     def test_stats_port_conflict_unwinds_startup(self, workload):
         """`start()` dies on a taken stats port *after* the main
         listener is bound.  The failure used to leave ``_started`` stuck
@@ -628,3 +681,58 @@ class TestOutcomeAndShutdownRegressions:
         for left, right in pairs:
             assert left.fileno() == -1, "queued socket leaked across stop()"
             right.close()
+
+
+@pytest.mark.chaos
+class TestFleet:
+    def test_two_hundred_clients_over_eight_slots(self, workload):
+        """Acceptance: a 200-client fleet completes against
+        ``max_sessions=8`` with every sum exact, and the concurrency
+        high-water mark proves the worker pool bounded serving."""
+        database, selection = workload
+        keypair = generate_keypair(KEY_BITS, DeterministicRandom("fleet-keypair"))
+        expected = database.select_sum(selection)
+        server = SpfeServer(
+            database,
+            max_sessions=8,
+            accept_backlog=256,
+            read_timeout=15.0,
+        ).start()
+        port = server.port
+        results = {}
+        lock = threading.Lock()
+
+        def run_one(tag):
+            # the shared keypair keeps 200 clients cheap; each still
+            # encrypts its own selection vector
+            client = make_client(selection, "fleet-%d" % tag, keypair=keypair)
+            value = run_resilient(
+                client,
+                lambda: connect(port, read_timeout=15.0),
+                policy=RetryPolicy(max_attempts=10, base_delay_s=0.2),
+            )
+            with lock:
+                results[tag] = value
+
+        threads = [
+            threading.Thread(target=run_one, args=(tag,)) for tag in range(200)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+                assert not thread.is_alive(), "fleet client hung"
+        finally:
+            server.stop(drain_deadline_s=15.0)
+        assert len(results) == 200
+        assert all(value == expected for value in results.values())
+        snap = server.stats.snapshot()
+        assert snap["sessions_served"] == 200
+        assert server._core.peak_active <= 8
+        assert (
+            snap["sessions_served"]
+            + snap["sessions_dropped"]
+            + snap["sessions_rejected"]
+            == snap["sessions_admitted"]
+        ), snap
