@@ -463,9 +463,9 @@ class CryptoEngine:
             Build one with ``repro calibrate`` (persisted via
             :mod:`repro.store`).
         private_key: optional Paillier private key.  A key-owning
-            client that hands it over gets CRT-split obfuscators
-            (half-width exponentiations mod p^2 and q^2, ~1.4x faster)
-            on every in-process encryption chunk — byte-identical
+            client that hands it over gets obfuscators computed from
+            the factorisation (CRT + Teichmüller lift, ~2x faster at
+            512 bits) on every in-process encryption chunk — byte-identical
             ciphertexts, so this composes with determinism.  The key
             never crosses a process boundary: parallel chunks fall back
             to the public-key kernel, which produces the same bytes.
@@ -696,8 +696,8 @@ class CryptoEngine:
         and the batch draws full ``r^n`` obfuscators (the fixed-base
         path never computes ``r^n``, so there is nothing to split).
         The replacement draws ``r`` identically and computes the same
-        obfuscator through half-width exponentiations — byte-identical
-        output, measured ~1.4x faster.
+        obfuscator through the factorisation — byte-identical output,
+        measured ~2x faster at 512 bits.
         """
         private = self.private_key
         if (
@@ -713,18 +713,9 @@ class CryptoEngine:
 
             _key_blob, seed, payload = _unpack_frames(task)
             rng = DeterministicRandom(seed)
-            out = []
-            for m in unpack_int_vector(payload):
-                while True:
-                    candidate = rng.randrange(1, public.n)
-                    if math.gcd(candidate, public.n) == 1:
-                        break
-                out.append(
-                    public.raw_encrypt(
-                        m % public.n, private.obfuscator_from_r(candidate)
-                    )
-                )
-            return pack_int_vector(out)
+            return pack_int_vector(
+                [private.encrypt_raw_crt(m, rng) for m in unpack_int_vector(payload)]
+            )
 
         return crt_encrypt_chunk
 
@@ -863,14 +854,11 @@ class CryptoEngine:
             )
             obfuscators = []
             for _ in ciphertexts:
-                while True:
-                    candidate = source.randrange(1, public.n)
-                    if math.gcd(candidate, public.n) == 1:
-                        break
+                r = public.draw_r(source)
                 obfuscators.append(
-                    private.obfuscator_from_r(candidate)
+                    private.obfuscator_from_r(r)
                     if use_crt
-                    else pow(candidate, public.n, nsquare)
+                    else pow(r, public.n, nsquare)
                 )
         return tuple(
             ct * ob % nsquare for ct, ob in zip(ciphertexts, obfuscators)

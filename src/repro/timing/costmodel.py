@@ -192,9 +192,12 @@ def calibrate_profile(
     real measurements (absolute speed of 2004 hardware is, of course, not
     reproducible).
 
-    With ``use_kernels`` (the default) the server step and the offline
-    obfuscator are charged at the kernel rates the deployed system
-    executes.  The server step is one digit-plane bucket insert per
+    With ``use_kernels`` (the default) client encryption, the server
+    step and the offline obfuscator are charged at the kernel rates the
+    deployed system executes.  Encryption is the key owner's
+    :meth:`~repro.crypto.paillier.PaillierPrivateKey.encrypt_raw_crt`,
+    which is what :class:`~repro.spfe.session.ClientSession` runs;
+    without kernels it is the textbook ``encrypt_raw``.  The server step is one digit-plane bucket insert per
     element plus the closing multiexp over the buckets, which a query
     pays once and is spread over the paper's n = 1000 elements; the
     obfuscator is a fixed-base table lookup.  The fixed-base
@@ -224,8 +227,8 @@ def calibrate_profile(
 
     ciphertexts = [pk.encrypt_raw(i + 1, rng) for i in range(iterations)]
 
-    t_encrypt = measure(lambda i: pk.encrypt_raw(i, rng))
     if use_kernels:
+        t_encrypt = measure(lambda i: sk.encrypt_raw_crt(i, rng))
         # Offline obfuscator via the fixed-base windowed table (the
         # RandomnessPool fixed-base path): exclude the one-time table
         # build, measure per-lookup cost.
@@ -247,6 +250,7 @@ def calibrate_profile(
         multi_exponent(*plane_terms(buckets), pk.nsquare)
         t_step = t_insert + (clock() - start) / _FOLD_ELEMENTS
     else:
+        t_encrypt = measure(lambda i: pk.encrypt_raw(i, rng))
         t_precompute = measure(lambda i: pk.obfuscator(rng))
         t_step = measure(
             lambda i: pow(ciphertexts[i], 0xDEADBEEF, pk.nsquare) * ciphertexts[i]

@@ -5,8 +5,11 @@ arithmetic is size-independent.  The paper's 512-bit size is exercised
 once in the integration tests and in the live microbenchmarks.
 """
 
+import functools
+import math
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.crypto.paillier import (
     EncryptedNumber,
@@ -15,6 +18,7 @@ from repro.crypto.paillier import (
     RandomnessPool,
     generate_keypair,
 )
+from repro.crypto.ntheory import crt_pair
 from repro.crypto.rng import DeterministicRandom
 from repro.exceptions import (
     DecryptionError,
@@ -465,15 +469,20 @@ class TestRandomnessPoolFixedBase:
         assert c.decrypt(keypair.private) == 7
 
 
+@functools.lru_cache(maxsize=None)
+def _lift_key(bits, seed):
+    return generate_keypair(bits, "lift-%d-%d" % (bits, seed))
+
+
 class TestCrtEncryption:
-    """CRT-split encryption: half-width exponentiations, identical bytes."""
+    """Key-owner encryption (CRT + Teichmüller lift): identical bytes."""
 
     def test_obfuscator_from_r_matches_full_pow(self, keypair):
         pk, sk = keypair.public, keypair.private
         rng = DeterministicRandom("crt-obf")
         for _ in range(10):
             r = rng.randrange(1, pk.n)
-            if __import__("math").gcd(r, pk.n) != 1:
+            if math.gcd(r, pk.n) != 1:
                 continue
             assert sk.obfuscator_from_r(r) == pow(r, pk.n, pk.nsquare)
 
@@ -482,6 +491,27 @@ class TestCrtEncryption:
         for m in (0, 1, 12345, pk.n - 1):
             seed = "crt-enc-%d" % m
             assert sk.encrypt_raw_crt(m, seed) == pk.encrypt_raw(m, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(16, 1024),
+        st.integers(0, 2),
+        st.sampled_from(["one", "n-1", "1 mod p", "1 mod q", "random"]),
+        st.integers(0, 2**1024),
+    )
+    def test_lift_equals_full_pow_property(self, bits, key_seed, kind, x):
+        """The Teichmüller-lift obfuscator is exactly ``r^n mod n^2``."""
+        sk = _lift_key(bits, key_seed).private
+        p, q, n = sk.p, sk.q, sk.public_key.n
+        r = {
+            "one": lambda: 1,
+            "n-1": lambda: n - 1,
+            "1 mod p": lambda: crt_pair(1, p, x % (q - 1) + 1, q),
+            "1 mod q": lambda: crt_pair(x % (p - 1) + 1, p, 1, q),
+            "random": lambda: x % (n - 1) + 1,
+        }[kind]()
+        assume(math.gcd(r, n) == 1)
+        assert sk.obfuscator_from_r(r) == pow(r, n, sk.public_key.nsquare)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**64), st.integers())

@@ -6,10 +6,17 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto.paillier import PaillierPublicKey, generate_keypair
 from repro.crypto.rng import DeterministicRandom
+from repro.crypto.scheme import SchemeKeyPair
 from repro.datastore.database import ServerDatabase
 from repro.datastore.workload import WorkloadGenerator
-from repro.exceptions import ProtocolError, SessionResumeError
+from repro.exceptions import (
+    KeyMismatchError,
+    ProtocolError,
+    SessionResumeError,
+    ValidationError,
+)
 from repro.net import codec
 from repro.net.codec import FrameType
 from repro.spfe.session import (
@@ -32,6 +39,18 @@ def make_client(selection, **kwargs):
     kwargs.setdefault("key_bits", 128)
     kwargs.setdefault("rng", DeterministicRandom("client"))
     return ClientSession(selection, **kwargs)
+
+
+def chunk_ciphertexts(frames, key_bits=128):
+    """Every ciphertext carried by the ENC_CHUNK frames of a client stream."""
+    decoder = codec.FrameDecoder()
+    decoder.feed(b"".join(frames))
+    return [
+        ct
+        for frame in decoder.frames()
+        if frame.frame_type == FrameType.ENC_CHUNK
+        for ct in codec.decode_ciphertext_chunk(frame.payload, key_bits)
+    ]
 
 
 class TestInMemory:
@@ -59,7 +78,8 @@ class TestInMemory:
         database, selection = workload_bytes
         client = make_client(selection, chunk_size=chunk_size)
         server = ServerSession(database)
-        replies = b"".join(server.receive_bytes(f) for f in client.initial_bytes())
+        frames = list(client.initial_bytes())
+        replies = b"".join(server.receive_bytes(f) for f in frames)
         decoder = codec.FrameDecoder()
         decoder.feed(replies)
         (frame,) = decoder.frames()
@@ -67,7 +87,8 @@ class TestInMemory:
 
         n, nsquare = client.public_key.n, client.public_key.nsquare
         per_chunk = 1
-        log = server.ciphertext_log
+        log = chunk_ciphertexts(frames)
+        assert len(log) == len(database)
         for start in range(0, len(log), chunk_size):
             pairs = [
                 (ct, database[i] % n)
@@ -92,15 +113,22 @@ class TestInMemory:
         assert server.bytes_sent == client.bytes_received
 
     def test_server_sees_only_ciphertexts(self, workload_bytes):
-        """Transcript audit at the byte level: every logged value is a
-        full-size element of Z*_{n^2}, never a small plaintext."""
+        """Transcript audit at the byte level: every value the server
+        receives is a full-size element of Z*_{n^2}, never a small
+        plaintext."""
         database, selection = workload_bytes
         client = make_client(selection)
         server = ServerSession(database)
-        run_sessions_in_memory(client, server)
-        assert len(server.ciphertext_log) == len(database)
-        assert all(ct > 2**64 for ct in server.ciphertext_log)
-        assert len(set(server.ciphertext_log)) == len(database)  # no reuse
+        frames = list(client.initial_bytes())
+        for frame in frames:
+            reply = server.receive_bytes(frame)
+        client.receive_bytes(reply)
+        assert client.result == database.select_sum(selection)
+        assert server.bytes_received == sum(len(f) for f in frames)
+        log = chunk_ciphertexts(frames)
+        assert len(log) == len(database)
+        assert all(ct > 2**64 for ct in log)
+        assert len(set(log)) == len(database)  # no reuse
 
     @settings(max_examples=8, deadline=None)
     @given(st.data())
@@ -142,6 +170,46 @@ class TestOverRealSockets:
         assert client.result == database.select_sum(selection)
 
 
+class TestClientEncryption:
+    """The client encrypts through its own private key, byte-identically."""
+
+    def test_chunk_frames_match_public_key_encryption(self):
+        keypair = generate_keypair(128, "frames-key")
+        selection = [1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1]
+        client = ClientSession(
+            selection, key_bits=128, chunk_size=4,
+            rng=DeterministicRandom("frames"), keypair=keypair,
+        )
+        frames = list(client.initial_bytes())
+        reference_rng = DeterministicRandom("frames")
+        assert reference_rng.randbytes(codec.SESSION_ID_BYTES) == client.session_id
+        expected = [
+            codec.encode_ciphertext_chunk(
+                [
+                    keypair.public.encrypt_raw(w, reference_rng)
+                    for w in selection[start : start + 4]
+                ],
+                128,
+                index,
+            )
+            for index, start in enumerate(range(0, len(selection), 4))
+        ]
+        assert frames[2:] == expected
+
+    def test_client_path_never_calls_public_key_encrypt(
+        self, workload_bytes, monkeypatch
+    ):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("client encrypted through the public key")
+
+        monkeypatch.setattr(PaillierPublicKey, "encrypt_raw", refuse)
+        database, selection = workload_bytes
+        client = make_client(selection, chunk_size=7)
+        value = run_sessions_in_memory(client, ServerSession(database))
+        assert value == database.select_sum(selection)
+        assert client.encryptions == len(selection)
+
+
 class TestValidationAndErrors:
     def test_client_validates_inputs(self):
         with pytest.raises(ProtocolError):
@@ -150,6 +218,34 @@ class TestValidationAndErrors:
             ClientSession([1, -1])
         with pytest.raises(ProtocolError):
             ClientSession([1], chunk_size=0)
+
+    @pytest.mark.parametrize("key_bits", [128, 1024])
+    def test_client_rejects_keypair_that_does_not_fit_key_bits(self, key_bits):
+        """A 256-bit key under key_bits=128 used to overflow the chunk
+        frames mid-stream; under 1024 it announced 4x-oversized frames."""
+        keypair = generate_keypair(256, "k")
+        with pytest.raises(ValidationError):
+            ClientSession([1, 0, 1], key_bits=key_bits, keypair=keypair)
+
+    def test_client_rejects_mismatched_keypair(self):
+        mixed = SchemeKeyPair(
+            generate_keypair(128, "public-half").public,
+            generate_keypair(128, "private-half").private,
+        )
+        with pytest.raises(KeyMismatchError):
+            ClientSession([1, 0, 1], key_bits=128, keypair=mixed)
+
+    def test_client_accepts_one_bit_short_key(self):
+        """generate_keypair(512) returns a 511-bit modulus about half the
+        time; such a key still fits key_bits=512."""
+        keypair = generate_keypair(512, "odd-2")
+        assert keypair.public.bits == 511
+        client = ClientSession(
+            [1, 0, 1], key_bits=512, rng=DeterministicRandom("short"),
+            keypair=keypair,
+        )
+        database = ServerDatabase([5, 6, 7])
+        assert run_sessions_in_memory(client, ServerSession(database)) == 12
 
     def test_server_rejects_wrong_database_size(self, workload_bytes):
         database, _ = workload_bytes

@@ -94,6 +94,25 @@ class TestCalibration:
         assert profile.cost(Op.WEIGHTED_STEP) < profile.cost(Op.ENCRYPT)
         assert profile.cost(Op.CIPHER_ADD) < profile.cost(Op.WEIGHTED_STEP)
 
+    @pytest.mark.parametrize("use_kernels", [True, False])
+    def test_encrypt_timed_on_the_path_the_client_runs(
+        self, monkeypatch, use_kernels
+    ):
+        """With kernels, Op.ENCRYPT times the key owner's encryption,
+        which ClientSession runs; without, the textbook public-key one."""
+        from repro.crypto.paillier import PaillierPrivateKey
+
+        calls = []
+        real = PaillierPrivateKey.encrypt_raw_crt
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(PaillierPrivateKey, "encrypt_raw_crt", counting)
+        calibrate_profile(key_bits=64, iterations=3, use_kernels=use_kernels)
+        assert len(calls) == (3 if use_kernels else 0)
+
     def test_rejects_zero_iterations(self):
         from repro.exceptions import CalibrationError
 
