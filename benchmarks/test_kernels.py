@@ -1,33 +1,28 @@
-"""Kernel benchmark suite v2: the calibrated engine against every mode.
+"""Kernel benchmark suite v3: each shipped kernel against its textbook loop.
 
 Measures the crypto kernels over a (key_bits, n) grid and writes the
 numbers to ``BENCH_kernels.json`` at the repo root:
 
 * the server aggregate ``prod_i c_i^{w_i} mod n^2`` — the naive
-  per-element ``pow()`` fold, the in-process multiexp bucket kernel,
-  the Montgomery variant, a *forced* 2-worker pool fan-out, and the
-  shipped configuration: a :class:`~repro.crypto.engine.CryptoEngine`
-  routing through a measured :class:`~repro.crypto.calibration.
-  CalibrationProfile` (``parallel_s`` below);
-* vector encryption — the serial chunk kernel, a forced pool fan-out,
-  and the calibrated engine;
-* the encryption obfuscator ``r^n mod n^2`` — full ``pow()`` vs the
-  fixed-base windowed table.
+  per-element ``pow()`` fold against the
+  :func:`~repro.crypto.multiexp.multi_exponent` bucket kernel;
+* client encryption — textbook ``PaillierPublicKey.encrypt_raw``
+  (``r^n mod n^2`` as one full-width ``pow``) against
+  ``PaillierPrivateKey.encrypt_raw_crt`` (the CRT + Teichmüller-lift
+  obfuscator the deployed client runs), byte-identical under one seed;
+* the encryption obfuscator ``r^n mod n^2`` — full ``pow()`` against
+  the fixed-base windowed :class:`~repro.crypto.multiexp.FixedBaseTable`
+  that :class:`~repro.crypto.paillier.RandomnessPool` refills through.
 
-``parallel_s`` is the number the acceptance gate cares about: it is
-what a caller asking the engine for parallelism actually gets, and
-because the profile routes every batch to the measured-fastest mode it
-must not lose to the in-process multiexp kernel at any grid point —
-v1's parallel path did exactly that, paying pool overhead even where a
-single core was faster.  The forced-pool row is recorded alongside for
-honesty: on a single-core runner it shows the overhead the router is
-avoiding.
+Each pair runs interleaved A/B/A/B, best of ``ROUNDS``, so both sides
+see the same machine load.  Every fast path must return exactly what
+its textbook loop returns.
 
 The full run uses the paper's 512-bit keys (plus 256-bit) with n in
 {200, 1000}.  Set ``REPRO_KERNEL_SMOKE=1`` for the CI smoke variant:
-256-bit keys, n=200, and a 1.0x multiexp floor instead of 2.0x.
-Speedup assertions run *after* the JSON is written so a regression
-still leaves the numbers on disk to inspect.
+256-bit keys, n=200, and a 1.0x multiexp and table floor instead of
+2.0x.  Speedup assertions run *after* the JSON is written so a
+regression still leaves the numbers on disk to inspect.
 """
 
 import json
@@ -36,9 +31,7 @@ import os
 import time
 from pathlib import Path
 
-from repro.crypto.calibration import CalibrationProfile
-from repro.crypto.engine import CryptoEngine
-from repro.crypto.multiexp import FixedBaseTable
+from repro.crypto.multiexp import FixedBaseTable, multi_exponent
 from repro.crypto.paillier import generate_keypair
 from repro.crypto.rng import DeterministicRandom
 
@@ -46,34 +39,10 @@ SMOKE = os.environ.get("REPRO_KERNEL_SMOKE", "") not in ("", "0")
 GRID = [(256, 200)] if SMOKE else [(256, 200), (256, 1000), (512, 200), (512, 1000)]
 WEIGHT_BITS = 32
 ROUNDS = 3  # best-of-3: minimum over rounds rejects scheduler noise
-RETRIES = 6  # extra best-of rounds if routing noise shows up
 MIN_SPEEDUP = 1.0 if SMOKE else 2.0
-WORKERS = 2
+MIN_CRT_SPEEDUP = 1.0
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
-
-
-class _Force:
-    """A calibration stand-in that pins the engine to one mode."""
-
-    def __init__(self, mode):
-        self.mode = mode
-
-    def best_mode(self, kind, key_bits, size):
-        return self.mode
-
-
-def best_of(fn, rounds=ROUNDS):
-    """Minimum wall-clock seconds of ``fn`` over ``rounds`` runs."""
-    best = None
-    result = None
-    for _ in range(rounds):
-        start = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return best, result
 
 
 def best_of_interleaved(fn_a, fn_b, rounds=ROUNDS):
@@ -106,148 +75,70 @@ def naive_weighted_product(ciphertexts, weights, modulus, n):
     return acc
 
 
-def bench_weighted(public, ciphertexts, weights, key_bits):
-    """Every weighted-aggregation mode at one grid point."""
+def bench_weighted(public, ciphertexts, weights):
+    """Naive fold vs the multiexp bucket kernel at one grid point."""
     n, nsquare = public.n, public.nsquare
-    size = len(ciphertexts)
-    naive_s, expected = best_of(
-        lambda: naive_weighted_product(ciphertexts, weights, nsquare, n)
+    (naive_s, expected), (multiexp_s, result) = best_of_interleaved(
+        lambda: naive_weighted_product(ciphertexts, weights, nsquare, n),
+        lambda: multi_exponent(ciphertexts, [w % n for w in weights], nsquare),
     )
-
-    def timed(engine):
-        seconds, result = best_of(
-            lambda: engine.weighted_product(nsquare, n, ciphertexts, weights)
-        )
-        assert result == expected
-        return seconds
-
-    with CryptoEngine(workers=1) as engine:
-        multiexp_probe_s = timed(engine)
-    with CryptoEngine(workers=1, calibration=_Force("multiexp_mont")) as engine:
-        mont_s = timed(engine)
-    with CryptoEngine(
-        workers=WORKERS,
-        chunk_size=max(1, -(-size // (2 * WORKERS))),
-        calibration=_Force("parallel"),
-    ) as engine:
-        forced_parallel_s = timed(engine)
-        forced_used_pool = engine.parallel_batches > 0
-
-    # The shipped path: a profile built from the timings above routes
-    # the engine to the measured-fastest mode, exactly as `repro
-    # calibrate` + `repro serve` do.
-    profile = CalibrationProfile()
-    profile.record(
-        "weighted",
-        key_bits,
-        size,
-        {
-            "serial": naive_s,
-            "multiexp": multiexp_probe_s,
-            "multiexp_mont": mont_s,
-            "parallel": forced_parallel_s,
-        },
-    )
-    chosen = profile.best_mode("weighted", key_bits, size)
-    # The gated numbers (multiexp_s vs parallel_s) come *only* from
-    # interleaved rounds: a lucky minimum from an earlier standalone
-    # window would make the routed path look like it lost when really
-    # the machine was just quieter back then.  Retries re-run the whole
-    # interleaved pair so both sides always get the same extra samples.
-    with CryptoEngine(workers=1) as baseline, CryptoEngine(
-        workers=WORKERS, calibration=profile
-    ) as engine:
-
-        def paired():
-            (a, result_a), (b, result_b) = best_of_interleaved(
-                lambda: baseline.weighted_product(
-                    nsquare, n, ciphertexts, weights
-                ),
-                lambda: engine.weighted_product(
-                    nsquare, n, ciphertexts, weights
-                ),
-            )
-            assert result_a == expected and result_b == expected
-            return a, b
-
-        multiexp_s, parallel_s = paired()
-        for _ in range(RETRIES):
-            if parallel_s <= multiexp_s:
-                break
-            a, b = paired()
-            multiexp_s = min(multiexp_s, a)
-            parallel_s = min(parallel_s, b)
-
+    assert result == expected
     return {
         "naive_s": naive_s,
         "multiexp_s": multiexp_s,
-        "multiexp_mont_s": mont_s,
-        "forced_parallel_workers2_s": forced_parallel_s,
-        "forced_parallel_used_pool": forced_used_pool,
-        "parallel_s": parallel_s,
-        "parallel_mode": chosen,
         "speedup_multiexp_vs_naive": naive_s / multiexp_s,
-        "speedup_parallel_vs_naive": naive_s / parallel_s,
     }
 
 
-def bench_encrypt(public, size, key_bits):
-    """Every vector-encryption mode at one grid point."""
+def bench_encrypt(keypair, size):
+    """Textbook vs CRT + lift encryption of ``size`` plaintexts."""
+    public, private = keypair.public, keypair.private
     plaintexts = list(range(size))
-    seed = "kernel-bench-encrypt-%d-%d" % (key_bits, size)
-    # One explicit chunk size for every engine: the ciphertexts are a
-    # pure function of (seed, chunk schedule), so byte-equality across
-    # modes requires the schedule to match.
-    chunk = max(1, -(-size // (2 * WORKERS)))
+    seed = "kernel-bench-encrypt-%d-%d" % (public.bits, size)
 
-    def timed(engine):
-        return best_of(lambda: engine.encrypt_vector(public, plaintexts, seed))
+    def textbook():
+        rng = DeterministicRandom(seed)
+        return [public.encrypt_raw(m, rng) for m in plaintexts]
 
-    with CryptoEngine(workers=1, chunk_size=chunk) as engine:
-        serial_probe_s, expected = timed(engine)
-    with CryptoEngine(
-        workers=WORKERS,
-        chunk_size=chunk,
-        calibration=_Force("parallel"),
-    ) as engine:
-        forced_parallel_s, forced_result = timed(engine)
-    assert forced_result == expected  # determinism across modes
+    def crt():
+        rng = DeterministicRandom(seed)
+        return [private.encrypt_raw_crt(m, rng) for m in plaintexts]
 
-    profile = CalibrationProfile()
-    profile.record(
-        "encrypt",
-        key_bits,
-        size,
-        {"serial": serial_probe_s, "parallel": forced_parallel_s},
-    )
-    chosen = profile.best_mode("encrypt", key_bits, size)
-    # As in bench_weighted: the gated serial-vs-routed numbers come only
-    # from interleaved rounds, and retries re-sample both sides.
-    with CryptoEngine(workers=1, chunk_size=chunk) as baseline, CryptoEngine(
-        workers=WORKERS, chunk_size=chunk, calibration=profile
-    ) as engine:
-
-        def paired():
-            (a, serial_result), (b, routed_result) = best_of_interleaved(
-                lambda: baseline.encrypt_vector(public, plaintexts, seed),
-                lambda: engine.encrypt_vector(public, plaintexts, seed),
-            )
-            assert serial_result == expected and routed_result == expected
-            return a, b
-
-        serial_s, parallel_s = paired()
-        for _ in range(RETRIES):
-            if parallel_s <= serial_s:
-                break
-            a, b = paired()
-            serial_s = min(serial_s, a)
-            parallel_s = min(parallel_s, b)
-
+    (textbook_s, expected), (crt_s, result) = best_of_interleaved(textbook, crt)
+    assert result == expected  # same seed, byte-identical ciphertexts
     return {
-        "serial_s": serial_s,
-        "forced_parallel_workers2_s": forced_parallel_s,
-        "parallel_s": parallel_s,
-        "parallel_mode": chosen,
+        "textbook_s": textbook_s,
+        "crt_s": crt_s,
+        "speedup_crt_vs_textbook": textbook_s / crt_s,
+    }
+
+
+def bench_fixed_base(public, rng, count):
+    """Full ``pow`` obfuscators vs the fixed-base table, per operation."""
+    n, nsquare = public.n, public.nsquare
+    h = rng.randrange(2, n)
+    xs = [rng.randrange(1, 1 << public.bits) for _ in range(count)]
+
+    build_start = time.perf_counter()
+    table = FixedBaseTable(pow(h, n, nsquare), nsquare, public.bits)
+    table_build_s = time.perf_counter() - build_start
+
+    (pow_s, pow_result), (table_s, table_result) = best_of_interleaved(
+        lambda: [pow(pow(h, x, n), n, nsquare) for x in xs],
+        lambda: [table.pow(x) for x in xs],
+    )
+    assert table_result == pow_result  # (h^x)^n == (h^n)^x mod n^2
+    pow_per_op, table_per_op = pow_s / count, table_s / count
+    return {
+        "key_bits": public.bits,
+        "ops": count,
+        "pow_per_op_s": pow_per_op,
+        "table_per_op_s": table_per_op,
+        "table_build_s": table_build_s,
+        "speedup_table_vs_pow": pow_per_op / table_per_op,
+        "build_amortised_after_ops": (
+            table_build_s / max(pow_per_op - table_per_op, 1e-12)
+        ),
     }
 
 
@@ -261,8 +152,8 @@ def test_kernel_benchmarks():
         public = keypair.public
         n, nsquare = public.n, public.nsquare
 
-        # Random units of Z*_{n^2} stand in for ciphertexts: the kernels
-        # only see opaque group elements, and this skips n encryptions.
+        # Random units of Z*_{n^2} stand in for ciphertexts: the fold
+        # only sees opaque group elements, and this skips n encryptions.
         ciphertexts = []
         while len(ciphertexts) < size:
             c = rng.randrange(1, nsquare)
@@ -273,61 +164,30 @@ def test_kernel_benchmarks():
         point = {
             "key_bits": key_bits,
             "n": size,
-            "weighted": bench_weighted(public, ciphertexts, weights, key_bits),
-            "encrypt": bench_encrypt(public, size, key_bits),
+            "weighted": bench_weighted(public, ciphertexts, weights),
+            "encrypt": bench_encrypt(keypair, size),
         }
         grid_reports.append(point)
-        wp = point["weighted"]
+        wp, enc = point["weighted"], point["encrypt"]
         print(
             "\nkernel bench (%d-bit, n=%d): naive=%.3fs multiexp=%.3fs (%.2fx) "
-            "mont=%.3fs forced-pool=%.3fs routed=%.3fs via %s"
+            "encrypt textbook=%.3fs crt=%.3fs (%.2fx)"
             % (key_bits, size, wp["naive_s"], wp["multiexp_s"],
-               wp["speedup_multiexp_vs_naive"], wp["multiexp_mont_s"],
-               wp["forced_parallel_workers2_s"], wp["parallel_s"],
-               wp["parallel_mode"])
+               wp["speedup_multiexp_vs_naive"], enc["textbook_s"],
+               enc["crt_s"], enc["speedup_crt_vs_textbook"])
         )
 
-        if fb_report is None:
-            # ---- fixed-base obfuscator (one representative point) -----
-            fb_count = max(32, size // 8)
-            h = rng.randrange(2, n)
-            xs = [rng.randrange(1, 1 << public.bits) for _ in range(fb_count)]
-
-            def pow_obfuscators():
-                return [pow(pow(h, x, n), n, nsquare) for x in xs]
-
-            pow_s, pow_result = best_of(pow_obfuscators)
-            pow_per_op = pow_s / fb_count
-
-            build_start = time.perf_counter()
-            table = FixedBaseTable(pow(h, n, nsquare), nsquare, public.bits)
-            table_build_s = time.perf_counter() - build_start
-
-            table_s, table_result = best_of(lambda: [table.pow(x) for x in xs])
-            table_per_op = table_s / fb_count
-            assert table_result == pow_result  # (h^x)^n == (h^n)^x mod n^2
-
-            fb_report = {
-                "key_bits": key_bits,
-                "ops": fb_count,
-                "pow_per_op_s": pow_per_op,
-                "table_per_op_s": table_per_op,
-                "table_build_s": table_build_s,
-                "speedup_table_vs_pow": pow_per_op / table_per_op,
-                "build_amortised_after_ops": (
-                    table_build_s / max(pow_per_op - table_per_op, 1e-12)
-                ),
-            }
+        if fb_report is None:  # one representative point
+            fb_report = bench_fixed_base(public, rng, max(32, size // 8))
 
     report = {
         "suite": "benchmarks/test_kernels.py",
-        "version": 2,
+        "version": 3,
         "smoke": SMOKE,
         "params": {
             "grid": [list(point) for point in GRID],
             "weight_bits": WEIGHT_BITS,
             "rounds": ROUNDS,
-            "workers": WORKERS,
         },
         "grid": grid_reports,
         "fixed_base_obfuscator": fb_report,
@@ -341,19 +201,9 @@ def test_kernel_benchmarks():
             "multiexp kernel regressed at %s: %.2fx vs required %.1fx (see %s)"
             % (label, wp["speedup_multiexp_vs_naive"], MIN_SPEEDUP, RESULT_PATH)
         )
-        # The tentpole guarantee: asking the engine for parallelism never
-        # loses to single-core multiexp, because the calibrated router
-        # only uses the pool where it measured faster.
-        assert wp["parallel_s"] <= wp["multiexp_s"], (
-            "calibrated engine lost to multiexp at %s: %.4fs vs %.4fs"
-            % (label, wp["parallel_s"], wp["multiexp_s"])
-        )
-        # Encrypt routes serial-vs-parallel only; the routed path is the
-        # serial kernel itself when serial wins, so anything beyond a
-        # few percent is a real regression, not noise.
-        assert enc["parallel_s"] <= enc["serial_s"] * 1.05, (
-            "calibrated engine lost to serial encryption at %s: %.4fs vs %.4fs"
-            % (label, enc["parallel_s"], enc["serial_s"])
+        assert enc["speedup_crt_vs_textbook"] >= MIN_CRT_SPEEDUP, (
+            "CRT encryption lost to textbook at %s: %.2fx (see %s)"
+            % (label, enc["speedup_crt_vs_textbook"], RESULT_PATH)
         )
     assert fb_report["speedup_table_vs_pow"] >= MIN_SPEEDUP, (
         "fixed-base table regressed: %.2fx vs required %.1fx"

@@ -8,8 +8,7 @@ must come from :class:`~repro.crypto.rng.SecureRandom` or
 :class:`~repro.crypto.rng.DeterministicRandom`; and the shared mutable
 state of the concurrent runtime (:class:`~repro.spfe.session.SessionRegistry`,
 :class:`~repro.net.server.ServerStats`,
-:class:`~repro.crypto.paillier.RandomnessPool`,
-:class:`~repro.crypto.engine.CryptoEngine`) must only be touched under
+:class:`~repro.crypto.paillier.RandomnessPool`) must only be touched under
 its lock.  This package checks those invariants mechanically, over the
 :mod:`ast` of every source file, on every PR.
 

@@ -124,25 +124,6 @@ class AnalysisConfig:
             "_lock",
             frozenset({"_pool", "_table", "generated", "misses"}),
         ),
-        LockGuard(
-            "CryptoEngine",
-            "_lock",
-            frozenset(
-                {
-                    "parallel_batches",
-                    "serial_batches",
-                    "_fixed_base_h",
-                    "_closed",
-                }
-            ),
-        ),
-        # the v2 engine's warm-pool lifecycle and per-process key cache
-        LockGuard(
-            "WarmWorkerPool",
-            "_lock",
-            frozenset({"_executor", "_broken", "_closed", "_primed_key"}),
-        ),
-        LockGuard("KeyContextCache", "_lock", frozenset({"_contexts"})),
         LockGuard("SpfeServer", "_active_lock", frozenset({"_active"})),
         # the server's admission budget and concurrency high-water mark
         LockGuard("ServerAccounting", "_budget_lock", frozenset({"_in_flight"})),

@@ -9,8 +9,8 @@ decryption into an attacker-observable behavioural difference.  Broad
 handlers must either re-raise (possibly as one of the typed
 :mod:`repro.exceptions` errors, which the wire layer converts into
 typed ERROR frames) or carry an inline suppression with a written
-justification — the two sanctioned swallow-alls (the server worker
-loop, the engine's degrade-to-serial fallback) do exactly that.
+justification — the server's two sanctioned swallow-alls (the worker
+loop and its session accounting) do exactly that.
 
 Narrow handlers (``except OSError: pass`` around a best-effort socket
 close) are fine and not this rule's business.

@@ -4,7 +4,7 @@ PRs 2–3 made the server runtime concurrent, and the correctness of the
 shared pieces — :class:`~repro.spfe.session.SessionRegistry`'s LRU map
 and byte accounting, :class:`~repro.net.server.ServerStats` counters,
 :class:`~repro.crypto.paillier.RandomnessPool`'s pool and RNG,
-:class:`~repro.crypto.engine.CryptoEngine`'s process-pool state —
+:class:`~repro.store.state.StateStore`'s connection —
 rests on every *write* happening under the object's lock.  A single
 unlocked ``self._states.pop(...)`` is a data race that no test reliably
 catches; this rule makes the discipline mechanical.

@@ -76,25 +76,14 @@ def build_parser() -> argparse.ArgumentParser:
     sum_cmd.add_argument("--clients", type=int, default=3)
     sum_cmd.add_argument("--seed", default="cli")
     sum_cmd.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for the crypto kernels under --real "
-        "(1 = in-process serial)",
-    )
-    sum_cmd.add_argument(
         "--no-multiexp", action="store_true",
         help="disable the simultaneous-multiexp aggregation kernel "
         "(naive per-ciphertext pow; for comparison)",
     )
     sum_cmd.add_argument(
         "--metrics-json", metavar="PATH", default=None,
-        help="write the run's metrics registry (phase breakdown, engine "
-        "batches) to PATH as structured JSON",
-    )
-    sum_cmd.add_argument(
-        "--state-dir", metavar="DIR", default=None,
-        help="state-store directory; a calibration profile persisted by "
-        "'repro calibrate' routes the crypto engine to the measured-"
-        "fastest kernel mode",
+        help="write the run's metrics registry (phase breakdown) to PATH "
+        "as structured JSON",
     )
 
     est_cmd = commands.add_parser("estimate", help="predict a query's cost")
@@ -217,35 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(prefix with -- to separate)",
     )
 
-    cal_cmd = commands.add_parser(
-        "calibrate",
-        help="measure the engine's serial/multiexp/parallel crossover "
-        "and persist the mode profile",
-    )
-    cal_cmd.add_argument(
-        "--key-bits", default="256,512", metavar="BITS[,BITS...]",
-        help="comma-separated key sizes to measure (default 256,512)",
-    )
-    cal_cmd.add_argument(
-        "--sizes", default="200,1000", metavar="N[,N...]",
-        help="comma-separated batch sizes to measure (default 200,1000)",
-    )
-    cal_cmd.add_argument(
-        "--rounds", type=int, default=3,
-        help="best-of rounds per measured point (default 3)",
-    )
-    cal_cmd.add_argument(
-        "--workers", type=int, default=2,
-        help="worker processes for the parallel candidates (default 2; "
-        "1 skips parallel measurement)",
-    )
-    cal_cmd.add_argument("--seed", default="calibration")
-    cal_cmd.add_argument(
-        "--state-dir", metavar="DIR", default=None,
-        help="persist the profile into this state store so serve/sum "
-        "route through it automatically",
-    )
-
     store_cmd = commands.add_parser(
         "store", help="inspect/manage a --state-dir state store"
     )
@@ -307,7 +267,7 @@ def _environment(name: str):
     return {"short": short_distance, "long": long_distance, "wireless": wireless}[name]
 
 
-def _protocol(name: str, context, args, engine=None):
+def _protocol(name: str, context, args):
     from repro.spfe import (
         BatchedSelectedSumProtocol,
         CombinedSelectedSumProtocol,
@@ -321,7 +281,7 @@ def _protocol(name: str, context, args, engine=None):
     if name == "batched":
         return BatchedSelectedSumProtocol(context, batch_size=args.batch_size)
     if name == "preprocessed":
-        return PreprocessedSelectedSumProtocol(context, engine=engine)
+        return PreprocessedSelectedSumProtocol(context)
     if name == "combined":
         return CombinedSelectedSumProtocol(context, batch_size=args.batch_size)
     return MultiClientSelectedSumProtocol(context, num_clients=args.clients)
@@ -406,38 +366,14 @@ def cmd_sum(args, out) -> int:
     environment = _environment(args.env)
     mode = "measured" if args.real else "modelled"
     scheme = None
-    engine = None
     if args.real:
         from repro.crypto.paillier import PaillierScheme
 
-        calibration = _load_calibration_profile(
-            getattr(args, "state_dir", None), registry
-        )
-        if calibration is not None:
-            out.write(
-                "calibration profile loaded (%d measured points)\n"
-                % len(calibration)
-            )
-        if args.workers > 1 or calibration is not None:
-            from repro.crypto.engine import CryptoEngine
-
-            engine = CryptoEngine(
-                workers=args.workers,
-                use_multiexp=not args.no_multiexp,
-                calibration=calibration,
-                metrics=registry,
-            )
-        scheme = PaillierScheme(engine=engine, use_multiexp=not args.no_multiexp)
+        scheme = PaillierScheme(use_multiexp=not args.no_multiexp)
     context = environment.context(
         key_bits=args.key_bits, seed=args.seed, scheme=scheme, mode=mode
     )
-    try:
-        result = _protocol(args.protocol, context, args, engine=engine).run(
-            database, selection
-        )
-    finally:
-        if engine is not None:
-            engine.close()
+    result = _protocol(args.protocol, context, args).run(database, selection)
     result.verify(database.select_sum(selection))
 
     out.write("sum of %d selected elements: %d\n" % (result.m, result.value))
@@ -659,64 +595,6 @@ def cmd_supervise(args, out) -> int:
     return 1 if supervisor.gave_up else 0
 
 
-def _load_calibration_profile(state_dir, registry=None):
-    """The persisted calibration profile from ``state_dir``, or None."""
-    if not state_dir:
-        return None
-    from repro.crypto.calibration import load_profile
-    from repro.store import StateStore
-
-    store = StateStore.open(state_dir, metrics=registry)
-    try:
-        return load_profile(store)
-    finally:
-        store.close()
-
-
-def cmd_calibrate(args, out) -> int:
-    from repro.crypto.calibration import (
-        render_mode_table,
-        run_calibration,
-        save_profile,
-    )
-
-    try:
-        key_bits = [int(t) for t in args.key_bits.split(",") if t.strip()]
-        sizes = [int(t) for t in args.sizes.split(",") if t.strip()]
-    except ValueError as exc:
-        raise ReproError("bad --key-bits/--sizes value: %s" % exc) from exc
-    if not key_bits or not sizes:
-        raise ReproError("--key-bits and --sizes must name at least one value")
-    out.write(
-        "calibrating engine modes (%d points x %d rounds, %d workers)...\n"
-        % (len(key_bits) * len(sizes), args.rounds, args.workers)
-    )
-    profile = run_calibration(
-        key_bits_list=key_bits,
-        sizes=sizes,
-        workers=args.workers,
-        rounds=args.rounds,
-        seed_label=args.seed,
-        progress=lambda line: out.write("  %s\n" % line),
-    )
-    out.write(render_mode_table(profile) + "\n")
-    if args.state_dir:
-        from repro.store import StateStore
-
-        store = StateStore.open(args.state_dir)
-        try:
-            save_profile(store, profile)
-        finally:
-            store.close()
-        out.write("profile persisted to %s\n" % args.state_dir)
-    else:
-        out.write(
-            "profile not persisted (pass --state-dir to let serve/sum "
-            "route through it)\n"
-        )
-    return 0
-
-
 def cmd_store(args, out) -> int:
     from repro.store import SCHEMA_VERSION, StateStore
 
@@ -831,7 +709,6 @@ _COMMANDS = {
     "keygen": cmd_keygen,
     "plan": cmd_plan,
     "serve": cmd_serve,
-    "calibrate": cmd_calibrate,
     "supervise": cmd_supervise,
     "store": cmd_store,
     "query": cmd_query,

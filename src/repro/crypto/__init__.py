@@ -11,12 +11,9 @@ The package is self-contained — pure Python on built-in big integers, no
 * :mod:`repro.crypto.simulated` — the cost-modelled Paillier stand-in.
 * :mod:`repro.crypto.multiexp` — batch exponentiation kernels
   (simultaneous multiexp, fixed-base windowed tables).
-* :mod:`repro.crypto.engine` — multi-process execution engine fanning
-  the kernels out over cores.
 """
 
 from repro.crypto.damgard_jurik import DamgardJurikScheme, generate_dj_keypair
-from repro.crypto.engine import CryptoEngine
 from repro.crypto.multiexp import FixedBaseTable, multi_exponent
 from repro.crypto.paillier import (
     EncryptedNumber,
@@ -32,7 +29,6 @@ from repro.crypto.simulated import SimulatedPaillier
 
 __all__ = [
     "AdditiveHomomorphicScheme",
-    "CryptoEngine",
     "DamgardJurikScheme",
     "DeterministicRandom",
     "EncryptedNumber",

@@ -180,10 +180,7 @@ class DamgardJurikScheme(AdditiveHomomorphicScheme):
 
     The server aggregate uses the same simultaneous-multiexp kernel as
     Paillier — the homomorphic identities are identical with
-    ``(n^{s+1}, n^s)`` in place of ``(n^2, n)`` — and an optional
-    :class:`~repro.crypto.engine.CryptoEngine` partitions it across
-    processes (engine *encryption* stays Paillier-only; the fixed-base
-    obfuscator trick needs the ``g = n + 1`` shortcut).
+    ``(n^{s+1}, n^s)`` in place of ``(n^2, n)``.
     """
 
     name = "damgard-jurik"
@@ -191,13 +188,11 @@ class DamgardJurikScheme(AdditiveHomomorphicScheme):
     def __init__(
         self,
         s: int = 2,
-        engine: Optional[object] = None,
         use_multiexp: bool = True,
     ) -> None:
         if s < 1:
             raise KeyGenerationError("s must be at least 1")
         self.s = s
-        self.engine = engine
         self.use_multiexp = use_multiexp
 
     def generate(self, bits: int = 512, rng: Union[RandomSource, bytes, str, int, None] = None) -> SchemeKeyPair:
@@ -257,14 +252,10 @@ class DamgardJurikScheme(AdditiveHomomorphicScheme):
         initial: Optional[int] = None,
     ) -> int:
         """The server aggregate ``prod_i c_i^{w_i} mod n^{s+1}``, batched."""
-        if not self.use_multiexp and self.engine is None:
+        if not self.use_multiexp:
             return super().weighted_product(public, ciphertexts, weights, initial)
         if len(ciphertexts) != len(weights):
             raise ValueError("ciphertext/weight length mismatch")
-        if self.engine is not None:
-            return self.engine.weighted_product(
-                public.modulus, public.n_to_s, ciphertexts, weights, initial
-            )
         return multi_exponent(
             ciphertexts,
             [w % public.n_to_s for w in weights],

@@ -32,16 +32,13 @@ exponentiation, and both have algorithmic structure a per-element
 Both kernels are bit-for-bit compatible with the naive loops they
 replace (same residues, same modulus — modular products are order
 independent), which the property tests in
-``tests/crypto/test_multiexp.py`` assert exhaustively.  They are pure
-functions of ints, safe to ship across process boundaries, which is how
-:class:`~repro.crypto.engine.CryptoEngine` fans them out over cores.
+``tests/crypto/test_multiexp.py`` assert exhaustively.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
-from repro.crypto.montgomery import MontgomeryContext
 from repro.exceptions import ParameterError
 
 __all__ = [
@@ -87,7 +84,6 @@ def multi_exponent(
     modulus: int,
     initial: Optional[int] = None,
     window: Optional[int] = None,
-    montgomery: Union[bool, MontgomeryContext] = False,
 ) -> int:
     """``initial * prod_i bases[i]^exponents[i] mod modulus``, batched.
 
@@ -106,13 +102,6 @@ def multi_exponent(
         initial: running partial product to fold the batch into.
         window: bucket window width in bits; default adapts to the
             batch via :func:`select_window`.
-        montgomery: run the bucket folds in Montgomery form — pass
-            ``True`` (a context is built for ``modulus``, which must be
-            odd) or a prebuilt
-            :class:`~repro.crypto.montgomery.MontgomeryContext`.  The
-            result is bit-for-bit identical either way; the calibration
-            pass decides per key size whether the domain switch pays
-            (see ``docs/performance.md``).
 
     Returns:
         The product as a plain int in ``[0, modulus)``.
@@ -153,20 +142,7 @@ def multi_exponent(
     elif window < 1:
         raise ParameterError("window must be positive")
 
-    if montgomery:
-        context = (
-            montgomery
-            if isinstance(montgomery, MontgomeryContext)
-            else MontgomeryContext(modulus)
-        )
-        if context.modulus != modulus:
-            raise ParameterError(
-                "Montgomery context modulus does not match the fold modulus"
-            )
-        result = _bucket_fold_montgomery(pairs, max_bits, window, context)
-    else:
-        result = _bucket_fold(pairs, modulus, max_bits, window)
-    return acc * result % modulus
+    return acc * _bucket_fold(pairs, modulus, max_bits, window) % modulus
 
 
 #: Digit width, in bits, of the persistent bucket accumulator
@@ -244,7 +220,7 @@ def plane_terms(buckets: Sequence[int]) -> Tuple[List[int], List[int]]:
 def _bucket_fold(
     pairs: Sequence[Tuple[int, int]], modulus: int, max_bits: int, window: int
 ) -> int:
-    """The Pippenger bucket fold with builtin ``%`` reductions."""
+    """The Pippenger bucket fold of ``prod base^exponent mod modulus``."""
     mask = (1 << window) - 1
     num_windows = -(-max_bits // window)  # ceil
     result = 1
@@ -272,50 +248,6 @@ def _bucket_fold(
         if window_product != 1:
             result = result * window_product % modulus
     return result
-
-
-def _bucket_fold_montgomery(
-    pairs: Sequence[Tuple[int, int]],
-    max_bits: int,
-    window: int,
-    context: MontgomeryContext,
-) -> int:
-    """The same bucket fold carried in the Montgomery domain.
-
-    Bases are converted in once, the buckets/sweep/squaring chain run on
-    Montgomery residues (three multiplications per REDC, no division),
-    and the single final conversion brings the product back.  Bit-for-bit
-    equal to :func:`_bucket_fold` by construction.
-    """
-    mont_pairs = [
-        (context.to_mont(base), exponent) for base, exponent in pairs
-    ]
-    one = context.r
-    mul = context.mul
-    mask = (1 << window) - 1
-    num_windows = -(-max_bits // window)  # ceil
-    result = one
-    for win in range(num_windows - 1, -1, -1):
-        shift = win * window
-        buckets = [one] * (mask + 1)
-        for base, exponent in mont_pairs:
-            digit = (exponent >> shift) & mask
-            if digit:
-                buckets[digit] = mul(buckets[digit], base)
-        running = one
-        window_product = one
-        for digit in range(mask, 0, -1):
-            bucket = buckets[digit]
-            if bucket != one:
-                running = mul(running, bucket)
-            if running != one:
-                window_product = mul(window_product, running)
-        if win != num_windows - 1:
-            for _ in range(window):
-                result = mul(result, result)
-        if window_product != one:
-            result = mul(result, window_product)
-    return context.from_mont(result)
 
 
 class FixedBaseTable:

@@ -352,12 +352,10 @@ class RandomnessPool:
     discusses the assumption.)
 
     The pool is thread-safe: ``take``/``precompute``/``len`` may be
-    called from concurrent sessions (e.g. under a
-    :class:`~repro.crypto.engine.CryptoEngine`-backed server), and the
-    ``generated``/``misses`` accounting stays exact under concurrent
-    drains.  Draws from the shared RNG also happen under the lock — an
-    HMAC-DRBG mutates state on every draw and is not itself
-    thread-safe.
+    called from concurrent sessions, and the ``generated``/``misses``
+    accounting stays exact under concurrent drains.  Draws from the
+    shared RNG also happen under the lock — an HMAC-DRBG mutates state
+    on every draw and is not itself thread-safe.
     """
 
     def __init__(
@@ -476,8 +474,8 @@ class RandomnessPool:
     def take_many(self, count: int) -> List[int]:
         """Pop ``count`` obfuscators, computing any shortfall on the spot.
 
-        The batched draw the engine's rerandomisation path uses: one
-        lock round-trip for the pooled portion, and misses are computed
+        The batched draw :meth:`PaillierScheme.rerandomize_vector` uses:
+        one lock round-trip for the pooled portion, and misses are computed
         unlocked in one batch rather than one ``take()`` at a time.
         """
         if count < 0:
@@ -656,25 +654,19 @@ class PaillierScheme(AdditiveHomomorphicScheme):
     this interface so it can also run against
     :class:`repro.crypto.simulated.SimulatedPaillier`.
 
-    The two batch hooks are kernel-backed: :meth:`weighted_product`
-    runs the :func:`~repro.crypto.multiexp.multi_exponent` bucket
-    kernel (one shared squaring chain for the whole batch) unless
-    ``use_multiexp=False`` restores the naive per-element loop, and an
-    optional :class:`~repro.crypto.engine.CryptoEngine` parallelises
-    both vector encryption and aggregation across processes.
+    :meth:`weighted_product` runs the
+    :func:`~repro.crypto.multiexp.multi_exponent` bucket kernel (one
+    shared squaring chain for the whole batch) unless
+    ``use_multiexp=False`` restores the naive per-element loop.
     """
 
     name = "paillier"
 
     def __init__(
         self,
-        engine: Optional[object] = None,
         use_multiexp: bool = True,
         pool: Optional[RandomnessPool] = None,
     ) -> None:
-        #: optional :class:`~repro.crypto.engine.CryptoEngine` (duck-typed
-        #: so this module never imports the engine; None = in-process)
-        self.engine = engine
         self.use_multiexp = use_multiexp
         #: optional :class:`RandomnessPool` batched rerandomisation draws
         #: obfuscators from (the persistent §3.3 offline tier)
@@ -730,41 +722,20 @@ class PaillierScheme(AdditiveHomomorphicScheme):
 
     # -- kernel-backed batch hooks ----------------------------------------
 
-    def encrypt_vector(
-        self,
-        public: PaillierPublicKey,
-        plaintexts: Sequence[int],
-        rng: Union[RandomSource, bytes, str, int, None] = None,
-    ) -> Tuple[int, ...]:
-        """Encrypt a plaintext vector, through the engine when one is set."""
-        if self.engine is not None and self.engine.supports_key(public):
-            return self.engine.encrypt_vector(public, plaintexts, rng)
-        return super().encrypt_vector(public, plaintexts, rng)
-
     def rerandomize_vector(
         self,
         public: PaillierPublicKey,
         ciphertexts: Sequence[int],
         rng: Union[RandomSource, bytes, str, int, None] = None,
     ) -> Tuple[int, ...]:
-        """Batched rerandomisation, pooled and engine-backed when possible.
+        """Batched rerandomisation, pooled when possible.
 
-        With an engine configured, the whole vector goes through one
-        :meth:`~repro.crypto.engine.CryptoEngine.rerandomize_vector`
-        call; a matching :class:`RandomnessPool` supplies precomputed
+        A matching :class:`RandomnessPool` supplies precomputed
         obfuscators in one batched drain.  Falls back to the per-element
         base path otherwise.
         """
-        pool = (
-            self.pool
-            if self.pool is not None and self.pool.public_key == public
-            else None
-        )
-        if self.engine is not None and self.engine.supports_key(public):
-            return self.engine.rerandomize_vector(
-                public, ciphertexts, rng, pool=pool
-            )
-        if pool is not None:
+        pool = self.pool
+        if pool is not None and pool.public_key == public:
             nsquare = public.nsquare
             return tuple(
                 ct * ob % nsquare
@@ -785,17 +756,12 @@ class PaillierScheme(AdditiveHomomorphicScheme):
 
         Runs the simultaneous-multiexp bucket kernel (weights reduced
         into Z_n exactly as ``ciphertext_scale`` does, so the result is
-        bit-for-bit the naive loop's); a configured engine partitions
-        the batch across worker processes as well.
+        bit-for-bit the naive loop's).
         """
-        if not self.use_multiexp and self.engine is None:
+        if not self.use_multiexp:
             return super().weighted_product(public, ciphertexts, weights, initial)
         if len(ciphertexts) != len(weights):
             raise ValueError("ciphertext/weight length mismatch")
-        if self.engine is not None:
-            return self.engine.weighted_product(
-                public.nsquare, public.n, ciphertexts, weights, initial
-            )
         return multi_exponent(
             ciphertexts,
             [w % public.n for w in weights],

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence, Tuple
 
+from repro.crypto.rng import as_random_source
+
 __all__ = ["AdditiveHomomorphicScheme", "SchemeKeyPair"]
 
 
@@ -102,8 +104,13 @@ class AdditiveHomomorphicScheme:
     def encrypt_vector(
         self, public: Any, plaintexts: Sequence[int], rng: Any = None
     ) -> Tuple[Any, ...]:
-        """Encrypt a sequence of plaintexts (the client's index vector)."""
-        return tuple(self.encrypt(public, m, rng) for m in plaintexts)
+        """Encrypt a sequence of plaintexts (the client's index vector).
+
+        A seed ``rng`` is turned into one source for the whole vector,
+        so each element draws fresh randomness from it.
+        """
+        source = as_random_source(rng)
+        return tuple(self.encrypt(public, m, source) for m in plaintexts)
 
     def weighted_product(
         self,
@@ -133,9 +140,10 @@ class AdditiveHomomorphicScheme:
     ) -> Tuple[Any, ...]:
         """Refresh the randomness of a ciphertext vector.
 
-        The default is one :meth:`rerandomize` per element; schemes with
-        batch infrastructure (Paillier through a
-        :class:`~repro.crypto.engine.CryptoEngine` and its obfuscator
-        pool) override this with a pooled batch path.
+        The default is one :meth:`rerandomize` per element, all drawing
+        from one source made from ``rng``; Paillier with a
+        :class:`~repro.crypto.paillier.RandomnessPool` overrides this
+        with a pooled batch path.
         """
-        return tuple(self.rerandomize(public, c, rng) for c in ciphertexts)
+        source = as_random_source(rng)
+        return tuple(self.rerandomize(public, c, source) for c in ciphertexts)

@@ -13,7 +13,7 @@ performance model are the sizes a real deployment would ship.
 from __future__ import annotations
 
 import struct
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 from repro.crypto.ntheory import bytes_for_bits
 
@@ -22,22 +22,12 @@ __all__ = [
     "decode_int",
     "encode_int_seq",
     "decode_int_seq",
-    "pack_int_vector",
-    "unpack_int_vector",
     "ciphertext_bytes",
     "public_key_bytes",
     "frame_overhead_bytes",
 ]
 
 _LENGTH_FIELD = struct.Struct(">I")
-
-#: Self-describing packed-vector header: magic, version, element width
-#: (bytes), element count.  Used by the crypto engine to ship integer
-#: vectors to worker processes as one flat buffer instead of a pickled
-#: list of Python ints.
-_VECTOR_HEADER = struct.Struct(">2sBII")
-_VECTOR_MAGIC = b"RV"
-_VECTOR_VERSION = 1
 
 #: Bytes of framing added around each protocol message (a 4-byte type tag
 #: plus a 4-byte length field — mirrors a minimal TCP application framing).
@@ -74,56 +64,6 @@ def decode_int_seq(data: bytes, width: int) -> Tuple[int, ...]:
     offset = _LENGTH_FIELD.size
     return tuple(
         decode_int(data[offset + i * width : offset + (i + 1) * width])
-        for i in range(count)
-    )
-
-
-def pack_int_vector(values: Sequence[int], width: Optional[int] = None) -> bytes:
-    """Pack non-negative integers into one self-describing byte buffer.
-
-    The layout is a fixed header (magic, version, element width in
-    bytes, element count) followed by ``count`` big-endian fields of
-    exactly ``width`` bytes.  ``width=None`` sizes the fields to the
-    largest element.  This is the length-prefixed codec the
-    :class:`~repro.crypto.engine.CryptoEngine` warm workers receive
-    work through: a packed buffer pickles as a near-memcpy ``bytes``
-    object, where a list of big ints costs a per-element encode on
-    every dispatch.
-    """
-    if width is None:
-        width = 1
-        for value in values:
-            if value < 0:
-                raise ValueError("cannot pack negative integer %d" % value)
-            width = max(width, (value.bit_length() + 7) // 8)
-    elif width < 1:
-        raise ValueError("width must be positive, got %d" % width)
-    header = _VECTOR_HEADER.pack(
-        _VECTOR_MAGIC, _VECTOR_VERSION, width, len(values)
-    )
-    parts = [header]
-    parts.extend(value.to_bytes(width, "big") for value in values)
-    return b"".join(parts)
-
-
-def unpack_int_vector(blob: bytes) -> Tuple[int, ...]:
-    """Inverse of :func:`pack_int_vector`; validates the header exactly."""
-    if len(blob) < _VECTOR_HEADER.size:
-        raise ValueError("packed vector truncated: %d bytes" % len(blob))
-    magic, version, width, count = _VECTOR_HEADER.unpack_from(blob, 0)
-    if magic != _VECTOR_MAGIC:
-        raise ValueError("bad packed-vector magic %r" % magic)
-    if version != _VECTOR_VERSION:
-        raise ValueError("unsupported packed-vector version %d" % version)
-    expected = _VECTOR_HEADER.size + width * count
-    if len(blob) != expected:
-        raise ValueError(
-            "packed vector has %d bytes, header promises %d"
-            % (len(blob), expected)
-        )
-    offset = _VECTOR_HEADER.size
-    return tuple(
-        int.from_bytes(blob[offset + i * width : offset + (i + 1) * width], "big")
         for i in range(count)
     )
 

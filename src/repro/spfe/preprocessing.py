@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.crypto.rng import as_random_source
 from repro.crypto.scheme import AdditiveHomomorphicScheme, SchemeKeyPair
 from repro.datastore.database import ServerDatabase
 from repro.exceptions import ParameterError, ProtocolError
@@ -50,37 +51,27 @@ class EncryptionPool:
         scheme: AdditiveHomomorphicScheme,
         public_key: Any,
         rng: Any = None,
-        engine: Any = None,
     ) -> None:
         self.scheme = scheme
         self.public_key = public_key
-        self._rng = rng
-        self.engine = engine
+        # One source for every fill and miss: a seed must not restart
+        # its stream on each call, or equal bits would encrypt equally.
+        self._rng = as_random_source(rng)
         self._store: Dict[int, List[Any]] = {0: [], 1: []}
         self.misses = 0
 
     def fill(self, zeros: int, ones: int) -> None:
-        """Encrypt and store ``zeros`` 0-bits and ``ones`` 1-bits (offline).
-
-        Runs as two vector encryptions so an attached engine (or an
-        engine-backed scheme) can partition the offline phase — the bulk
-        of the client's work — across worker processes.
-        """
+        """Encrypt and store ``zeros`` 0-bits and ``ones`` 1-bits (offline)."""
         if zeros < 0 or ones < 0:
             raise ParameterError("pool sizes must be non-negative")
         for bit, count in ((0, zeros), (1, ones)):
             if not count:
                 continue
-            plaintexts = [bit] * count
-            if self.engine is not None and self.engine.supports_key(self.public_key):
-                encrypted = self.engine.encrypt_vector(
-                    self.public_key, plaintexts, self._rng
+            self._store[bit].extend(
+                self.scheme.encrypt_vector(
+                    self.public_key, [bit] * count, self._rng
                 )
-            else:
-                encrypted = self.scheme.encrypt_vector(
-                    self.public_key, plaintexts, self._rng
-                )
-            self._store[bit].extend(encrypted)
+            )
 
     def take(self, bit: int) -> Any:
         """Pop one stored encryption of ``bit``; encrypt online if dry."""
@@ -112,16 +103,12 @@ class PreprocessedSelectedSumProtocol(SelectedSumBase):
         context=None,
         pool_zeros: Optional[int] = None,
         pool_ones: Optional[int] = None,
-        engine: Any = None,
     ) -> None:
         """``pool_zeros`` / ``pool_ones`` default to the database size —
-        enough for any selection, matching the paper's "large number".
-        ``engine`` is handed to the :class:`EncryptionPool` so the
-        offline fill can fan out across worker processes."""
+        enough for any selection, matching the paper's "large number"."""
         super().__init__(context)
         self.pool_zeros = pool_zeros
         self.pool_ones = pool_ones
-        self.engine = engine
 
     def run(
         self,
@@ -148,7 +135,7 @@ class PreprocessedSelectedSumProtocol(SelectedSumBase):
         # ---- offline phase: fill the pool before the query exists ----
         zeros = self.pool_zeros if self.pool_zeros is not None else len(database)
         ones = self.pool_ones if self.pool_ones is not None else len(database)
-        pool = EncryptionPool(scheme, public, ctx.rng, engine=self.engine)
+        pool = EncryptionPool(scheme, public, ctx.rng)
         with ctx.compute(CLIENT, Op.ENCRYPT, zeros + ones) as off_block:
             pool.fill(zeros, ones)
         offline_s = off_block.seconds

@@ -115,9 +115,8 @@ MIGRATIONS: Tuple[Tuple[int, str, Tuple[str, ...]], ...] = (
         3,
         "calibration profiles: cached engine mode-selection measurements",
         (
-            # One JSON document per profile kind (see
-            # repro.crypto.calibration.PROFILE_KIND); `repro calibrate`
-            # writes it, serve/sum read it to route engine batches.
+            # One JSON document per profile kind, written by the
+            # since-removed `repro calibrate`; v5 drops the table.
             """
             CREATE TABLE calibration (
                 kind       TEXT PRIMARY KEY,
@@ -136,6 +135,11 @@ MIGRATIONS: Tuple[Tuple[int, str, Tuple[str, ...]], ...] = (
             # folded chunks live in `aggregate` alone.
             "ALTER TABLE sessions ADD COLUMN buckets BLOB",
         ),
+    ),
+    (
+        5,
+        "drop calibration profiles (engine removed)",
+        ("DROP TABLE IF EXISTS calibration",),
     ),
 )
 

@@ -93,12 +93,6 @@ STORE_METRIC_HELP: Dict[str, str] = {
         "Individual precomputed obfuscators restored from the store.",
     "repro_store_db_loads_total":
         "Named server databases loaded from the store.",
-    "repro_store_calibration_writes_total":
-        "Calibration profiles persisted by `repro calibrate`.",
-    "repro_store_calibration_hits_total":
-        "Calibration profile loads that found a persisted profile.",
-    "repro_store_calibration_misses_total":
-        "Calibration profile loads that found nothing (heuristic routing).",
     "repro_store_supervisor_restarts_total":
         "Server child processes restarted by the supervisor after a crash.",
     "repro_store_supervisor_giveups_total":
@@ -502,48 +496,6 @@ class StateStore:
         if table is not None:
             self.save_fixed_base_table(fingerprint, table, label="obfuscator")
         self.save_pool(pool.public_key, pool.export_obfuscators())
-
-    # -- calibration profiles ---------------------------------------------
-
-    def save_calibration(self, kind: str, profile_json: str) -> None:
-        """Persist a calibration profile document under ``kind`` (upsert).
-
-        The document is the JSON emitted by
-        :meth:`repro.crypto.calibration.CalibrationProfile.to_json`;
-        ``repro calibrate`` writes it once and every later
-        ``serve``/``sum`` run routes engine batches through it.
-        """
-        if not kind:
-            raise StoreError("calibration kind must be non-empty")
-        try:
-            with self._lock:
-                conn = self._require_conn()
-                with conn:
-                    conn.execute(
-                        "INSERT OR REPLACE INTO calibration"
-                        " (kind, profile, updated_at) VALUES (?, ?, ?)",
-                        (kind, profile_json, time.time()),
-                    )
-        except sqlite3.Error as exc:
-            raise StoreError("calibration write failed: %s" % exc) from exc
-        self._count("repro_store_calibration_writes_total")
-
-    def load_calibration(self, kind: str) -> Optional[str]:
-        """The persisted profile document for ``kind``, or None."""
-        try:
-            with self._lock:
-                conn = self._require_conn()
-                row = conn.execute(
-                    "SELECT profile FROM calibration WHERE kind = ?",
-                    (kind,),
-                ).fetchone()
-        except sqlite3.Error as exc:
-            raise StoreError("calibration read failed: %s" % exc) from exc
-        if row is None:
-            self._count("repro_store_calibration_misses_total")
-            return None
-        self._count("repro_store_calibration_hits_total")
-        return str(row[0])
 
     # -- named databases --------------------------------------------------
 

@@ -33,43 +33,52 @@ class SessionRegistry:
         return self.resident_bytes
 
 
-class WarmWorkerPool:
+class ServerSupervisor:
     def __init__(self):
         self._lock = threading.Lock()
-        self._executor = None
-        self._broken = False
-        self._closed = False
-        self._primed_key = None
+        self._child = None
+        self._stopping = False
+        self._gave_up = False
+        self._restarts = 0
 
-    def acquire(self, key_blob):
+    def restart(self, child):
         with self._lock:
-            if self._executor is None:
-                self._executor = object()
-                self._primed_key = key_blob
-            return self._executor
+            if not self._stopping:
+                self._child = child
+                self._restarts += 1
 
-    def mark_broken(self):
+    def stop(self):
         with self._lock:
             self._shutdown_locked()
 
     def _shutdown_locked(self):
-        self._broken = True
-        self._executor = None
+        self._stopping = True
+        self._child = None
 
-    def broken(self):
-        return self._broken
+    def gave_up(self):
+        return self._gave_up
 
 
-class KeyContextCache:
+class StateStore:
     def __init__(self):
         self._lock = threading.Lock()
-        self._contexts = OrderedDict()
+        self._conn = object()
 
-    def get(self, key, context):
+    def close(self):
         with self._lock:
-            stored = self._contexts.setdefault(key, context)
-            while len(self._contexts) > 8:
-                self._contexts.popitem(last=False)
+            self._conn = None
+
+
+class MetricsRegistry:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._metrics = OrderedDict()
+        self._kinds = {}
+
+    def register(self, name, instrument):
+        with self._lock:
+            stored = self._metrics.setdefault(name, instrument)
+            self._kinds[name] = type(instrument).__name__
             return stored
 
 

@@ -53,33 +53,34 @@ class Tracer:
         self._totals[name] = self._totals.get(name, 0) + 1  # EXPECT: SEC004
 
 
-class WarmWorkerPool:
+class ServerSupervisor:
     def __init__(self):
         self._lock = threading.Lock()
-        self._executor = None
-        self._broken = False
-        self._closed = False
-        self._primed_key = None
+        self._child = None
+        self._stopping = False
+        self._gave_up = False
+        self._restarts = 0
 
-    def mark_broken(self):
-        self._broken = True  # EXPECT: SEC004
+    def give_up(self):
+        self._gave_up = True  # EXPECT: SEC004
 
-    def close(self):
+    def stop(self):
         with self._lock:
-            self._closed = True
-        self._executor = None  # EXPECT: SEC004
+            self._stopping = True
+        self._child = None  # EXPECT: SEC004
 
-    def reprime(self, key_blob):
-        self._primed_key = key_blob  # EXPECT: SEC004
+    def restart(self, child):
+        self._restarts += 1  # EXPECT: SEC004
 
 
-class KeyContextCache:
+class MetricsRegistry:
     def __init__(self):
         self._lock = threading.Lock()
-        self._contexts = OrderedDict()
+        self._metrics = OrderedDict()
+        self._kinds = {}
 
-    def store(self, key, context):
-        self._contexts[key] = context  # EXPECT: SEC004
+    def register(self, name, instrument):
+        self._metrics[name] = instrument  # EXPECT: SEC004
 
-    def evict(self):
-        self._contexts.popitem(last=False)  # EXPECT: SEC004
+    def unregister(self, name):
+        self._kinds.pop(name, None)  # EXPECT: SEC004

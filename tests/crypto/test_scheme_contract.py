@@ -19,6 +19,7 @@ from repro.crypto.simulated import SimulatedPaillier
 # (scheme factory, key bits, plaintext test bound)
 _SCHEMES = {
     "paillier": (lambda: PaillierScheme(), 128, 2**64),
+    "paillier-naive": (lambda: PaillierScheme(use_multiexp=False), 128, 2**64),
     "damgard-jurik-s1": (lambda: DamgardJurikScheme(1), 128, 2**64),
     "damgard-jurik-s2": (lambda: DamgardJurikScheme(2), 128, 2**64),
     "damgard-jurik-s3": (lambda: DamgardJurikScheme(3), 128, 2**64),
@@ -90,6 +91,18 @@ class TestSchemeContract:
         cts = scheme.encrypt_vector(keypair.public, [1, 0, 1], "v")
         decrypted = [scheme.decrypt(keypair.private, ct) for ct in cts]
         assert decrypted == [1, 0, 1]
+
+    def test_seeded_vector_calls_draw_fresh_randomness(self, scheme_kit):
+        """A seed drives one stream per call, not one restart per element."""
+        scheme, keypair, _ = scheme_kit
+        if isinstance(scheme, SimulatedPaillier):
+            pytest.skip("simulated ciphertexts carry no randomness")
+        cts = scheme.encrypt_vector(keypair.public, [1, 1, 1], "seed")
+        assert len(set(map(repr, cts))) == 3
+        assert [scheme.decrypt(keypair.private, ct) for ct in cts] == [1, 1, 1]
+        fresh = scheme.rerandomize_vector(keypair.public, [cts[0]] * 2, "rr")
+        assert len(set(map(repr, fresh))) == 2
+        assert [scheme.decrypt(keypair.private, ct) for ct in fresh] == [1, 1]
 
     def test_weighted_product_is_selected_sum(self, scheme_kit):
         scheme, keypair, _ = scheme_kit

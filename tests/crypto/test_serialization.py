@@ -51,70 +51,6 @@ class TestSequenceCodec:
         assert ser.decode_int_seq(data, 8) == tuple(values)
 
 
-class TestPackedVector:
-    """The warm-worker task codec: self-describing, exactly invertible."""
-
-    def test_roundtrip(self):
-        values = [0, 1, 2**64, 5]
-        assert ser.unpack_int_vector(ser.pack_int_vector(values)) == tuple(values)
-
-    def test_empty(self):
-        assert ser.unpack_int_vector(ser.pack_int_vector([])) == ()
-
-    def test_auto_width_is_tight(self):
-        # header (11 bytes) + count * width for the largest element
-        blob = ser.pack_int_vector([1, 255])
-        assert len(blob) == 11 + 2 * 1
-        blob = ser.pack_int_vector([1, 256])
-        assert len(blob) == 11 + 2 * 2
-
-    def test_explicit_width_respected(self):
-        blob = ser.pack_int_vector([1, 2], width=16)
-        assert len(blob) == 11 + 2 * 16
-        assert ser.unpack_int_vector(blob) == (1, 2)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            ser.pack_int_vector([-1])
-
-    def test_rejects_nonpositive_width(self):
-        with pytest.raises(ValueError):
-            ser.pack_int_vector([1], width=0)
-
-    def test_rejects_overflowing_explicit_width(self):
-        with pytest.raises(OverflowError):
-            ser.pack_int_vector([256], width=1)
-
-    def test_rejects_bad_magic(self):
-        blob = ser.pack_int_vector([1, 2])
-        with pytest.raises(ValueError, match="magic"):
-            ser.unpack_int_vector(b"XX" + blob[2:])
-
-    def test_rejects_unknown_version(self):
-        blob = ser.pack_int_vector([1, 2])
-        with pytest.raises(ValueError, match="version"):
-            ser.unpack_int_vector(blob[:2] + b"\xff" + blob[3:])
-
-    def test_rejects_truncation_and_trailing_bytes(self):
-        blob = ser.pack_int_vector([1, 2, 3])
-        with pytest.raises(ValueError):
-            ser.unpack_int_vector(blob[:-1])
-        with pytest.raises(ValueError):
-            ser.unpack_int_vector(blob + b"\x00")
-        with pytest.raises(ValueError):
-            ser.unpack_int_vector(blob[:4])  # shorter than the header
-
-    @given(st.lists(st.integers(0, 2**1100), max_size=40))
-    def test_roundtrip_property(self, values):
-        # 1100-bit elements cover the real payload: 1024-bit ciphertexts
-        assert ser.unpack_int_vector(ser.pack_int_vector(values)) == tuple(values)
-
-    @given(st.lists(st.integers(0, 2**63 - 1), max_size=20), st.integers(8, 24))
-    def test_roundtrip_property_explicit_width(self, values, width):
-        blob = ser.pack_int_vector(values, width=width)
-        assert ser.unpack_int_vector(blob) == tuple(values)
-
-
 class TestSizeFormulas:
     def test_paper_key_size(self):
         # 512-bit keys: ciphertexts in Z_{n^2} are 1024 bits = 128 bytes.

@@ -60,7 +60,9 @@ class TestEncryptionPool:
         keypair = generate_keypair(128, "pool-real")
         pool = EncryptionPool(scheme, keypair.public, "pool-rng")
         pool.fill(zeros=2, ones=2)
-        assert scheme.decrypt(keypair.private, pool.take(1)) == 1
+        ones = [pool.take(1), pool.take(1)]
+        assert ones[0] != ones[1]  # one stream per seed, not one per call
+        assert [scheme.decrypt(keypair.private, c) for c in ones] == [1, 1]
         assert scheme.decrypt(keypair.private, pool.take(0)) == 0
 
 

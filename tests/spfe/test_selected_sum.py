@@ -8,7 +8,10 @@ from repro.datastore.database import ServerDatabase
 from repro.datastore.workload import WorkloadGenerator
 from repro.exceptions import ParameterError, ProtocolError
 from repro.net.link import links
+from repro.spfe.batching import BatchedSelectedSumProtocol
+from repro.spfe.combined import CombinedSelectedSumProtocol
 from repro.spfe.context import ExecutionContext
+from repro.spfe.preprocessing import PreprocessedSelectedSumProtocol
 from repro.spfe.selected_sum import SelectedSumProtocol, private_selected_sum
 
 
@@ -55,13 +58,21 @@ class TestCorrectness:
         assert result.value == db.select_sum(bits)
 
     def test_with_real_paillier(self, small_workload):
+        """Plain and the single-client §3 variants, on real Paillier."""
         database, selection = small_workload
-        ctx = ExecutionContext(
-            scheme=PaillierScheme(), key_bits=128, mode="measured", rng="real"
+        variants = (
+            SelectedSumProtocol,
+            lambda ctx: BatchedSelectedSumProtocol(ctx, batch_size=5),
+            PreprocessedSelectedSumProtocol,
+            lambda ctx: CombinedSelectedSumProtocol(ctx, batch_size=5),
         )
-        result = SelectedSumProtocol(ctx).run(database, selection)
-        assert result.value == database.select_sum(selection)
-        assert result.scheme == "paillier"
+        for build in variants:
+            ctx = ExecutionContext(
+                scheme=PaillierScheme(), key_bits=128, mode="measured", rng="real"
+            )
+            result = build(ctx).run(database, selection)
+            assert result.value == database.select_sum(selection)
+            assert result.scheme == "paillier"
 
 
 class TestValidation:

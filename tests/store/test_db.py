@@ -10,6 +10,8 @@ import sqlite3
 
 import pytest
 
+from repro.crypto.multiexp import PLANE_DIGITS
+from repro.datastore.database import ServerDatabase
 from repro.exceptions import StoreError
 from repro.store.db import (
     MIGRATIONS,
@@ -150,24 +152,77 @@ def test_migration_failure_leaves_resumable_prefix(tmp_path):
         conn.close()
 
 
-def test_v2_store_upgrades_to_v3_and_gains_calibration(tmp_path):
-    """A store from the pre-calibration release opens and gains the table."""
+def _table_names(conn):
+    return {
+        row[0]
+        for row in conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'")
+    }
+
+
+def test_v2_store_upgrades_to_latest_without_calibration(tmp_path):
+    """A v2 store walks v3 (table added) and v5 (dropped) in one open."""
     path = str(tmp_path / "v2.sqlite")
     conn = open_store_db(path, migrations=MIGRATIONS[:2])
     assert schema_version(conn) == 2
-    with pytest.raises(sqlite3.OperationalError):
-        conn.execute("SELECT * FROM calibration")
+    assert "calibration" not in _table_names(conn)
     conn.close()
 
-    store = StateStore(path)
-    try:
-        assert store.load_calibration("engine-mode-profile") is None
-        store.save_calibration("engine-mode-profile", "{}")
-        assert store.load_calibration("engine-mode-profile") == "{}"
-    finally:
-        store.close()
+    StateStore(path).close()
     conn = sqlite3.connect(path)
     try:
-        assert schema_version(conn) == SCHEMA_VERSION
+        assert schema_version(conn) == SCHEMA_VERSION == 5
+        assert "calibration" not in _table_names(conn)
+        applied = conn.execute(
+            "SELECT version FROM dbversion ORDER BY version"
+        ).fetchall()
+        assert [row[0] for row in applied] == [1, 2, 3, 4, 5]
+    finally:
+        conn.close()
+
+
+def test_v4_store_drops_calibration_and_keeps_data(tmp_path, monkeypatch):
+    """A v4 store with a calibration row opens under v5 intact."""
+    import repro.store.state as state_module
+
+    path = str(tmp_path / "v4.sqlite")
+    record = SessionRecord(
+        session_id=b"J" * 16,
+        key_bits=128,
+        chunk_size=8,
+        public_n=0xABCDEF,
+        aggregate=12345,
+        received=16,
+        chunks_received=2,
+        done=False,
+        touched_at=1.5,
+        buckets=tuple(range(1, 2 * PLANE_DIGITS + 1)),
+    )
+    database = ServerDatabase([7, 0, 65535, 42], value_bits=16)
+    # write through the real store code, held at the v4 schema
+    monkeypatch.setattr(
+        state_module,
+        "open_store_db",
+        lambda p: open_store_db(p, migrations=MIGRATIONS[:4]),
+    )
+    with StateStore(path) as store:
+        store.save_session(record)
+        store.save_database("named", database)
+    monkeypatch.undo()
+    conn = sqlite3.connect(path)
+    conn.execute(
+        "INSERT INTO calibration (kind, profile, updated_at)"
+        " VALUES ('engine-mode-profile', '{}', 0)"
+    )
+    conn.commit()
+    assert schema_version(conn) == 4
+    conn.close()
+
+    with StateStore(path) as store:
+        assert store.load_session(b"J" * 16) == record
+        assert store.load_database("named") == database
+    conn = sqlite3.connect(path)
+    try:
+        assert schema_version(conn) == 5
+        assert "calibration" not in _table_names(conn)
     finally:
         conn.close()

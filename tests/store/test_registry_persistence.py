@@ -25,7 +25,7 @@ from repro.net import codec
 from repro.net.codec import FrameDecoder, FrameType
 from repro.obs.registry import MetricsRegistry
 from repro.spfe.session import ClientSession, ServerSession, SessionRegistry
-from repro.store.db import MIGRATIONS, open_store_db, schema_version
+from repro.store.db import MIGRATIONS, SCHEMA_VERSION, open_store_db, schema_version
 from repro.store.state import SessionRecord, StateStore
 
 KEY_BITS = 128
@@ -247,7 +247,7 @@ def test_v3_row_without_buckets_resumes_to_the_exact_sum(store_path):
     )
     conn = sqlite3.connect(store_path)
     try:
-        assert schema_version(conn) == 4
+        assert schema_version(conn) == SCHEMA_VERSION
     finally:
         conn.close()
 

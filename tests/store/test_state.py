@@ -323,49 +323,3 @@ def test_concurrent_writers_serialise(store, keypair):
     assert not errors
     assert store.session_count() == 80
 
-
-class TestCalibrationPersistence:
-    def test_save_load_roundtrip_and_upsert(self):
-        with StateStore(":memory:") as store:
-            assert store.load_calibration("engine-mode-profile") is None
-            store.save_calibration("engine-mode-profile", '{"v": 1}')
-            assert store.load_calibration("engine-mode-profile") == '{"v": 1}'
-            store.save_calibration("engine-mode-profile", '{"v": 2}')
-            assert store.load_calibration("engine-mode-profile") == '{"v": 2}'
-
-    def test_kinds_are_independent(self):
-        with StateStore(":memory:") as store:
-            store.save_calibration("a", "one")
-            store.save_calibration("b", "two")
-            assert store.load_calibration("a") == "one"
-            assert store.load_calibration("b") == "two"
-
-    def test_empty_kind_rejected(self):
-        with StateStore(":memory:") as store:
-            with pytest.raises(StoreError):
-                store.save_calibration("", "{}")
-
-    def test_survives_reopen(self, tmp_path):
-        path = str(tmp_path / "calib.sqlite")
-        with StateStore(path) as store:
-            store.save_calibration("engine-mode-profile", '{"persisted": true}')
-        with StateStore(path) as store:
-            assert (
-                store.load_calibration("engine-mode-profile")
-                == '{"persisted": true}'
-            )
-
-    def test_metrics_count_writes_hits_and_misses(self):
-        metrics = MetricsRegistry()
-        with StateStore(":memory:", metrics=metrics) as store:
-            store.load_calibration("engine-mode-profile")  # miss
-            store.save_calibration("engine-mode-profile", "{}")  # write
-            store.load_calibration("engine-mode-profile")  # hit
-        values = {
-            snap.name: snap.value
-            for snap in metrics.collect()
-            if snap.kind == "counter"
-        }
-        assert values["repro_store_calibration_writes_total"] == 1
-        assert values["repro_store_calibration_hits_total"] == 1
-        assert values["repro_store_calibration_misses_total"] == 1

@@ -276,46 +276,3 @@ class TestServeQuery:
         assert code == 2
         assert "error:" in output
 
-
-class TestCalibrate:
-    def test_calibrate_prints_table_and_persists(self, tmp_path):
-        state_dir = str(tmp_path / "state")
-        code, output = run_cli(
-            "calibrate", "--key-bits", "64", "--sizes", "8",
-            "--rounds", "1", "--workers", "1", "--state-dir", state_dir,
-        )
-        assert code == 0
-        assert "weighted" in output and "encrypt" in output
-        assert "multiexp" in output  # a timings column made it out
-
-        from repro.crypto.calibration import load_profile
-        from repro.store import StateStore
-
-        with StateStore.open(state_dir) as store:
-            profile = load_profile(store)
-        assert profile is not None
-        assert len(profile) == 2  # weighted + encrypt at one grid point
-        assert profile.best_mode("weighted", 64, 8) is not None
-
-    def test_sum_picks_up_persisted_profile(self, tmp_path):
-        state_dir = str(tmp_path / "state")
-        code, _ = run_cli(
-            "calibrate", "--key-bits", "64", "--sizes", "8",
-            "--rounds", "1", "--workers", "1", "--state-dir", state_dir,
-        )
-        assert code == 0
-        code, output = run_cli(
-            "sum", "--random", "16", "--select", "1,2", "--real",
-            "--key-bits", "64", "--state-dir", state_dir,
-        )
-        assert code == 0
-        assert "calibration profile loaded (2 measured points)" in output
-        assert "sum of 2 selected elements" in output
-
-    def test_calibrate_without_state_dir_is_ephemeral(self):
-        code, output = run_cli(
-            "calibrate", "--key-bits", "64", "--sizes", "8",
-            "--rounds", "1", "--workers", "1",
-        )
-        assert code == 0
-        assert "weighted" in output
