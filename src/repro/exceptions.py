@@ -111,7 +111,7 @@ class RetryExhausted(TransportError):
 
 
 class SessionResumeError(ProtocolError):
-    """Raised when a session cannot be resumed (wrong wire version, ...)."""
+    """Raised when a session cannot be resumed (no ACK received, ...)."""
 
 
 class ValidationError(ProtocolError):

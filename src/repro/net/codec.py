@@ -6,17 +6,7 @@ and payload encodings that :mod:`repro.spfe.session` speaks, so the
 protocol can run over any byte stream (the tests drive it through real
 ``socket.socketpair()`` connections).
 
-Two frame formats coexist on the wire; the decoder tells them apart by
-the first two bytes (a v1 frame's type field starts ``0x00 0x00``, a v2
-frame starts with the magic ``0x52 0x50``, "RP").
-
-v1 frame (big-endian, 8-byte header)::
-
-    +------------+----------------+----------------------+
-    | type (u32) | length (u32)   | payload (length B)   |
-    +------------+----------------+----------------------+
-
-v2 frame (big-endian, 16-byte header) — adds integrity and ordering::
+Every frame has one format (big-endian, 16-byte header)::
 
     +-------------+--------------+------------+-----------+
     | magic (u16) | version (u8) | type (u8)  | seq (u32) |
@@ -28,17 +18,19 @@ The CRC-32 covers the header (with the CRC field zeroed) plus the
 payload, so corruption of *any* header field or payload byte is caught
 before a ciphertext is touched.  ``seq`` is the absolute chunk index for
 ``ENC_CHUNK`` frames (what makes sessions resumable) and 0 elsewhere.
+A stream that does not open with the magic ``0x52 0x50`` ("RP") is
+rejected as soon as its first two bytes arrive.
 
-The 8-byte v1 header is exactly the ``FRAME_HEADER_BYTES`` the
-performance model charges per message, so modelled and v1 wire sizes
-agree (a property the tests check); v2 spends 8 further bytes per frame
-on resilience.
+The performance model charges ``FRAME_HEADER_BYTES = 8`` per message
+(:mod:`repro.crypto.serialization`): the paper's framing, which the
+model's regression locks and the EXPERIMENTS.md figures are pinned to.
+The real header spends 8 further bytes per frame on integrity and
+ordering.
 
 Payload encodings:
 
 * HELLO — protocol version (u16), key bits (u16), database size (u32),
-  chunk element count (u32), then optionally a 16-byte session id (its
-  presence is what marks a session resumable).
+  chunk element count (u32), then the client's 16-byte session id.
 * PUBLIC_KEY — the Paillier modulus n, big-endian, key_bits/8 bytes.
 * ENC_CHUNK — ciphertext count (u32) then that many fixed-width
   ciphertexts (2 * key_bits / 8 bytes each).
@@ -47,7 +39,7 @@ Payload encodings:
   (magic byte ``0xEE`` + code u8) so the peer can map the rejection back
   onto the exception hierarchy (:data:`ERROR_CODE_POLICY` →
   :class:`~repro.exceptions.PolicyViolation`, ...).  Untagged payloads
-  remain plain UTF-8 for v1 compatibility.
+  decode as plain UTF-8 protocol errors.
 * RESUME — a 16-byte session id (client asks to continue that session).
 * ACK — next expected chunk index (u32); ``RESUME_UNKNOWN`` means the
   server no longer knows the session and the client must restart.
@@ -90,7 +82,6 @@ __all__ = [
     "decode_busy",
     "PROTOCOL_VERSION",
     "WIRE_MAGIC",
-    "WIRE_VERSION_1",
     "WIRE_VERSION_2",
     "SESSION_ID_BYTES",
     "RESUME_UNKNOWN",
@@ -101,15 +92,14 @@ __all__ = [
 
 PROTOCOL_VERSION = 1
 
-WIRE_MAGIC = 0x5250  # "RP"; a v1 type field can never start with these bytes
-WIRE_VERSION_1 = 1
+WIRE_MAGIC = 0x5250  # "RP"
 WIRE_VERSION_2 = 2
 
 SESSION_ID_BYTES = 16
 RESUME_UNKNOWN = 0xFFFFFFFF
 
-_HEADER = struct.Struct(">II")
-_HEADER_V2 = struct.Struct(">HBBIII")  # magic, version, type, seq, length, crc
+_HEADER = struct.Struct(">HBBIII")  # magic, version, type, seq, length, crc
+_MAGIC = WIRE_MAGIC.to_bytes(2, "big")
 _HELLO = struct.Struct(">HHII")
 _COUNT = struct.Struct(">I")
 
@@ -144,44 +134,34 @@ _KNOWN_ERROR_CODES = frozenset(
 
 @dataclass(frozen=True)
 class Frame:
-    """One decoded frame (``sequence``/``version`` are v2 metadata)."""
+    """One decoded frame."""
 
     frame_type: int
     payload: bytes
     sequence: int = 0
-    version: int = WIRE_VERSION_1
 
     @property
     def wire_bytes(self) -> int:
         """Size of the frame as encoded, header included."""
-        header = _HEADER.size if self.version == WIRE_VERSION_1 else _HEADER_V2.size
-        return header + len(self.payload)
+        return _HEADER.size + len(self.payload)
 
 
-def _crc_v2(frame_type: int, sequence: int, length: int, payload: bytes) -> int:
-    header = _HEADER_V2.pack(
+def _crc(frame_type: int, sequence: int, length: int, payload: bytes) -> int:
+    header = _HEADER.pack(
         WIRE_MAGIC, WIRE_VERSION_2, frame_type, sequence, length, 0
     )
     return zlib.crc32(payload, zlib.crc32(header)) & 0xFFFFFFFF
 
 
-def encode_frame(
-    frame_type: int, payload: bytes, sequence: Optional[int] = None
-) -> bytes:
-    """Encode one frame.
-
-    ``sequence=None`` produces the legacy v1 frame (8-byte header, no
-    integrity); an integer sequence produces a v2 frame with CRC-32.
-    """
+def encode_frame(frame_type: int, payload: bytes, sequence: int = 0) -> bytes:
+    """Encode one frame with its CRC-32 and sequence number."""
     if frame_type not in FrameType._KNOWN:
         raise ProtocolError("unknown frame type %d" % frame_type)
-    if sequence is None:
-        return _HEADER.pack(frame_type, len(payload)) + payload
     if not 0 <= sequence <= 0xFFFFFFFF:
         raise ProtocolError("sequence %d out of u32 range" % sequence)
-    crc = _crc_v2(frame_type, sequence, len(payload), payload)
+    crc = _crc(frame_type, sequence, len(payload), payload)
     return (
-        _HEADER_V2.pack(
+        _HEADER.pack(
             WIRE_MAGIC, WIRE_VERSION_2, frame_type, sequence, len(payload), crc
         )
         + payload
@@ -193,11 +173,10 @@ class FrameDecoder:
 
     Feed arbitrary chunks with :meth:`feed`; complete frames come out of
     :meth:`frames`.  Handles frames split across reads and multiple
-    frames per read — the realities of a TCP stream — and accepts v1 and
-    v2 frames interleaved on the same stream, so a v2 server remains
-    compatible with v1 peers.  Corruption (bad magic, bad type, absurd
-    length, CRC mismatch) raises :class:`~repro.exceptions.ProtocolError`
-    and never yields a damaged frame.
+    frames per read — the realities of a TCP stream.  Corruption (bad
+    magic, bad type, absurd length, CRC mismatch) raises
+    :class:`~repro.exceptions.ProtocolError` and never yields a damaged
+    frame.
     """
 
     MAX_PAYLOAD = 64 * 1024 * 1024  # sanity cap against corrupt lengths
@@ -215,34 +194,17 @@ class FrameDecoder:
     def frames(self) -> Iterator[Frame]:
         """Yield every complete frame currently buffered."""
         while True:
-            if len(self._buffer) < 2:
-                return
-            if self._buffer[0] == 0x52 and self._buffer[1] == 0x50:
-                frame = self._next_v2()
-            else:
-                frame = self._next_v1()
+            frame = self._next()
             if frame is None:
                 return
             yield frame
 
-    def _next_v1(self) -> Optional[Frame]:
+    def _next(self) -> Optional[Frame]:
+        if self._buffer[:2] != _MAGIC[: len(self._buffer)]:
+            raise ProtocolError("corrupt stream: bad frame magic")
         if len(self._buffer) < _HEADER.size:
             return None
-        frame_type, length = _HEADER.unpack_from(self._buffer, 0)
-        if frame_type not in FrameType._KNOWN:
-            raise ProtocolError("corrupt stream: frame type %d" % frame_type)
-        if length > self.max_payload:
-            raise ProtocolError("corrupt stream: %d-byte payload" % length)
-        if len(self._buffer) < _HEADER.size + length:
-            return None
-        payload = bytes(self._buffer[_HEADER.size : _HEADER.size + length])
-        del self._buffer[: _HEADER.size + length]
-        return Frame(frame_type, payload)
-
-    def _next_v2(self) -> Optional[Frame]:
-        if len(self._buffer) < _HEADER_V2.size:
-            return None
-        _, version, frame_type, sequence, length, crc = _HEADER_V2.unpack_from(
+        _, version, frame_type, sequence, length, crc = _HEADER.unpack_from(
             self._buffer, 0
         )
         if version != WIRE_VERSION_2:
@@ -251,15 +213,15 @@ class FrameDecoder:
             raise ProtocolError("corrupt stream: frame type %d" % frame_type)
         if length > self.max_payload:
             raise ProtocolError("corrupt stream: %d-byte payload" % length)
-        if len(self._buffer) < _HEADER_V2.size + length:
+        if len(self._buffer) < _HEADER.size + length:
             return None
-        payload = bytes(self._buffer[_HEADER_V2.size : _HEADER_V2.size + length])
-        if crc != _crc_v2(frame_type, sequence, length, payload):
+        payload = bytes(self._buffer[_HEADER.size : _HEADER.size + length])
+        if crc != _crc(frame_type, sequence, length, payload):
             raise ProtocolError(
                 "corrupt stream: CRC mismatch on frame seq %d" % sequence
             )
-        del self._buffer[: _HEADER_V2.size + length]
-        return Frame(frame_type, payload, sequence=sequence, version=WIRE_VERSION_2)
+        del self._buffer[: _HEADER.size + length]
+        return Frame(frame_type, payload, sequence)
 
     def pending_bytes(self) -> int:
         """Bytes buffered that do not yet form a complete frame."""
@@ -269,28 +231,30 @@ class FrameDecoder:
 # -- payload codecs -----------------------------------------------------------
 
 
+def _check_session_id(session_id: bytes) -> None:
+    if len(session_id) != SESSION_ID_BYTES:
+        raise ProtocolError(
+            "session id must be %d bytes, got %d"
+            % (SESSION_ID_BYTES, len(session_id))
+        )
+
+
 def encode_hello(
     key_bits: int,
     database_size: int,
     chunk_size: int,
-    session_id: Optional[bytes] = None,
-    sequence: Optional[int] = None,
+    session_id: bytes,
+    sequence: int = 0,
 ) -> bytes:
-    """Encode the HELLO frame (version, key bits, db size, chunk[, sid])."""
+    """Encode the HELLO frame (version, key bits, db size, chunk, sid)."""
+    _check_session_id(session_id)
     payload = _HELLO.pack(PROTOCOL_VERSION, key_bits, database_size, chunk_size)
-    if session_id is not None:
-        if len(session_id) != SESSION_ID_BYTES:
-            raise ProtocolError(
-                "session id must be %d bytes, got %d"
-                % (SESSION_ID_BYTES, len(session_id))
-            )
-        payload += session_id
-    return encode_frame(FrameType.HELLO, payload, sequence)
+    return encode_frame(FrameType.HELLO, payload + session_id, sequence)
 
 
-def decode_hello(payload: bytes) -> Tuple[int, int, int, Optional[bytes]]:
-    """Returns (key_bits, database_size, chunk_size, session_id-or-None)."""
-    if len(payload) not in (_HELLO.size, _HELLO.size + SESSION_ID_BYTES):
+def decode_hello(payload: bytes) -> Tuple[int, int, int, bytes]:
+    """Returns (key_bits, database_size, chunk_size, session_id)."""
+    if len(payload) != _HELLO.size + SESSION_ID_BYTES:
         raise ProtocolError("malformed HELLO payload")
     version, key_bits, database_size, chunk_size = _HELLO.unpack_from(payload, 0)
     if version != PROTOCOL_VERSION:
@@ -298,17 +262,14 @@ def decode_hello(payload: bytes) -> Tuple[int, int, int, Optional[bytes]]:
             "protocol version mismatch: got %d, speak %d"
             % (version, PROTOCOL_VERSION)
         )
-    session_id = payload[_HELLO.size :] or None
-    return key_bits, database_size, chunk_size, session_id
+    return key_bits, database_size, chunk_size, payload[_HELLO.size :]
 
 
 def _ciphertext_width(key_bits: int) -> int:
     return bytes_for_bits(2 * key_bits)
 
 
-def encode_public_key(
-    n: int, key_bits: int, sequence: Optional[int] = None
-) -> bytes:
+def encode_public_key(n: int, key_bits: int, sequence: int = 0) -> bytes:
     """Encode the public-key frame (n, big-endian)."""
     return encode_frame(
         FrameType.PUBLIC_KEY,
@@ -325,12 +286,12 @@ def decode_public_key(payload: bytes) -> int:
 
 
 def encode_ciphertext_chunk(
-    ciphertexts: List[int], key_bits: int, sequence: Optional[int] = None
+    ciphertexts: List[int], key_bits: int, sequence: int = 0
 ) -> bytes:
     """Encode a counted chunk of fixed-width ciphertexts.
 
-    For v2 frames ``sequence`` must be the absolute chunk index — it is
-    what lets a resumed session deduplicate and order chunks.
+    ``sequence`` must be the absolute chunk index — it is what lets a
+    resumed session deduplicate and order chunks.
     """
     width = _ciphertext_width(key_bits)
     parts = [_COUNT.pack(len(ciphertexts))]
@@ -356,9 +317,7 @@ def decode_ciphertext_chunk(payload: bytes, key_bits: int) -> List[int]:
     ]
 
 
-def encode_result(
-    ciphertext: int, key_bits: int, sequence: Optional[int] = None
-) -> bytes:
+def encode_result(ciphertext: int, key_bits: int, sequence: int = 0) -> bytes:
     """Encode the single-ciphertext RESULT frame."""
     width = _ciphertext_width(key_bits)
     return encode_frame(
@@ -374,13 +333,9 @@ def decode_result(payload: bytes, key_bits: int) -> int:
     return int.from_bytes(payload, "big")
 
 
-def encode_resume(session_id: bytes, sequence: Optional[int] = 0) -> bytes:
-    """Encode the RESUME request (always a v2 frame)."""
-    if len(session_id) != SESSION_ID_BYTES:
-        raise ProtocolError(
-            "session id must be %d bytes, got %d"
-            % (SESSION_ID_BYTES, len(session_id))
-        )
+def encode_resume(session_id: bytes, sequence: int = 0) -> bytes:
+    """Encode the RESUME request."""
+    _check_session_id(session_id)
     return encode_frame(FrameType.RESUME, session_id, sequence)
 
 
@@ -391,7 +346,7 @@ def decode_resume(payload: bytes) -> bytes:
     return payload
 
 
-def encode_ack(next_chunk: int, sequence: Optional[int] = 0) -> bytes:
+def encode_ack(next_chunk: int, sequence: int = 0) -> bytes:
     """Encode the ACK frame carrying the next expected chunk index."""
     if not 0 <= next_chunk <= RESUME_UNKNOWN:
         raise ProtocolError("ack chunk index %d out of range" % next_chunk)
@@ -408,7 +363,7 @@ def decode_ack(payload: bytes) -> int:
 def encode_error(
     message: str,
     code: int = ERROR_CODE_PROTOCOL,
-    sequence: Optional[int] = None,
+    sequence: int = 0,
 ) -> bytes:
     """Encode a typed ERROR frame (0xEE magic + code byte + UTF-8)."""
     if code not in _KNOWN_ERROR_CODES:
@@ -437,9 +392,7 @@ def decode_error(payload: bytes) -> Tuple[int, str]:
     return ERROR_CODE_PROTOCOL, payload.decode("utf-8", "replace")
 
 
-def encode_busy(
-    retry_after_ms: int = 0, sequence: Optional[int] = 0
-) -> bytes:
+def encode_busy(retry_after_ms: int = 0, sequence: int = 0) -> bytes:
     """Encode the BUSY load-shed frame with a retry-after hint."""
     if not 0 <= retry_after_ms <= 0xFFFFFFFF:
         raise ProtocolError("retry hint %d out of u32 range" % retry_after_ms)

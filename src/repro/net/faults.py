@@ -13,7 +13,7 @@ sweeps past each event's position, the event fires.
 
 Event kinds:
 
-* ``CORRUPT`` — XOR one byte with a non-zero mask (the v2 frame CRC must
+* ``CORRUPT`` — XOR one byte with a non-zero mask (the frame CRC must
   catch this before any ciphertext is touched);
 * ``TRUNCATE`` — silently drop the remainder of the current write (the
   stream desynchronises; the decoder must fail loudly, never mis-parse);

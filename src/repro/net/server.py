@@ -409,9 +409,9 @@ class SpfeServer:
     Args:
         database: the server-side data; shared read-only by all workers.
         host/port: bind address (port 0 = ephemeral; see :attr:`port`).
-        policy: trust-boundary limits applied to every session; None
-            installs the default :class:`ServerPolicy` (pass an explicit
-            permissive policy to loosen).
+        policy: resource limits applied to every session; None installs
+            the default :class:`ServerPolicy`.  A policy moves only the
+            limits: the key and ciphertext checks run under every policy.
         registry: shared resume registry; None builds one sized by the
             policy's registry budgets.
         store: optional :class:`~repro.store.state.StateStore` making

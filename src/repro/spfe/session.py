@@ -17,10 +17,10 @@ same protocol runs over a real socket, a pipe, or any
   own private key (``PaillierPrivateKey.encrypt_raw_crt``): the same
   bytes as the public-key path at about half the cost.
 
-Resilience (wire v2, the default): every frame carries a CRC and chunk
-frames carry their absolute index, and sessions are *resumable*.  The
-client advertises a random 16-byte session id in its HELLO; the server
-tracks the last contiguously received chunk per session id in a
+Resilience: every frame carries a CRC and chunk frames carry their
+absolute index, and sessions are *resumable*.  The client advertises a
+random 16-byte session id in its HELLO; the server tracks the last
+contiguously received chunk per session id in a
 :class:`SessionRegistry`.  After a disconnect the client reconnects,
 sends RESUME, and the server answers ACK with the next chunk index it
 expects — the client then re-sends only the missing chunks from its
@@ -109,7 +109,6 @@ class ClientSession:
         key_bits: int = 512,
         chunk_size: int = DEFAULT_CHUNK,
         rng: Optional[RandomSource] = None,
-        wire_version: int = codec.WIRE_VERSION_2,
         keypair: Optional[SchemeKeyPair] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
@@ -119,12 +118,9 @@ class ClientSession:
             raise ProtocolError("selection weights must be non-negative")
         if chunk_size < 1:
             raise ProtocolError("chunk size must be positive")
-        if wire_version not in (codec.WIRE_VERSION_1, codec.WIRE_VERSION_2):
-            raise ProtocolError("unsupported wire version %d" % wire_version)
         self.selection = list(selection)
         self.key_bits = key_bits
         self.chunk_size = chunk_size
-        self.wire_version = wire_version
         #: optional :class:`~repro.obs.tracing.Tracer` recording the
         #: paper's client phases (``encrypt``, ``decrypt``, ``resume``)
         self.tracer = tracer
@@ -142,12 +138,8 @@ class ClientSession:
                 )
         self.public_key: PaillierPublicKey = keypair.public
         self._private_key: PaillierPrivateKey = keypair.private
-        #: 16-byte resumable-session identifier (None on legacy v1 wire)
-        self.session_id: Optional[bytes] = (
-            self._rng.randbytes(codec.SESSION_ID_BYTES)
-            if wire_version == codec.WIRE_VERSION_2
-            else None
-        )
+        #: 16-byte resumable-session identifier
+        self.session_id: bytes = self._rng.randbytes(codec.SESSION_ID_BYTES)
         self._decoder = FrameDecoder()
         self._encoded_chunks: Dict[int, bytes] = {}
         self._ack: Optional[int] = None
@@ -168,9 +160,6 @@ class ClientSession:
         """Number of chunk frames the full selection occupies."""
         return (len(self.selection) + self.chunk_size - 1) // self.chunk_size
 
-    def _sequence(self, value: int) -> Optional[int]:
-        return value if self.wire_version == codec.WIRE_VERSION_2 else None
-
     def _chunk_frame(self, index: int) -> bytes:
         """Encode chunk ``index``, encrypting at most once per chunk."""
         cached = self._encoded_chunks.get(index)
@@ -186,9 +175,7 @@ class ClientSession:
                     "encrypt", time.perf_counter() - encrypt_started
                 )
             self.encryptions += len(chunk)
-            cached = codec.encode_ciphertext_chunk(
-                ciphertexts, self.key_bits, self._sequence(index)
-            )
+            cached = codec.encode_ciphertext_chunk(ciphertexts, self.key_bits, index)
             self._encoded_chunks[index] = cached
         return cached
 
@@ -209,18 +196,12 @@ class ClientSession:
         the chunks it actually produced.
         """
         hello = codec.encode_hello(
-            self.key_bits,
-            len(self.selection),
-            self.chunk_size,
-            self.session_id,
-            self._sequence(0),
+            self.key_bits, len(self.selection), self.chunk_size, self.session_id
         )
         self.bytes_sent += len(hello)
         yield hello
 
-        pk = codec.encode_public_key(
-            self.public_key.n, self.key_bits, self._sequence(0)
-        )
+        pk = codec.encode_public_key(self.public_key.n, self.key_bits)
         self.bytes_sent += len(pk)
         yield pk
 
@@ -231,8 +212,6 @@ class ClientSession:
 
     def resume_request(self) -> bytes:
         """The RESUME frame to send on a fresh connection."""
-        if self.session_id is None:
-            raise SessionResumeError("legacy v1 sessions cannot resume")
         self._ack = None
         self._awaiting_ack = True
         data = codec.encode_resume(self.session_id)
@@ -436,12 +415,6 @@ class SessionRegistry:
         )
 
     @staticmethod
-    def _state_bytes(state: _ResumeState) -> int:
-        # getattr so the registry stays usable with stand-in states in
-        # tests; real _ResumeState always carries resident_bytes.
-        return getattr(state, "resident_bytes", 0)
-
-    @staticmethod
     def _record_from_state(
         session_id: bytes, state: _ResumeState
     ) -> SessionRecord:
@@ -484,7 +457,7 @@ class SessionRegistry:
         journal row *after* releasing the lock.
         """
         session_id, evicted = self._states.popitem(last=False)
-        self.resident_bytes -= self._state_bytes(evicted)
+        self.resident_bytes -= evicted.resident_bytes
         self.evictions += 1
         return session_id
 
@@ -497,9 +470,9 @@ class SessionRegistry:
         """
         previous = self._states.get(session_id)
         if previous is not None:
-            self.resident_bytes -= self._state_bytes(previous)
+            self.resident_bytes -= previous.resident_bytes
         self._states[session_id] = state
-        self.resident_bytes += self._state_bytes(state)
+        self.resident_bytes += state.resident_bytes
         self._states.move_to_end(session_id)
         evicted: List[bytes] = []
         while len(self._states) > self.capacity:
@@ -590,7 +563,7 @@ class SessionRegistry:
         with self._lock:
             state = self._states.pop(session_id, None)
             if state is not None:
-                self.resident_bytes -= self._state_bytes(state)
+                self.resident_bytes -= state.resident_bytes
             if self.store is None:
                 return
             self._journal_lock.acquire()
@@ -608,9 +581,11 @@ class SessionRegistry:
 class ServerSession:
     """The database side, as a byte-stream state machine.
 
-    Pass a shared :class:`SessionRegistry` to make sessions resumable
-    across connections; without one the server still speaks v1 and v2
-    wire but answers every RESUME with "unknown, restart".
+    Every session validates under a :class:`ServerPolicy` (the default
+    one unless given) and keeps its resume state in a
+    :class:`SessionRegistry` (by default a private one sized by the
+    policy, so RESUME answers "unknown, restart").  Share one registry
+    across connections to make sessions resumable.
 
     Thread safety: this class performs **no I/O** —
     :meth:`receive_bytes` maps input bytes to output bytes and touches
@@ -637,32 +612,28 @@ class ServerSession:
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.database = database
-        self.registry = registry
+        #: trust-boundary limits applied to every frame of this session
+        self.policy = policy if policy is not None else ServerPolicy()
+        self.registry = (
+            registry
+            if registry is not None
+            else SessionRegistry.from_policy(self.policy)
+        )
         #: optional :class:`~repro.obs.tracing.Tracer` recording the
         #: server's ``fold`` phase (a concurrent server shares one
         #: tracer across all of its sessions)
         self.tracer = tracer
-        #: trust-boundary limits; None preserves the legacy permissive mode
-        self.policy = policy
-        self._decoder = FrameDecoder(
-            max_payload=policy.max_frame_payload if policy else None
-        )
+        self._decoder = FrameDecoder(max_payload=self.policy.max_frame_payload)
         self._state = self._WAIT_HELLO
-        self._key_bits = 0
-        self._chunk_size = 0
-        self._public_key: Optional[PaillierPublicKey] = None
-        self._aggregate = 1
-        #: digit-plane buckets of the chunks folded so far; collapsed
-        #: into ``_aggregate`` (and set to None) when the last one lands
-        self._buckets: Optional[List[int]] = []
-        self._received = 0
-        self._chunks_received = 0
+        #: (key bits, chunk size) announced by HELLO, until the key lands
+        self._announced = (0, 0)
         self._session_id: Optional[bytes] = None
+        #: this session's private resume state, from the public key (or
+        #: RESUME) on; the registry only ever holds snapshots of it
         self._resume_state: Optional[_ResumeState] = None
         #: True once this read registered the session or folded a chunk:
         #: :meth:`receive_bytes` then publishes one snapshot at its end
         self._unpublished = False
-        self._peer_wire_version = codec.WIRE_VERSION_1
         self.bytes_received = 0
         self.bytes_sent = 0
         #: True once a protocol violation has been answered with ERROR
@@ -695,38 +666,31 @@ class ServerSession:
         self.bytes_received += len(data)
         out = bytearray()
         try:
-            if (
-                self.policy is not None
-                and self.bytes_received > self.policy.max_session_bytes
-            ):
+            if self.bytes_received > self.policy.max_session_bytes:
                 raise PolicyViolation(
                     "session exceeded its %d-byte inbound quota"
                     % self.policy.max_session_bytes
                 )
             self._decoder.feed(data)
             for frame in self._decoder.frames():
-                self._peer_wire_version = frame.version
                 out.extend(self._handle(frame))
         except ProtocolError as exc:
             self.errored = True
             self.last_error = exc
             self._unpublished = False
-            if self.registry is not None and self._session_id is not None:
+            if self._session_id is not None:
                 # Never keep resume state for a session that violated the
                 # protocol: a rejected peer must restart, not resume.
                 self.registry.discard(self._session_id)
-            error = codec.encode_error(
-                str(exc), self._error_code(exc), self._reply_sequence()
-            )
+            error = codec.encode_error(str(exc), self._error_code(exc))
             self.bytes_sent += len(error)
-            return bytes(error)
+            return error
         if self._unpublished:
             # Publish a frozen snapshot: registry entries are never
             # mutated in place, so a concurrent resume always reads a
             # self-consistent (buckets, received) pair and can never
             # double-fold a chunk.
-            assert self.registry is not None and self._session_id is not None
-            assert self._resume_state is not None
+            assert self._session_id is not None and self._resume_state is not None
             self._unpublished = False
             self.registry.save(self._session_id, self._resume_state.snapshot())
         self.bytes_sent += len(out)
@@ -736,9 +700,6 @@ class ServerSession:
     def finished(self) -> bool:
         """True once the result has been produced."""
         return self._state == self._DONE
-
-    def _reply_sequence(self) -> Optional[int]:
-        return 0 if self._peer_wire_version == codec.WIRE_VERSION_2 else None
 
     # -- state machine ---------------------------------------------------------
 
@@ -759,10 +720,7 @@ class ServerSession:
         key_bits, database_size, chunk_size, session_id = codec.decode_hello(
             frame.payload
         )
-        if self.policy is not None:
-            check_hello(key_bits, database_size, chunk_size, self.policy)
-        elif chunk_size < 1:
-            raise ProtocolError("chunk size must be positive")
+        check_hello(key_bits, database_size, chunk_size, self.policy)
         if database_size != len(self.database):
             raise ProtocolError(
                 "client assumes %d elements; this database has %d"
@@ -771,8 +729,7 @@ class ServerSession:
         worst = database_size * (2**self.database.value_bits - 1)
         if worst.bit_length() >= key_bits:
             raise ProtocolError("key too small for the worst-case sum")
-        self._key_bits = key_bits
-        self._chunk_size = chunk_size
+        self._announced = (key_bits, chunk_size)
         self._session_id = session_id
         self._state = self._WAIT_KEY
         return b""
@@ -780,32 +737,28 @@ class ServerSession:
     def _on_key(self, frame: Frame) -> bytes:
         if frame.frame_type != FrameType.PUBLIC_KEY:
             raise ProtocolError("expected PUBLIC_KEY after HELLO")
+        key_bits, chunk_size = self._announced
         n = codec.decode_public_key(frame.payload)
-        if n.bit_length() > self._key_bits:
+        if n.bit_length() > key_bits:
             raise ProtocolError("public key larger than announced")
-        if self.policy is not None:
-            check_public_key(n, self._key_bits)
-        self._public_key = PaillierPublicKey(n)
+        check_public_key(n, key_bits)
+        # Only register once the key is known: a pre-key session has
+        # nothing worth resuming, so RESUME answers "restart".
+        self._resume_state = _ResumeState(
+            key_bits, chunk_size, PaillierPublicKey(n)
+        )
+        self._unpublished = True
         self._state = self._RECEIVING
-        if self.registry is not None and self._session_id is not None:
-            # Only register once the key is known: a pre-key session has
-            # nothing worth resuming, so RESUME answers "restart".  The
-            # registry holds a frozen snapshot; this session keeps (and
-            # mutates) its own private copy.
-            self._resume_state = _ResumeState(
-                self._key_bits, self._chunk_size, self._public_key
-            )
-            self._unpublished = True
         return b""
 
     def _on_resume(self, frame: Frame) -> bytes:
         if self._state != self._WAIT_HELLO:
             raise ProtocolError("RESUME must be the first frame of a connection")
         session_id = codec.decode_resume(frame.payload)
-        entry = self.registry.get(session_id) if self.registry is not None else None
+        entry = self.registry.get(session_id)
         if entry is None:
             # Unknown or evicted: tell the client to start over.
-            return codec.encode_ack(codec.RESUME_UNKNOWN, self._reply_sequence())
+            return codec.encode_ack(codec.RESUME_UNKNOWN)
         # Copy-on-resume: work on a private copy so a second connection
         # resuming the same id (an honest client whose old read timed
         # out, reconnecting while the stale connection is still being
@@ -813,21 +766,12 @@ class ServerSession:
         state = entry.snapshot()
         self._session_id = session_id
         self._resume_state = state
-        self._key_bits = state.key_bits
-        self._chunk_size = state.chunk_size
-        self._public_key = state.public_key
-        self._aggregate = state.aggregate
-        self._buckets = state.buckets
-        self._received = state.received
-        self._chunks_received = state.chunks_received
-        reply = codec.encode_ack(state.chunks_received, self._reply_sequence())
+        reply = codec.encode_ack(state.chunks_received)
         if state.done:
             # The previous connection died between computing the result
             # and the client receiving it: re-send the result directly.
             self._state = self._DONE
-            reply += codec.encode_result(
-                self._aggregate, self._key_bits, self._reply_sequence()
-            )
+            reply += codec.encode_result(state.aggregate, state.key_bits)
         else:
             self._state = self._RECEIVING
         return reply
@@ -835,34 +779,31 @@ class ServerSession:
     def _on_chunk(self, frame: Frame) -> bytes:
         if frame.frame_type != FrameType.ENC_CHUNK:
             raise ProtocolError("expected ENC_CHUNK")
-        assert self._public_key is not None
-        if frame.version == codec.WIRE_VERSION_2:
-            if frame.sequence < self._chunks_received:
-                return b""  # duplicate of an already-folded chunk: ignore
-            if frame.sequence > self._chunks_received:
-                raise ProtocolError(
-                    "chunk sequence gap: got %d, expected %d"
-                    % (frame.sequence, self._chunks_received)
-                )
-        ciphertexts = codec.decode_ciphertext_chunk(frame.payload, self._key_bits)
-        if self._received + len(ciphertexts) > len(self.database):
+        state = self._resume_state
+        assert state is not None and state.buckets is not None
+        if frame.sequence < state.chunks_received:
+            return b""  # duplicate of an already-folded chunk: ignore
+        if frame.sequence > state.chunks_received:
+            raise ProtocolError(
+                "chunk sequence gap: got %d, expected %d"
+                % (frame.sequence, state.chunks_received)
+            )
+        ciphertexts = codec.decode_ciphertext_chunk(frame.payload, state.key_bits)
+        received = state.received
+        if received + len(ciphertexts) > len(self.database):
             raise ProtocolError("client sent more ciphertexts than elements")
-        assert self._buckets is not None
-        nsquare = self._public_key.nsquare
-        n = self._public_key.n
+        nsquare = state.public_key.nsquare
+        n = state.public_key.n
         batch_cts: List[int] = []
         batch_weights: List[int] = []
         for ct in ciphertexts:
-            if self.policy is not None:
-                check_ciphertext(ct, n, nsquare)
-            elif not 0 < ct < nsquare:
-                raise ProtocolError("ciphertext outside Z*_{n^2}")
-            value = self.database[self._received]
+            check_ciphertext(ct, n, nsquare)
+            value = self.database[received]
             if value:
                 batch_cts.append(ct)
                 batch_weights.append(value % n)
-            self._received += 1
-        done = self._received == len(self.database)
+            received += 1
+        done = received == len(self.database)
         # Fold each element into the persistent digit-plane buckets: a
         # fixed ~7.5 multiplications per element at any chunk size (the
         # paper's §3.2 pipelining).  The bucket sweep and squaring chain
@@ -870,30 +811,23 @@ class ServerSession:
         # lands; the product is a function of the frames alone, so the
         # RESULT is the same ciphertext a per-chunk fold produces.
         fold_started = time.perf_counter()
-        plane_insert(self._buckets, batch_cts, batch_weights, nsquare)
+        plane_insert(state.buckets, batch_cts, batch_weights, nsquare)
         if done:
-            bases, exponents = plane_terms(self._buckets)
-            self._aggregate = multi_exponent(
-                bases, exponents, nsquare, initial=self._aggregate
+            bases, exponents = plane_terms(state.buckets)
+            state.aggregate = multi_exponent(
+                bases, exponents, nsquare, initial=state.aggregate
             )
-            self._buckets = None
+            state.buckets = None
         if self.tracer is not None:
             self.tracer.record("fold", time.perf_counter() - fold_started)
-        self._chunks_received += 1
+        state.received = received
+        state.chunks_received += 1
+        state.done = done
         self.chunk_frames_processed += 1
-        if self._resume_state is not None:
-            state = self._resume_state
-            state.aggregate = self._aggregate
-            state.buckets = self._buckets
-            state.received = self._received
-            state.chunks_received = self._chunks_received
-            state.done = done
-            self._unpublished = True
+        self._unpublished = True
         if done:
             self._state = self._DONE
-            return codec.encode_result(
-                self._aggregate, self._key_bits, self._reply_sequence()
-            )
+            return codec.encode_result(state.aggregate, state.key_bits)
         return b""
 
 
@@ -1074,7 +1008,7 @@ def run_resilient(
             return client.result
         except TransportError as exc:
             last = exc
-            resuming = client.session_id is not None
+            resuming = True
         finally:
             transport.close()
     if metrics is not None:

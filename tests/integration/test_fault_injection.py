@@ -78,7 +78,8 @@ class TestCorruptStreams:
             if reply:
                 client.receive_bytes(reply)
         assert server.finished
-        reply = server.receive_bytes(codec.encode_hello(128, 30, 10))
+        late_hello = codec.encode_hello(128, 30, 10, b"\0" * codec.SESSION_ID_BYTES)
+        reply = server.receive_bytes(late_hello)
         assert error_frame_of(reply) is not None
 
 

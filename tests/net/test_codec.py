@@ -16,27 +16,39 @@ class TestFraming:
         frames = list(decoder.frames())
         assert frames == [Frame(FrameType.RESULT, b"payload")]
 
-    def test_header_size_matches_model(self):
-        """The codec's 8-byte header is exactly what the performance
-        model charges per message (FRAME_HEADER_BYTES)."""
-        from repro.crypto.serialization import FRAME_HEADER_BYTES
-
-        data = codec.encode_frame(FrameType.RESULT, b"")
-        assert len(data) == FRAME_HEADER_BYTES
-
     def test_unknown_type_rejected_on_encode(self):
         with pytest.raises(ProtocolError):
             codec.encode_frame(99, b"")
 
     def test_unknown_type_rejected_on_decode(self):
         decoder = FrameDecoder()
-        decoder.feed(b"\x00\x00\x00\x63\x00\x00\x00\x00")
+        decoder.feed(
+            codec._HEADER.pack(codec.WIRE_MAGIC, codec.WIRE_VERSION_2, 0x63, 0, 0, 0)
+        )
         with pytest.raises(ProtocolError):
             list(decoder.frames())
 
     def test_oversized_payload_rejected(self):
         decoder = FrameDecoder()
-        decoder.feed(b"\x00\x00\x00\x01\xff\xff\xff\xff")
+        decoder.feed(
+            codec._HEADER.pack(
+                codec.WIRE_MAGIC, codec.WIRE_VERSION_2, FrameType.HELLO, 0,
+                2**32 - 1, 0,
+            )
+        )
+        with pytest.raises(ProtocolError):
+            list(decoder.frames())
+
+    @pytest.mark.parametrize("fed", [2, 8])
+    def test_old_8_byte_header_rejected_as_soon_as_fed(self, fed):
+        """A frame with the retired ``(type u32, length u32)`` header is
+        rejected from its first two bytes, without waiting for a full
+        16-byte header that may never come."""
+        import struct
+
+        old = struct.pack(">II", FrameType.HELLO, 28)
+        decoder = FrameDecoder()
+        decoder.feed(old[:fed])
         with pytest.raises(ProtocolError):
             list(decoder.frames())
 
@@ -74,11 +86,12 @@ class TestFraming:
 
 class TestPayloadCodecs:
     def test_hello_roundtrip(self):
-        data = codec.encode_hello(512, 100_000, 64)
+        sid = b"\x07" * codec.SESSION_ID_BYTES
+        data = codec.encode_hello(512, 100_000, 64, sid)
         decoder = FrameDecoder()
         decoder.feed(data)
         frame = next(decoder.frames())
-        assert codec.decode_hello(frame.payload) == (512, 100_000, 64, None)
+        assert codec.decode_hello(frame.payload) == (512, 100_000, 64, sid)
 
     def test_hello_roundtrip_with_session_id(self):
         sid = bytes(range(16))
@@ -125,6 +138,9 @@ class TestPayloadCodecs:
     def test_hello_length_checked(self):
         with pytest.raises(ProtocolError):
             codec.decode_hello(b"short")
+        without_session_id = codec._HELLO.pack(codec.PROTOCOL_VERSION, 512, 10, 5)
+        with pytest.raises(ProtocolError):
+            codec.decode_hello(without_session_id)
 
     def test_public_key_roundtrip(self):
         n = 2**511 + 12345
@@ -186,23 +202,10 @@ class TestV2Framing:
         assert frame.frame_type == FrameType.ENC_CHUNK
         assert frame.payload == b"payload"
         assert frame.sequence == 42
-        assert frame.version == codec.WIRE_VERSION_2
         assert frame.wire_bytes == len(data)
 
     def test_v2_header_is_16_bytes(self):
         assert len(codec.encode_frame(FrameType.ACK, b"", sequence=0)) == 16
-
-    def test_v1_and_v2_interleave_on_one_stream(self):
-        stream = (
-            codec.encode_frame(FrameType.ERROR, b"v1")
-            + codec.encode_frame(FrameType.ERROR, b"v2", sequence=1)
-            + codec.encode_frame(FrameType.ERROR, b"v1-again")
-        )
-        decoder = FrameDecoder()
-        decoder.feed(stream)
-        frames = list(decoder.frames())
-        assert [f.version for f in frames] == [1, 2, 1]
-        assert [f.payload for f in frames] == [b"v1", b"v2", b"v1-again"]
 
     def test_payload_corruption_caught_by_crc(self):
         data = bytearray(codec.encode_frame(FrameType.RESULT, b"x" * 32, sequence=3))
@@ -293,7 +296,6 @@ class TestFuzzDecoder:
         # Clean decode: every surfaced frame must re-encode to one of the
         # original wire frames, byte for byte — no silent damage.
         for frame in decoded:
-            assert frame.version == codec.WIRE_VERSION_2
             reencoded = codec.encode_frame(
                 frame.frame_type, frame.payload, sequence=frame.sequence
             )

@@ -14,7 +14,6 @@ from repro.datastore.workload import WorkloadGenerator
 from repro.exceptions import (
     KeyMismatchError,
     ProtocolError,
-    SessionResumeError,
     ValidationError,
 )
 from repro.net import codec
@@ -271,18 +270,21 @@ class TestValidationAndErrors:
         assert next(decoder.frames()).frame_type == FrameType.ERROR
 
     def test_server_rejects_out_of_range_ciphertext(self, workload_bytes):
+        """Neither 0 nor n lies in Z*_{n^2}; a session built without an
+        explicit policy still validates under the default one."""
         database, selection = workload_bytes
         client = make_client(selection)
-        server = ServerSession(database)
         stream = list(client.initial_bytes())
-        server.receive_bytes(stream[0])  # hello
-        server.receive_bytes(stream[1])  # public key
-        # Forge a chunk with a zero "ciphertext" (not in Z*_{n^2}).
-        forged = codec.encode_ciphertext_chunk([0], 128)
-        reply = server.receive_bytes(forged)
-        decoder = codec.FrameDecoder()
-        decoder.feed(reply)
-        assert next(decoder.frames()).frame_type == FrameType.ERROR
+        for forged_value in (client.public_key.n, 0):
+            server = ServerSession(database)
+            server.receive_bytes(stream[0])  # hello
+            server.receive_bytes(stream[1])  # public key
+            forged = codec.encode_ciphertext_chunk([forged_value], 128)
+            (frame,) = _decode_frames(server.receive_bytes(forged))
+            assert frame.frame_type == FrameType.ERROR
+            code, _message = codec.decode_error(frame.payload)
+            assert code == codec.ERROR_CODE_VALIDATION, forged_value
+            assert not server.finished
 
     def test_server_rejects_overdelivery(self):
         database = ServerDatabase([5, 6])
@@ -316,7 +318,7 @@ class TestValidationAndErrors:
     def test_client_rejects_unexpected_frame(self, workload_bytes):
         _, selection = workload_bytes
         client = make_client(selection)
-        bogus = codec.encode_hello(128, 10, 5)
+        bogus = codec.encode_hello(128, 10, 5, b"\0" * codec.SESSION_ID_BYTES)
         with pytest.raises(ProtocolError):
             client.receive_bytes(bogus)
 
@@ -442,20 +444,33 @@ class TestResume:
         decoder.feed(reply)
         assert next(decoder.frames()).frame_type == FrameType.ERROR
 
-    def test_v1_wire_cannot_resume(self, workload_bytes):
-        database, selection = workload_bytes
-        client = make_client(selection, wire_version=1)
-        assert client.session_id is None
-        with pytest.raises(SessionResumeError):
-            client.resume_request()
-        # ...but the legacy wire still completes against a v2 server.
-        value = run_sessions_in_memory(client, ServerSession(database))
-        assert value == database.select_sum(selection)
+    def test_old_header_chunk_resend_is_rejected(self):
+        """A re-sent chunk 0 under the retired 8-byte header carries no
+        sequence number, so it must not be folded as chunk 1: that
+        silently turned 3 + 11 = 14 into 10."""
+        import struct
+
+        database = ServerDatabase([3, 5, 7, 11])
+        client = make_client([1, 0, 0, 1], chunk_size=2)
+        server = ServerSession(database, registry=SessionRegistry())
+        frames = list(client.initial_bytes())  # HELLO, KEY, chunk 0, chunk 1
+        for data in frames[:3]:
+            assert server.receive_bytes(data) == b""
+        payload = _decode_frames(frames[2])[0].payload
+        old = struct.pack(">II", FrameType.ENC_CHUNK, len(payload)) + payload
+        reply = server.receive_bytes(old)
+        (frame,) = _decode_frames(reply)
+        assert frame.frame_type == FrameType.ERROR
+        assert server.errored and not server.finished
+        with pytest.raises(ProtocolError):
+            client.receive_bytes(reply)
+        assert client.result is None
+        assert client.session_id not in server.registry
 
     def test_resume_without_registry_says_unknown(self, workload_bytes):
         database, selection = workload_bytes
         client = make_client(selection)
-        server = ServerSession(database)  # no registry at all
+        server = ServerSession(database)  # its own, empty registry
         client.receive_bytes(server.receive_bytes(client.resume_request()))
         drive(client.resume_bytes(), server, client)
         assert client.result == database.select_sum(selection)
@@ -463,10 +478,10 @@ class TestResume:
     def test_registry_lru_and_discard(self):
         registry = SessionRegistry(capacity=2)
         a, b, c = b"a" * 16, b"b" * 16, b"c" * 16
-        registry.save(a, "A")
-        registry.save(b, "B")
+        registry.save(a, _FakeState(0))
+        registry.save(b, _FakeState(0))
         registry.get(a)  # touch a so b is the LRU
-        registry.save(c, "C")
+        registry.save(c, _FakeState(0))
         assert a in registry and c in registry and b not in registry
         registry.discard(a)
         assert len(registry) == 1

@@ -48,7 +48,7 @@ class TestRenderingEdges:
 class TestFrameProperties:
     def test_wire_bytes_includes_header(self):
         frame = Frame(FrameType.ERROR, b"12345")
-        assert frame.wire_bytes == 8 + 5
+        assert frame.wire_bytes == 16 + 5
 
 
 class TestAbstractBase:
