@@ -14,7 +14,7 @@ exponentiation, and both have algorithmic structure a per-element
   At 512-bit keys and 32-bit weights this is ~5-8x faster than the
   naive loop in pure Python (see ``benchmarks/test_kernels.py``).
   The deployed server folds chunks as they arrive, so
-  :func:`plane_insert` keeps 4-bit digit-plane buckets *across*
+  :func:`plane_insert` keeps 7-bit digit-plane buckets *across*
   batches and one closing :func:`multi_exponent` over the buckets
   (:func:`plane_terms`) pays the sweep and squaring chain once per
   query instead of once per chunk.
@@ -146,12 +146,13 @@ def multi_exponent(
 
 
 #: Digit width, in bits, of the persistent bucket accumulator
-#: (:func:`plane_insert`).  A module constant, not an option: journalled
-#: bucket rows are laid out by it, so changing it needs a store
-#: migration.  3 bits costs more multiplications per element; 5 bits
-#: folds ~10% cheaper once journal commits are per read, not per chunk
-#: (``docs/performance.md``).
-PLANE_WINDOW = 4
+#: (:func:`plane_insert`).  A module constant, not an option.  Each
+#: journalled bucket row records the window it was written at, and a
+#: row from another window is closed into its aggregate on load, so a
+#: change here needs no data migration.  7 bits folds ~27% cheaper
+#: than 4; 8 folds ~6% cheaper again, but its larger buckets cost the
+#: journal workload ~10% server RSS (``docs/performance.md``).
+PLANE_WINDOW = 7
 
 #: Buckets per digit plane: one for each nonzero digit.
 PLANE_DIGITS = (1 << PLANE_WINDOW) - 1
@@ -167,13 +168,14 @@ def plane_insert(
 
     ``buckets`` is a flat accumulator that persists across calls: slot
     ``p * PLANE_DIGITS + d - 1`` holds the product of every base whose
-    exponent has digit ``d`` in plane ``p`` (bits ``4p .. 4p+3``).  The
-    Pippenger bucket pass is linear, so batches can be inserted one at
-    a time and closed once: each base costs one multiplication per
-    nonzero digit of its exponent (~7.5 for a 32-bit weight), whatever
-    the batch size.  Start from an empty list; planes are appended as
-    exponents need them.  :func:`plane_terms` turns the buckets into
-    the closing :func:`multi_exponent` batch.
+    exponent has digit ``d`` in plane ``p`` (bits ``wp .. wp+w-1`` for
+    ``w = PLANE_WINDOW``).  The Pippenger bucket pass is linear, so
+    batches can be inserted one at a time and closed once: each base
+    costs one multiplication per nonzero digit of its exponent (~4.9
+    for a 32-bit weight), whatever the batch size.  Start from an empty
+    list; planes are appended as exponents need them.
+    :func:`plane_terms` turns the buckets into the closing
+    :func:`multi_exponent` batch.
     """
     if len(bases) != len(exponents):
         raise ParameterError(
@@ -201,19 +203,25 @@ def plane_insert(
             slot += PLANE_DIGITS
 
 
-def plane_terms(buckets: Sequence[int]) -> Tuple[List[int], List[int]]:
-    """The non-unit buckets and their exponents ``d * 2^(4p)``.
+def plane_terms(
+    buckets: Sequence[int], window: int = PLANE_WINDOW
+) -> Tuple[List[int], List[int]]:
+    """The non-unit buckets and their exponents ``d * 2^(window * p)``.
 
-    ``multi_exponent(*plane_terms(buckets), modulus)`` equals the
-    product of every ``base^exponent`` inserted by :func:`plane_insert`.
+    ``multi_exponent(*plane_terms(buckets), modulus, window=PLANE_WINDOW)``
+    equals the product of every ``base^exponent`` inserted by
+    :func:`plane_insert`; the aligned window puts each bucket in exactly
+    one bucket of the close.  ``window`` reads buckets laid out at
+    another digit width (a journal row written by an older release).
     """
+    digits = (1 << window) - 1
     bases: List[int] = []
     exponents: List[int] = []
     for slot, bucket in enumerate(buckets):
         if bucket != 1:
-            plane, digit = divmod(slot, PLANE_DIGITS)
+            plane, digit = divmod(slot, digits)
             bases.append(bucket)
-            exponents.append((digit + 1) << (plane * PLANE_WINDOW))
+            exponents.append((digit + 1) << (plane * window))
     return bases, exponents
 
 

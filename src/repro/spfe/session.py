@@ -46,7 +46,12 @@ import time
 from collections import OrderedDict
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
-from repro.crypto.multiexp import multi_exponent, plane_insert, plane_terms
+from repro.crypto.multiexp import (
+    PLANE_WINDOW,
+    multi_exponent,
+    plane_insert,
+    plane_terms,
+)
 from repro.crypto.ntheory import bytes_for_bits
 from repro.crypto.paillier import (
     PaillierPrivateKey,
@@ -440,6 +445,18 @@ class SessionRegistry:
         state.aggregate = record.aggregate
         if record.done:
             state.buckets = None
+        elif record.buckets and record.plane_window != PLANE_WINDOW:
+            # Buckets laid out at another digit width (a row journalled
+            # by an older release) are closed into the aggregate: the
+            # fold is linear, so the session resumes with empty buckets
+            # and the same product.
+            state.aggregate = multi_exponent(
+                *plane_terms(record.buckets, record.plane_window),
+                state.public_key.nsquare,
+                initial=record.aggregate,
+                window=record.plane_window,
+            )
+            state.buckets = []
         else:
             # A row journalled before buckets were stored (schema v3)
             # carries its folded chunks in the aggregate alone; the
@@ -805,17 +822,22 @@ class ServerSession:
             received += 1
         done = received == len(self.database)
         # Fold each element into the persistent digit-plane buckets: a
-        # fixed ~7.5 multiplications per element at any chunk size (the
+        # fixed ~4.9 multiplications per element at any chunk size (the
         # paper's §3.2 pipelining).  The bucket sweep and squaring chain
         # are paid once, by the closing multiexp when the last chunk
-        # lands; the product is a function of the frames alone, so the
-        # RESULT is the same ciphertext a per-chunk fold produces.
+        # lands, at the plane width so each bucket lands in one bucket
+        # of the close; the product is a function of the frames alone,
+        # so the RESULT is the same ciphertext a per-chunk fold produces.
         fold_started = time.perf_counter()
         plane_insert(state.buckets, batch_cts, batch_weights, nsquare)
         if done:
             bases, exponents = plane_terms(state.buckets)
             state.aggregate = multi_exponent(
-                bases, exponents, nsquare, initial=state.aggregate
+                bases,
+                exponents,
+                nsquare,
+                initial=state.aggregate,
+                window=PLANE_WINDOW,
             )
             state.buckets = None
         if self.tracer is not None:

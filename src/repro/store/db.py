@@ -22,7 +22,8 @@ The schema itself (see :data:`MIGRATIONS`):
 * ``sessions`` — the resumable-session journal: one frozen snapshot per
   session id, exactly the fields of
   :class:`repro.spfe.session._ResumeState` (digit-plane buckets
-  included, since v4) plus an LRU timestamp.
+  included, since v4, and the digit width they were written at, since
+  v6) plus an LRU timestamp.
 * ``fixed_base_tables`` — serialized
   :class:`~repro.crypto.multiexp.FixedBaseTable` precomputation, keyed
   by key fingerprint.
@@ -140,6 +141,15 @@ MIGRATIONS: Tuple[Tuple[int, str, Tuple[str, ...]], ...] = (
         5,
         "drop calibration profiles (engine removed)",
         ("DROP TABLE IF EXISTS calibration",),
+    ),
+    (
+        6,
+        "session digit-plane window: the bucket layout of each row",
+        (
+            # Every row written before v6 holds 4-bit buckets (or none).
+            "ALTER TABLE sessions ADD COLUMN plane_window INTEGER NOT NULL"
+            " DEFAULT 4",
+        ),
     ),
 )
 

@@ -44,7 +44,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.crypto.multiexp import PLANE_DIGITS, FixedBaseTable
+from repro.crypto.multiexp import PLANE_WINDOW, FixedBaseTable
 from repro.crypto.ntheory import bytes_for_bits
 from repro.crypto.paillier import PaillierPublicKey, RandomnessPool
 from repro.crypto.rng import RandomSource
@@ -142,6 +142,9 @@ class SessionRecord:
     #: :func:`~repro.crypto.multiexp.plane_insert`); None once done,
     #: and for rows journalled before schema v4
     buckets: Optional[Tuple[int, ...]] = None
+    #: digit width, in bits, the buckets are laid out at; rows
+    #: journalled before schema v6 read as 4
+    plane_window: int = PLANE_WINDOW
 
 
 class StateStore:
@@ -232,15 +235,16 @@ class StateStore:
                     conn.execute(
                         "INSERT INTO sessions (session_id, key_bits, chunk_size,"
                         " public_n, aggregate, received, chunks_received, done,"
-                        " touched_at, buckets)"
-                        " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
+                        " touched_at, buckets, plane_window)"
+                        " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
                         " ON CONFLICT(session_id) DO UPDATE SET"
                         " aggregate=excluded.aggregate,"
                         " received=excluded.received,"
                         " chunks_received=excluded.chunks_received,"
                         " done=excluded.done,"
                         " touched_at=excluded.touched_at,"
-                        " buckets=excluded.buckets",
+                        " buckets=excluded.buckets,"
+                        " plane_window=excluded.plane_window",
                         (
                             record.session_id,
                             record.key_bits,
@@ -252,6 +256,7 @@ class StateStore:
                             1 if record.done else 0,
                             touched,
                             buckets,
+                            record.plane_window,
                         ),
                     )
         except sqlite3.Error as exc:
@@ -265,8 +270,8 @@ class StateStore:
                 conn = self._require_conn()
                 row = conn.execute(
                     "SELECT key_bits, chunk_size, public_n, aggregate,"
-                    " received, chunks_received, done, touched_at, buckets"
-                    " FROM sessions WHERE session_id = ?",
+                    " received, chunks_received, done, touched_at, buckets,"
+                    " plane_window FROM sessions WHERE session_id = ?",
                     (session_id,),
                 ).fetchone()
         except sqlite3.Error as exc:
@@ -275,6 +280,12 @@ class StateStore:
             self._count("repro_store_journal_misses_total")
             return None
         key_bits = int(row[0])
+        plane_window = int(row[9])
+        if plane_window < 1:
+            raise StoreError(
+                "corrupt plane window for session %s: %d"
+                % (session_id.hex(), plane_window)
+            )
         buckets: Optional[Tuple[int, ...]] = None
         if row[8] is not None:
             try:
@@ -284,11 +295,14 @@ class StateStore:
                     "corrupt bucket blob for session %s: %s"
                     % (session_id.hex(), exc)
                 ) from exc
-            if len(buckets) % PLANE_DIGITS:
+            # Checked against the row's own window, not PLANE_WINDOW:
+            # rows from an older release are still whole.
+            digits = (1 << plane_window) - 1
+            if len(buckets) % digits:
                 raise StoreError(
                     "corrupt bucket blob for session %s: %d buckets is not"
                     " a whole number of %d-digit planes"
-                    % (session_id.hex(), len(buckets), PLANE_DIGITS)
+                    % (session_id.hex(), len(buckets), digits)
                 )
         self._count("repro_store_journal_hits_total")
         return SessionRecord(
@@ -302,6 +316,7 @@ class StateStore:
             done=bool(row[6]),
             touched_at=float(row[7]),
             buckets=buckets,
+            plane_window=plane_window,
         )
 
     def delete_session(self, session_id: bytes) -> None:

@@ -205,6 +205,7 @@ def calibrate_profile(
     generation, from the per-op figure.
     """
     from repro.crypto.multiexp import (
+        PLANE_WINDOW,
         FixedBaseTable,
         multi_exponent,
         plane_insert,
@@ -237,17 +238,18 @@ def calibrate_profile(
         exps = [rng.randrange(1, table.capacity) for _ in range(iterations)]
         t_precompute = measure(lambda i: table.pow(exps[i]))
         # Server step, timed the way ServerSession folds: a bucket
-        # insert per element, then the closing multiexp once per query.
-        # 64 random 32-bit weights fill nearly every bucket, so the
-        # close costs what it does at the end of a full query.
-        batch = (ciphertexts * (64 // len(ciphertexts) + 1))[:64]
+        # insert per element, then the closing multiexp once per query
+        # at the plane width.  A full query's worth of random 32-bit
+        # weights fills the buckets the way the deployed close sees
+        # them, so the close is charged what it costs there.
+        batch = [ciphertexts[i % iterations] for i in range(_FOLD_ELEMENTS)]
         weights = [rng.randrange(1, 1 << 32) for _ in batch]
         buckets: List[int] = []
         start = clock()
         plane_insert(buckets, batch, weights, pk.nsquare)
         t_insert = (clock() - start) / len(batch)
         start = clock()
-        multi_exponent(*plane_terms(buckets), pk.nsquare)
+        multi_exponent(*plane_terms(buckets), pk.nsquare, window=PLANE_WINDOW)
         t_step = t_insert + (clock() - start) / _FOLD_ELEMENTS
     else:
         t_encrypt = measure(lambda i: pk.encrypt_raw(i, rng))

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.multiexp import (
     PLANE_DIGITS,
+    PLANE_WINDOW,
     FixedBaseTable,
     multi_exponent,
     plane_insert,
@@ -207,20 +208,32 @@ class TestDigitPlanes:
         assert closed == multi_exponent(bases, exponents, modulus)
 
     def test_planes_cover_each_nonzero_digit(self):
+        two_planes = (2 << PLANE_WINDOW) | 1  # digit 1, then digit 2
         buckets = []
-        plane_insert(buckets, [3, 5, 7], [0x21, 0x1, 0x0], 1009)
-        assert len(buckets) == 2 * PLANE_DIGITS  # 0x21 spans two planes
+        plane_insert(buckets, [3, 5, 7], [two_planes, 0x1, 0x0], 1009)
+        assert len(buckets) == 2 * PLANE_DIGITS
         assert buckets[0] == 3 * 5 % 1009  # digit 1 of plane 0
         assert buckets[PLANE_DIGITS + 1] == 3  # digit 2 of plane 1
-        assert plane_terms(buckets) == ([15, 3], [1, 0x20])
+        assert plane_terms(buckets) == ([15, 3], [1, 2 << PLANE_WINDOW])
 
     def test_exponents_wider_than_32_bits_grow_planes(self):
         buckets = []
         plane_insert(buckets, [2], [1 << 40], 10007)
         plane_insert(buckets, [3], [5], 10007)
-        assert len(buckets) == 11 * PLANE_DIGITS
+        planes = -(-41 // PLANE_WINDOW)  # 1 << 40 is 41 bits wide
+        assert len(buckets) == planes * PLANE_DIGITS
         assert multi_exponent(*plane_terms(buckets), 10007) == (
             pow(2, 1 << 40, 10007) * 3**5 % 10007
+        )
+
+    def test_plane_terms_read_buckets_laid_out_at_another_window(self):
+        # Two 4-bit planes, as a journal row from an older release holds.
+        buckets = [1] * 30
+        buckets[0] = 3  # digit 1 of plane 0
+        buckets[15 + 1] = 5  # digit 2 of plane 1
+        assert plane_terms(buckets, 4) == ([3, 5], [1, 2 << 4])
+        assert multi_exponent(*plane_terms(buckets, 4), 1009, window=4) == (
+            3 * pow(5, 2 << 4, 1009) % 1009
         )
 
     def test_empty_and_invalid_input(self):

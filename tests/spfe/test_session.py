@@ -545,7 +545,7 @@ class TestRegistryByteBudget:
     def test_in_progress_sessions_account_their_buckets(self, workload_bytes):
         """Buckets cost registry bytes while a session is in progress
         and are released once they collapse into the aggregate."""
-        from repro.crypto.multiexp import PLANE_DIGITS
+        from repro.crypto.multiexp import PLANE_DIGITS, PLANE_WINDOW
         from repro.spfe.validation import resume_state_bytes
 
         database, selection = workload_bytes
@@ -559,7 +559,7 @@ class TestRegistryByteBudget:
 
         server.receive_bytes(frames[2])
         (state,) = registry._states.values()
-        planes = -(-database.value_bits // 4)  # 16-bit values: 4 planes
+        planes = -(-database.value_bits // PLANE_WINDOW)
         assert len(state.buckets) == planes * PLANE_DIGITS
         bucket_bytes = len(state.buckets) * (2 * 128 // 8)
         assert state.resident_bytes == resume_state_bytes(128) + bucket_bytes

@@ -10,7 +10,7 @@ import sqlite3
 
 import pytest
 
-from repro.crypto.multiexp import PLANE_DIGITS
+from repro.crypto.serialization import encode_int, encode_int_seq
 from repro.datastore.database import ServerDatabase
 from repro.exceptions import StoreError
 from repro.store.db import (
@@ -97,6 +97,7 @@ def test_v1_store_upgrades_in_place_and_keeps_data(tmp_path):
             chunks_received=2,
             done=False,
             touched_at=0.0,  # the v2 default for pre-v2 rows
+            plane_window=4,  # the v6 default for pre-v6 rows
         )
         # and the store is fully writable at the new schema
         store.save_session(record)
@@ -170,18 +171,19 @@ def test_v2_store_upgrades_to_latest_without_calibration(tmp_path):
     StateStore(path).close()
     conn = sqlite3.connect(path)
     try:
-        assert schema_version(conn) == SCHEMA_VERSION == 5
+        assert schema_version(conn) == SCHEMA_VERSION == 6
         assert "calibration" not in _table_names(conn)
         applied = conn.execute(
             "SELECT version FROM dbversion ORDER BY version"
         ).fetchall()
-        assert [row[0] for row in applied] == [1, 2, 3, 4, 5]
+        assert [row[0] for row in applied] == [1, 2, 3, 4, 5, 6]
     finally:
         conn.close()
 
 
 def test_v4_store_drops_calibration_and_keeps_data(tmp_path, monkeypatch):
-    """A v4 store with a calibration row opens under v5 intact."""
+    """A v4 store with a calibration row and an in-progress session of
+    4-bit buckets opens under current code intact."""
     import repro.store.state as state_module
 
     path = str(tmp_path / "v4.sqlite")
@@ -195,20 +197,38 @@ def test_v4_store_drops_calibration_and_keeps_data(tmp_path, monkeypatch):
         chunks_received=2,
         done=False,
         touched_at=1.5,
-        buckets=tuple(range(1, 2 * PLANE_DIGITS + 1)),
+        buckets=tuple(range(1, 2 * 15 + 1)),  # two 4-bit planes
+        plane_window=4,
     )
     database = ServerDatabase([7, 0, 65535, 42], value_bits=16)
-    # write through the real store code, held at the v4 schema
+    # write through the real store code, held at the v4 schema; the
+    # session row has no window column yet, so it goes in by hand
     monkeypatch.setattr(
         state_module,
         "open_store_db",
         lambda p: open_store_db(p, migrations=MIGRATIONS[:4]),
     )
     with StateStore(path) as store:
-        store.save_session(record)
         store.save_database("named", database)
     monkeypatch.undo()
     conn = sqlite3.connect(path)
+    conn.execute(
+        "INSERT INTO sessions (session_id, key_bits, chunk_size, public_n,"
+        " aggregate, received, chunks_received, done, touched_at, buckets)"
+        " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+        (
+            record.session_id,
+            record.key_bits,
+            record.chunk_size,
+            encode_int(record.public_n, 3),
+            encode_int(record.aggregate, 2),
+            record.received,
+            record.chunks_received,
+            0,
+            record.touched_at,
+            encode_int_seq(record.buckets, 2 * record.key_bits // 8),
+        ),
+    )
     conn.execute(
         "INSERT INTO calibration (kind, profile, updated_at)"
         " VALUES ('engine-mode-profile', '{}', 0)"
@@ -222,7 +242,7 @@ def test_v4_store_drops_calibration_and_keeps_data(tmp_path, monkeypatch):
         assert store.load_database("named") == database
     conn = sqlite3.connect(path)
     try:
-        assert schema_version(conn) == 5
+        assert schema_version(conn) == SCHEMA_VERSION
         assert "calibration" not in _table_names(conn)
     finally:
         conn.close()

@@ -17,9 +17,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.multiexp import multi_exponent
+from repro.crypto.multiexp import PLANE_WINDOW, multi_exponent
 from repro.crypto.rng import DeterministicRandom
-from repro.crypto.serialization import encode_int
+from repro.crypto.serialization import encode_int, encode_int_seq
 from repro.datastore.database import ServerDatabase
 from repro.net import codec
 from repro.net.codec import FrameDecoder, FrameType
@@ -349,6 +349,78 @@ def test_crash_at_a_read_boundary_resumes_from_the_last_commit(store_path):
     client.receive_bytes(replies)
     assert client.result == LONG_DB.select_sum(LONG_SELECTION)
     assert client.encryptions == len(LONG_SELECTION)
+
+
+def four_bit_buckets(bases, exponents, modulus):
+    """The digit-plane buckets a v4/v5 server journalled: 4-bit digits,
+    15 slots per plane, planes grown to fit the widest exponent."""
+    width = max(e.bit_length() for e in exponents)
+    buckets = [1] * (-(-width // 4) * 15)
+    for base, exponent in zip(bases, exponents):
+        slot = -1
+        while exponent:
+            digit = exponent & 15
+            if digit:
+                buckets[slot + digit] = buckets[slot + digit] * base % modulus
+            exponent >>= 4
+            slot += 15
+    return buckets
+
+
+def test_v5_row_with_4bit_buckets_resumes_under_v6(store_path):
+    """An in-progress session journalled by a v5 server (4-bit buckets,
+    no window column) resumes under the current plane width: the store
+    migrates, the row's buckets close into its aggregate, and the RESULT
+    is the one an uninterrupted run sends."""
+    client = long_client("v5-row")
+    hello, key, *chunks = list(client.initial_bytes())
+    folded = 3
+    cts = [ct for frame in chunks[:folded] for ct in chunk_ciphertexts(frame)]
+    nsquare = client.public_key.nsquare
+    buckets = four_bit_buckets(cts, list(LONG_DB.values[: len(cts)]), nsquare)
+    assert len(buckets) == 2 * 15  # 8-bit values: two 4-bit planes
+
+    conn = open_store_db(store_path, migrations=MIGRATIONS[:5])
+    conn.execute(
+        "INSERT INTO sessions (session_id, key_bits, chunk_size, public_n,"
+        " aggregate, received, chunks_received, done, touched_at, buckets)"
+        " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+        (
+            client.session_id,
+            KEY_BITS,
+            CHUNK,
+            encode_int(client.public_key.n, KEY_BITS // 8),
+            b"\x01",
+            len(cts),
+            folded,
+            0,
+            1.0,
+            encode_int_seq(buckets, 2 * KEY_BITS // 8),
+        ),
+    )
+    conn.commit()
+    assert schema_version(conn) == 5
+    conn.close()
+
+    with StateStore(store_path) as store:
+        row = store.load_session(client.session_id)
+        assert row.plane_window == 4 and list(row.buckets) == buckets
+        server = ServerSession(LONG_DB, registry=SessionRegistry(store=store))
+        reply = server.receive_bytes(client.resume_request())
+        (ack,) = decode_frames(reply)
+        assert ack.frame_type == FrameType.ACK
+        assert codec.decode_ack(ack.payload) == folded
+        client.receive_bytes(reply)
+        replies = server.receive_bytes(b"".join(client.resume_bytes()))
+        assert store.load_session(client.session_id).plane_window == PLANE_WINDOW
+    assert result_payload(replies) == uncrashed_result([hello, key] + chunks)
+    client.receive_bytes(replies)
+    assert client.result == LONG_DB.select_sum(LONG_SELECTION)
+    conn = sqlite3.connect(store_path)
+    try:
+        assert schema_version(conn) == SCHEMA_VERSION
+    finally:
+        conn.close()
 
 
 def test_corrupt_frame_after_valid_chunks_leaves_no_trace():

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.crypto.multiexp import PLANE_DIGITS, FixedBaseTable
+from repro.crypto.multiexp import PLANE_DIGITS, PLANE_WINDOW, FixedBaseTable
 from repro.crypto.paillier import RandomnessPool, generate_keypair
 from repro.crypto.rng import DeterministicRandom
 from repro.crypto.serialization import encode_int_seq
@@ -106,6 +106,43 @@ def test_session_buckets_round_trip(store, keypair):
     assert loaded.buckets is None and loaded.aggregate == 77
     # buckets are optional: in-progress rows without them still load
     assert SessionRecord(b"x" * 16, KEY_BITS, 4, 5, 1, 0, 0, False).buckets is None
+
+
+def window_record(public_n, plane_window, slots):
+    return SessionRecord(
+        b"W" * 16, KEY_BITS, 4, public_n, 1, 4, 1, False,
+        touched_at=1.0,
+        buckets=tuple(range(2, 2 + slots)),
+        plane_window=plane_window,
+    )
+
+
+def test_buckets_of_an_older_window_round_trip(store, keypair):
+    record = window_record(keypair.public.n, 4, 2 * 15)  # two 4-bit planes
+    store.save_session(record)
+    assert store.load_session(b"W" * 16) == record
+
+
+@pytest.mark.parametrize(
+    "plane_window, slots",
+    [(4, PLANE_DIGITS), (PLANE_WINDOW, 2 * 15)],
+    ids=["4-bit-row", "current-row"],
+)
+def test_bucket_blob_must_be_whole_planes_of_the_rows_window(
+    store, keypair, plane_window, slots
+):
+    store.save_session(window_record(keypair.public.n, plane_window, slots))
+    with pytest.raises(StoreError, match="whole number of"):
+        store.load_session(b"W" * 16)
+
+
+@pytest.mark.parametrize("plane_window", [0, -3])
+def test_corrupt_plane_window_raises_store_error(store, keypair, plane_window):
+    store.save_session(window_record(keypair.public.n, PLANE_WINDOW, 0))
+    with store._conn as conn:
+        conn.execute("UPDATE sessions SET plane_window = ?", (plane_window,))
+    with pytest.raises(StoreError, match="corrupt plane window"):
+        store.load_session(b"W" * 16)
 
 
 @pytest.mark.parametrize(

@@ -113,6 +113,32 @@ class TestCalibration:
         calibrate_profile(key_bits=64, iterations=3, use_kernels=use_kernels)
         assert len(calls) == (3 if use_kernels else 0)
 
+    def test_fold_timed_over_a_full_query_closed_at_the_plane_width(
+        self, monkeypatch
+    ):
+        """With kernels, Op.WEIGHTED_STEP inserts a query's worth of
+        weights and closes the buckets the way ServerSession does."""
+        import repro.crypto.multiexp as multiexp
+        from repro.timing.costmodel import _FOLD_ELEMENTS
+
+        inserted, windows = [], []
+        real_insert = multiexp.plane_insert
+        real_close = multiexp.multi_exponent
+
+        def counting_insert(buckets, bases, exponents, modulus):
+            inserted.append(len(bases))
+            return real_insert(buckets, bases, exponents, modulus)
+
+        def recording_close(*args, **kwargs):
+            windows.append(kwargs.get("window"))
+            return real_close(*args, **kwargs)
+
+        monkeypatch.setattr(multiexp, "plane_insert", counting_insert)
+        monkeypatch.setattr(multiexp, "multi_exponent", recording_close)
+        calibrate_profile(key_bits=64, iterations=3)
+        assert inserted == [_FOLD_ELEMENTS]
+        assert windows == [multiexp.PLANE_WINDOW]
+
     def test_rejects_zero_iterations(self):
         from repro.exceptions import CalibrationError
 
