@@ -13,7 +13,7 @@ This benchmark measures both paths at the paper's 512-bit key size —
 
 — plus the per-operation cost of the session-journal write the server
 commits once per socket read that folded chunks, timed on the row it
-really writes (an in-progress chunk-8 session carrying its 635
+really writes (an in-progress chunk-8 session carrying its 217
 digit-plane buckets), and writes the numbers to
 ``BENCH_store_warmstart.json`` at the repo root.
 
@@ -37,7 +37,7 @@ VALUE_BITS = 32  # the paper's value width
 POOL_SIZE = 128
 JOURNAL_OPS = 500
 #: buckets of an in-progress session: one per nonzero digit of each
-#: digit plane of a 32-bit weight (5 planes x 127 digits = 635)
+#: digit plane of a 32-bit weight (7 planes x 31 digits = 217)
 JOURNAL_BUCKETS = -(-VALUE_BITS // PLANE_WINDOW) * PLANE_DIGITS  # ceil
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_store_warmstart.json"

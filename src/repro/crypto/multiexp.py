@@ -14,7 +14,7 @@ exponentiation, and both have algorithmic structure a per-element
   At 512-bit keys and 32-bit weights this is ~5-8x faster than the
   naive loop in pure Python (see ``benchmarks/test_kernels.py``).
   The deployed server folds chunks as they arrive, so
-  :func:`plane_insert` keeps 7-bit digit-plane buckets *across*
+  :func:`plane_insert` keeps 5-bit digit-plane buckets *across*
   batches and one closing :func:`multi_exponent` over the buckets
   (:func:`plane_terms`) pays the sweep and squaring chain once per
   query instead of once per chunk.
@@ -149,10 +149,13 @@ def multi_exponent(
 #: (:func:`plane_insert`).  A module constant, not an option.  Each
 #: journalled bucket row records the window it was written at, and a
 #: row from another window is closed into its aggregate on load, so a
-#: change here needs no data migration.  7 bits folds ~27% cheaper
-#: than 4; 8 folds ~6% cheaper again, but its larger buckets cost the
-#: journal workload ~10% server RSS (``docs/performance.md``).
-PLANE_WINDOW = 7
+#: change here needs no data migration.  5 bits folds ~9% cheaper
+#: than 4.  Wider windows fold cheaper still on large databases but
+#: carry more buckets (``ceil(32/w) * (2^w - 1)``: 217 at 5 bits, 635
+#: at 7), which every journal commit rewrites and every close sweeps.
+#: At 6 bits and up, a server that commits once per chunk loses, and
+#: so does a 100-element database (``docs/performance.md``).
+PLANE_WINDOW = 5
 
 #: Buckets per digit plane: one for each nonzero digit.
 PLANE_DIGITS = (1 << PLANE_WINDOW) - 1
@@ -171,7 +174,7 @@ def plane_insert(
     exponent has digit ``d`` in plane ``p`` (bits ``wp .. wp+w-1`` for
     ``w = PLANE_WINDOW``).  The Pippenger bucket pass is linear, so
     batches can be inserted one at a time and closed once: each base
-    costs one multiplication per nonzero digit of its exponent (~4.9
+    costs one multiplication per nonzero digit of its exponent (~6.6
     for a 32-bit weight), whatever the batch size.  Start from an empty
     list; planes are appended as exponents need them.
     :func:`plane_terms` turns the buckets into the closing

@@ -822,7 +822,7 @@ class ServerSession:
             received += 1
         done = received == len(self.database)
         # Fold each element into the persistent digit-plane buckets: a
-        # fixed ~4.9 multiplications per element at any chunk size (the
+        # fixed ~6.6 multiplications per element at any chunk size (the
         # paper's §3.2 pipelining).  The bucket sweep and squaring chain
         # are paid once, by the closing multiexp when the last chunk
         # lands, at the plane width so each bucket lands in one bucket

@@ -572,6 +572,22 @@ class TestRegistryByteBudget:
         assert state.done and state.buckets is None
         assert registry.resident_bytes == resume_state_bytes(128)
 
+    def test_default_budget_holds_the_count_bound_at_max_key_bits(self):
+        """Wider digit planes grow every in-progress session; the default
+        byte budget must still not evict before the count bound does."""
+        from repro.crypto.multiexp import PLANE_DIGITS, PLANE_WINDOW
+        from repro.datastore.database import VALUE_BITS
+        from repro.spfe.validation import ServerPolicy, resume_state_bytes
+
+        policy = ServerPolicy()
+        slots = -(-VALUE_BITS // PLANE_WINDOW) * PLANE_DIGITS
+        per_session = resume_state_bytes(policy.max_key_bits) + slots * (
+            2 * policy.max_key_bits // 8
+        )
+        assert policy.max_registry_sessions * per_session <= (
+            policy.max_registry_bytes
+        )
+
     def test_bad_byte_budget_rejected(self):
         with pytest.raises(Exception):
             SessionRegistry(capacity=2, max_bytes=0)
