@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--state-dir", metavar="DIR", default=None,
         help="durable state directory: resumable sessions are journalled "
         "to SQLite so clients RESUME across a server restart, and "
-        "databases/precomputation persist between runs",
+        "named databases persist between runs",
     )
     serve_cmd.add_argument(
         "--db-name", metavar="NAME", default=None,

@@ -316,51 +316,6 @@ class FixedBaseTable:
             step = row[slots - 1] * step % modulus
         self.entries = len(self._rows) * (slots - 1)
 
-    @classmethod
-    def from_rows(
-        cls,
-        base: int,
-        modulus: int,
-        exponent_bits: int,
-        window: int,
-        rows: List[List[int]],
-    ) -> "FixedBaseTable":
-        """Rebuild a table from previously exported rows.
-
-        The persistence path (:class:`repro.store.state.StateStore`)
-        round-trips tables through this constructor so a warm restart
-        pays zero recomputation — the whole point of persisting the
-        precomputation.  Shape is validated; entry *values* are trusted
-        (the store lives in the key owner's trust domain).
-        """
-        if modulus < 2:
-            raise ParameterError("modulus must be at least 2")
-        if exponent_bits < 1:
-            raise ParameterError("exponent_bits must be positive")
-        if not 1 <= window <= _MAX_WINDOW:
-            raise ParameterError(
-                "window must be in 1..%d, got %d" % (_MAX_WINDOW, window)
-            )
-        slots = 1 << window
-        expected_rows = -(-exponent_bits // window)  # ceil
-        if len(rows) != expected_rows or any(len(row) != slots for row in rows):
-            raise ParameterError(
-                "table shape mismatch: want %d rows of %d slots"
-                % (expected_rows, slots)
-            )
-        table = cls.__new__(cls)
-        table.base = base % modulus
-        table.modulus = modulus
-        table.exponent_bits = exponent_bits
-        table.window = window
-        table._rows = [list(row) for row in rows]
-        table.entries = len(table._rows) * (slots - 1)
-        return table
-
-    def export_rows(self) -> List[List[int]]:
-        """A copy of the precomputed rows, for persistence."""
-        return [list(row) for row in self._rows]
-
     @property
     def capacity(self) -> int:
         """Exclusive upper bound on exponents :meth:`pow` accepts."""

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.crypto.multiexp import FixedBaseTable, multi_exponent
 from repro.crypto.ntheory import bytes_for_bits, modinv, crt_pair
@@ -364,25 +364,16 @@ class RandomnessPool:
         rng: Union[RandomSource, bytes, str, int, None] = None,
         fixed_base: bool = False,
         window: Optional[int] = None,
-        table: Optional[FixedBaseTable] = None,
     ) -> None:
-        if table is not None and table.modulus != public_key.nsquare:
-            raise KeyMismatchError(
-                "injected fixed-base table modulus does not match n^2"
-            )
         self.public_key = public_key
         self._rng = as_random_source(rng)
         self._pool: List[int] = []
         self._lock = threading.Lock()
-        self._fixed_base = fixed_base or table is not None
+        self._fixed_base = fixed_base
         self._window = window
-        self._table: Optional[FixedBaseTable] = table
+        self._table: Optional[FixedBaseTable] = None
         self.generated = 0
         self.misses = 0
-        #: obfuscators restored from a persistent store (warm start),
-        #: counted separately from ``generated`` so cost accounting can
-        #: tell offline-this-process from offline-a-previous-process.
-        self.restored = 0
 
     def _ensure_table_locked(self) -> FixedBaseTable:
         """Build the per-key fixed-base table once; caller holds the lock."""
@@ -494,36 +485,6 @@ class RandomnessPool:
     def __len__(self) -> int:
         with self._lock:
             return len(self._pool)
-
-    # -- persistence hooks (see repro.store.state.StateStore) -------------
-
-    def restore(self, obfuscators: Iterable[int]) -> None:
-        """Refill the pool from obfuscators persisted by an earlier run.
-
-        The caller (the state store) guarantees single-use semantics:
-        restored values were removed from durable storage before being
-        handed here, so no obfuscator can be restored twice.
-        """
-        values = list(obfuscators)
-        with self._lock:
-            self._pool.extend(values)
-            self.restored += len(values)
-
-    def export_obfuscators(self) -> List[int]:
-        """Drain and return every unused pooled obfuscator.
-
-        Draining (rather than copying) keeps single-use semantics: once
-        exported for persistence, an obfuscator is no longer available
-        in this process.
-        """
-        with self._lock:
-            values, self._pool = self._pool, []
-        return values
-
-    def export_table(self) -> Optional[FixedBaseTable]:
-        """The pool's fixed-base table, if one has been built yet."""
-        with self._lock:
-            return self._table
 
 
 class EncryptedNumber:
@@ -669,7 +630,7 @@ class PaillierScheme(AdditiveHomomorphicScheme):
     ) -> None:
         self.use_multiexp = use_multiexp
         #: optional :class:`RandomnessPool` batched rerandomisation draws
-        #: obfuscators from (the persistent §3.3 offline tier)
+        #: obfuscators from (the §3.3 offline tier)
         self.pool = pool
 
     def generate(

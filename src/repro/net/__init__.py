@@ -16,8 +16,6 @@ from repro.net.transport import (
     RetryPolicy,
     SocketTransport,
     Transport,
-    call_with_retry,
-    connect_with_retry,
     memory_pair,
 )
 from repro.net.wire import Message, MessageLog, vector_wire_bytes
@@ -43,8 +41,6 @@ __all__ = [
     "SocketTransport",
     "SpfeServer",
     "Transport",
-    "call_with_retry",
-    "connect_with_retry",
     "links",
     "memory_pair",
     "vector_wire_bytes",

@@ -311,9 +311,11 @@ def decode_ciphertext_chunk(payload: bytes, key_bits: int) -> List[int]:
         raise ProtocolError(
             "chunk payload is %d bytes, expected %d" % (len(payload), expected)
         )
+    # Slice each element exactly: a tail slice per element copies the
+    # rest of the frame each time, quadratic in the element count.
     return [
-        int.from_bytes(payload[_COUNT.size + i * width :][:width], "big")
-        for i in range(count)
+        int.from_bytes(payload[start : start + width], "big")
+        for start in range(_COUNT.size, expected, width)
     ]
 
 

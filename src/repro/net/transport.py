@@ -17,7 +17,8 @@ Two implementations are provided: :class:`SocketTransport` over a real
 socket (the deployment shape) and :class:`MemoryTransport` pairs for
 deterministic single-process tests.  :class:`RetryPolicy` captures the
 reconnect discipline — bounded attempts, exponential backoff, seeded
-jitter — and :func:`call_with_retry` applies it to any callable.
+jitter — and :func:`repro.spfe.session.run_resilient` applies it to a
+whole query.
 
 Why retries matter here: the dominant cost of the protocol is client-side
 Paillier encryption of the index vector (paper §3), so a dropped
@@ -30,14 +31,12 @@ from __future__ import annotations
 
 import select
 import socket
-import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Iterator, Optional, Tuple, Type, TypeVar
+from typing import Deque, Iterator, Optional, Tuple
 
-from repro.crypto.rng import RandomSource, as_random_source
-from repro.exceptions import RetryExhausted, TransportError, TransportTimeout
-from repro.obs.registry import MetricsRegistry
+from repro.crypto.rng import RandomSource
+from repro.exceptions import TransportError, TransportTimeout
 
 __all__ = [
     "Transport",
@@ -45,14 +44,10 @@ __all__ = [
     "MemoryTransport",
     "memory_pair",
     "RetryPolicy",
-    "call_with_retry",
-    "connect_with_retry",
     "DEFAULT_RECV_BYTES",
 ]
 
 DEFAULT_RECV_BYTES = 65536
-
-_T = TypeVar("_T")
 
 
 class Transport:
@@ -355,85 +350,11 @@ class RetryPolicy:
             yield self.delay_s(retry_index, rng)
 
 
-#: help text shared by every retry-instrumented call site, so the
-#: registry sees one consistent definition per metric name
+#: help text for the retry metrics that
+#: :func:`repro.spfe.session.run_resilient` emits
 RETRY_METRIC_HELP = {
     "repro_retry_attempts_total": "Operation attempts made under a retry policy.",
     "repro_retry_giveups_total": "Retry policies exhausted (RetryExhausted raised).",
     "repro_retry_backoff_seconds": "Backoff delay slept before each retry.",
     "repro_retry_busy_total": "Attempts shed by the server with BUSY and retried.",
 }
-
-
-def call_with_retry(
-    operation: Callable[[], _T],
-    policy: Optional[RetryPolicy] = None,
-    rng: Optional[RandomSource] = None,
-    retry_on: Tuple[Type[BaseException], ...] = (TransportError,),
-    sleep: Callable[[float], None] = time.sleep,
-    metrics: Optional[MetricsRegistry] = None,
-) -> _T:
-    """Run ``operation`` under ``policy``; raise ``RetryExhausted`` at the end.
-
-    ``sleep`` is injectable so tests can run the schedule without waiting.
-    Exceptions outside ``retry_on`` propagate immediately (a protocol
-    violation should never be retried into).  An optional ``metrics``
-    registry counts attempts and give-ups and histograms the backoff
-    delays (see :data:`RETRY_METRIC_HELP` for the metric names).
-    """
-    policy = policy or RetryPolicy()
-    rng = as_random_source(rng)
-    attempts = (
-        metrics.counter(
-            "repro_retry_attempts_total",
-            RETRY_METRIC_HELP["repro_retry_attempts_total"],
-        )
-        if metrics is not None
-        else None
-    )
-    last: Optional[BaseException] = None
-    for attempt in range(policy.max_attempts):
-        if attempts is not None:
-            attempts.inc()
-        try:
-            return operation()
-        except retry_on as exc:  # noqa: B030 - tuple of exception types
-            last = exc
-            if attempt + 1 < policy.max_attempts:
-                delay = policy.delay_s(attempt + 1, rng)
-                if metrics is not None:
-                    metrics.histogram(
-                        "repro_retry_backoff_seconds",
-                        RETRY_METRIC_HELP["repro_retry_backoff_seconds"],
-                    ).observe(delay)
-                sleep(delay)
-    if metrics is not None:
-        metrics.counter(
-            "repro_retry_giveups_total",
-            RETRY_METRIC_HELP["repro_retry_giveups_total"],
-        ).inc()
-    raise RetryExhausted(
-        "gave up after %d attempts: %s" % (policy.max_attempts, last)
-    ) from last
-
-
-def connect_with_retry(
-    host: str,
-    port: int,
-    policy: Optional[RetryPolicy] = None,
-    connect_timeout: Optional[float] = None,
-    read_timeout: Optional[float] = None,
-    rng: Optional[RandomSource] = None,
-    sleep: Callable[[float], None] = time.sleep,
-    metrics: Optional[MetricsRegistry] = None,
-) -> SocketTransport:
-    """Open a TCP :class:`SocketTransport`, retrying under ``policy``."""
-    return call_with_retry(
-        lambda: SocketTransport.connect(
-            host, port, connect_timeout=connect_timeout, read_timeout=read_timeout
-        ),
-        policy=policy,
-        rng=rng,
-        sleep=sleep,
-        metrics=metrics,
-    )

@@ -957,10 +957,11 @@ def run_resilient(
     the server's ``retry_after_ms`` hint — so shed clients re-enter
     gently instead of stampeding a saturated server.
 
-    An optional ``metrics`` registry gets the same attempt/backoff/
-    give-up instruments as :func:`~repro.net.transport.call_with_retry`
-    plus ``repro_retry_busy_total``; a client constructed with a tracer
-    additionally records a ``resume`` span per reconnect handshake.
+    An optional ``metrics`` registry counts attempts, give-ups and BUSY
+    retries and histograms the backoff delays (the names are in
+    :data:`~repro.net.transport.RETRY_METRIC_HELP`); a client
+    constructed with a tracer additionally records a ``resume`` span
+    per reconnect handshake.
 
     Raises :class:`~repro.exceptions.RetryExhausted` (with the last
     transport failure chained) when the policy gives up.

@@ -1,12 +1,11 @@
 """Crash-safe persistence tier: the state that survives process death.
 
-Everything expensive in this system is *precomputed state*: fixed-base
-tables, pooled encryptions-of-zero, half-streamed session aggregates,
-and the server database itself.  Until this package all of it lived in
-process memory, so a ``kill -9`` threw the paper's entire amortisation
-argument away — preprocessing only pays off if it outlives the process
-that ran it (§3.3), and the dropout-tolerant aggregation literature
-makes the same point at the protocol level.
+Two things ``repro serve`` must not lose to a ``kill -9``: the
+half-streamed session aggregates (a client that already sent most of
+its chunks should RESUME, not re-encrypt from scratch) and the server
+database itself.  Both belong to the database owner; the client's §3.3
+offline material (its obfuscators and pre-encrypted index bits) stays
+in the client's process and is never written here.
 
 Three modules:
 
@@ -16,9 +15,8 @@ Three modules:
   opening an old store upgrades it in place).
 * :mod:`repro.store.state` — :class:`~repro.store.state.StateStore`,
   the single facade every subsystem persists through: session journal
-  entries (ACK/RESUME across a server *restart*, not just a reconnect),
-  fixed-base tables and obfuscator pools keyed by key fingerprint, and
-  named server databases.
+  entries (ACK/RESUME across a server *restart*, not just a reconnect)
+  and named server databases.
 * :mod:`repro.store.supervisor` — a process supervisor that runs the
   server as a child and restarts it on crash under bounded exponential
   backoff, turning SIGKILL into a recoverable event.
@@ -27,7 +25,7 @@ No third-party dependencies: ``sqlite3`` is in the standard library.
 """
 
 from repro.store.db import SCHEMA_VERSION, open_store_db, schema_version
-from repro.store.state import StateStore, key_fingerprint
+from repro.store.state import StateStore
 from repro.store.supervisor import ServerSupervisor, SupervisorPolicy
 
 __all__ = [
@@ -35,7 +33,6 @@ __all__ = [
     "open_store_db",
     "schema_version",
     "StateStore",
-    "key_fingerprint",
     "ServerSupervisor",
     "SupervisorPolicy",
 ]

@@ -24,13 +24,11 @@ The schema itself (see :data:`MIGRATIONS`):
   :class:`repro.spfe.session._ResumeState` (digit-plane buckets
   included, since v4, and the digit width they were written at, since
   v6) plus an LRU timestamp.
-* ``fixed_base_tables`` — serialized
-  :class:`~repro.crypto.multiexp.FixedBaseTable` precomputation, keyed
-  by key fingerprint.
-* ``zero_pools`` — leftover precomputed obfuscators (encryptions of
-  zero) per key fingerprint.
 * ``databases`` — named server databases, loadable by ``repro serve
   --state-dir ... --db-name ...``.
+
+Nothing else: v1 also created two precomputation caches for the
+client's offline phase, which no command ever wrote, and v7 drops them.
 """
 
 from __future__ import annotations
@@ -149,6 +147,14 @@ MIGRATIONS: Tuple[Tuple[int, str, Tuple[str, ...]], ...] = (
             # Every row written before v6 holds 4-bit buckets (or none).
             "ALTER TABLE sessions ADD COLUMN plane_window INTEGER NOT NULL"
             " DEFAULT 4",
+        ),
+    ),
+    (
+        7,
+        "drop the precomputation caches (never written by any command)",
+        (
+            "DROP TABLE IF EXISTS fixed_base_tables",
+            "DROP TABLE IF EXISTS zero_pools",
         ),
     ),
 )

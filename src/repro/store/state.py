@@ -1,6 +1,6 @@
 """`StateStore`: the one facade every subsystem persists through.
 
-Four kinds of state, one SQLite file (see :mod:`repro.store.db` for the
+Two kinds of state, one SQLite file (see :mod:`repro.store.db` for the
 schema and durability model):
 
 * **Session journal** — frozen resumable-session snapshots, written by
@@ -9,22 +9,16 @@ schema and durability model):
   whose server was SIGKILLed reconnects, sends RESUME, and the restarted
   process answers from the journal: same ACK semantics, zero
   re-encryption of already-acknowledged chunks.
-* **Fixed-base tables** — the windowed precomputation of
-  :class:`~repro.crypto.multiexp.FixedBaseTable`, keyed by key
-  fingerprint, so a warm start skips the table build entirely.
-* **Obfuscator pools** — leftover precomputed encryptions of zero
-  (``r^n mod n^2`` values) from a
-  :class:`~repro.crypto.paillier.RandomnessPool`; the paper's §3.3
-  offline phase, made durable.
 * **Named databases** — server databases loadable by name, so ``repro
   serve --state-dir DIR --db-name NAME`` serves the same data across
   restarts without re-parsing input files.
 
-Trust note: the store holds material that is *secret relative to the
-protocol's privacy argument* (an obfuscator together with its ciphertext
-reveals the plaintext).  The state directory therefore belongs to the
-key owner alone — the same trust domain as the process memory it
-replaces, now on disk.  ``docs/protocol.md`` § Durability spells out the
+Trust note: both belong to the database owner.  A journalled snapshot
+holds the public key, counters, and the server's fold of the client's
+ciphertexts, all of which the server saw on the wire; the databases are
+the server's own data.  No client secret (private key, obfuscator,
+plaintext selection) is ever written, so the state directory may live
+with ``repro serve``.  ``docs/protocol.md`` § Durability spells out the
 guarantees and non-guarantees.
 
 The store is thread-safe: one connection, every operation under one
@@ -36,18 +30,15 @@ threads; none ever block on the network.
 
 from __future__ import annotations
 
-import hashlib
 import sqlite3
 import struct
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
-from repro.crypto.multiexp import PLANE_WINDOW, FixedBaseTable
+from repro.crypto.multiexp import PLANE_WINDOW
 from repro.crypto.ntheory import bytes_for_bits
-from repro.crypto.paillier import PaillierPublicKey, RandomnessPool
-from repro.crypto.rng import RandomSource
 from repro.crypto.serialization import (
     decode_int,
     decode_int_seq,
@@ -62,7 +53,6 @@ from repro.store.db import open_store_db
 __all__ = [
     "StateStore",
     "SessionRecord",
-    "key_fingerprint",
     "STORE_METRIC_HELP",
     "DEFAULT_STORE_FILENAME",
 ]
@@ -81,16 +71,6 @@ STORE_METRIC_HELP: Dict[str, str] = {
         "Session journal lookups that found a snapshot (warm-restart resumes).",
     "repro_store_journal_misses_total":
         "Session journal lookups that found nothing (fresh or evicted ids).",
-    "repro_store_table_hits_total":
-        "Fixed-base table loads served from the store (precomputation skipped).",
-    "repro_store_table_misses_total":
-        "Fixed-base table loads that found nothing (cold build required).",
-    "repro_store_pool_hits_total":
-        "Obfuscator-pool loads that restored at least one pooled encryption.",
-    "repro_store_pool_misses_total":
-        "Obfuscator-pool loads that found nothing for the key fingerprint.",
-    "repro_store_pool_obfuscators_restored_total":
-        "Individual precomputed obfuscators restored from the store.",
     "repro_store_db_loads_total":
         "Named server databases loaded from the store.",
     "repro_store_supervisor_restarts_total":
@@ -99,16 +79,15 @@ STORE_METRIC_HELP: Dict[str, str] = {
         "Supervisor runs that exhausted their restart budget.",
 }
 
-
-def key_fingerprint(public_n: int) -> str:
-    """A stable fingerprint for a public key (hex SHA-256 of ``n``).
-
-    Keys the precomputation caches: two processes holding the same
-    modulus agree on the fingerprint, and nothing about ``n`` beyond
-    its identity is recoverable from it.
-    """
-    width = bytes_for_bits(max(1, public_n.bit_length()))
-    return hashlib.sha256(encode_int(public_n, width)).hexdigest()
+#: the ``repro_store_*`` counters a :class:`StateStore` emits; the
+#: supervisor emits the rest
+_EMITTED = (
+    "repro_store_journal_writes_total",
+    "repro_store_journal_deletes_total",
+    "repro_store_journal_hits_total",
+    "repro_store_journal_misses_total",
+    "repro_store_db_loads_total",
+)
 
 
 def _int_blob(value: int) -> bytes:
@@ -148,16 +127,16 @@ class SessionRecord:
 
 
 class StateStore:
-    """Durable home for sessions, precomputation, and databases.
+    """Durable home for the session journal and named databases.
 
     Args:
         path: SQLite file path (``":memory:"`` for tests), or a
             directory — :meth:`open` resolves the conventional
             ``repro-state.sqlite`` inside a directory.
         metrics: optional :class:`~repro.obs.registry.MetricsRegistry`;
-            when given, every journal write/hit/miss and cache
-            hit/miss is counted under the ``repro_store_*`` names in
-            :data:`STORE_METRIC_HELP`.
+            when given, every journal write/delete/hit/miss and
+            database load is counted under its ``repro_store_*`` name
+            in :data:`STORE_METRIC_HELP`.
     """
 
     def __init__(
@@ -169,10 +148,10 @@ class StateStore:
         self.metrics = metrics
         self._counters: Dict[str, Counter] = {}
         if metrics is not None:
-            for name, help_text in STORE_METRIC_HELP.items():
-                if name.startswith("repro_store_supervisor"):
-                    continue  # the supervisor registers its own
-                self._counters[name] = metrics.counter(name, help_text)
+            for name in _EMITTED:
+                self._counters[name] = metrics.counter(
+                    name, STORE_METRIC_HELP[name]
+                )
 
     @classmethod
     def open(
@@ -339,178 +318,6 @@ class StateStore:
             conn = self._require_conn()
             row = conn.execute("SELECT COUNT(*) FROM sessions").fetchone()
         return int(row[0])
-
-    # -- fixed-base tables ------------------------------------------------
-
-    def save_fixed_base_table(
-        self, fingerprint: str, table: FixedBaseTable, label: str = ""
-    ) -> None:
-        """Persist one table's full precomputation under a key fingerprint.
-
-        ``label`` distinguishes multiple tables for one key (e.g. an
-        obfuscator table over ``n^2`` next to a plaintext-space table).
-        """
-        rows = table.export_rows()
-        entry_width = bytes_for_bits(max(1, table.modulus.bit_length()))
-        flat = tuple(entry for row in rows for entry in row)
-        try:
-            with self._lock:
-                conn = self._require_conn()
-                with conn:
-                    conn.execute(
-                        "INSERT OR REPLACE INTO fixed_base_tables"
-                        " (fingerprint, label, base, modulus, exponent_bits,"
-                        " window, entry_width, rows_blob)"
-                        " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                        (
-                            fingerprint,
-                            label,
-                            _int_blob(table.base),
-                            _int_blob(table.modulus),
-                            table.exponent_bits,
-                            table.window,
-                            entry_width,
-                            encode_int_seq(flat, entry_width),
-                        ),
-                    )
-        except sqlite3.Error as exc:
-            raise StoreError("fixed-base table write failed: %s" % exc) from exc
-
-    def load_fixed_base_table(
-        self, fingerprint: str, label: str = ""
-    ) -> Optional[FixedBaseTable]:
-        """Rebuild a persisted table without recomputing any entry."""
-        try:
-            with self._lock:
-                conn = self._require_conn()
-                row = conn.execute(
-                    "SELECT base, modulus, exponent_bits, window, entry_width,"
-                    " rows_blob FROM fixed_base_tables"
-                    " WHERE fingerprint = ? AND label = ?",
-                    (fingerprint, label),
-                ).fetchone()
-        except sqlite3.Error as exc:
-            raise StoreError("fixed-base table read failed: %s" % exc) from exc
-        if row is None:
-            self._count("repro_store_table_misses_total")
-            return None
-        base = decode_int(row[0])
-        modulus = decode_int(row[1])
-        exponent_bits, window, entry_width = int(row[2]), int(row[3]), int(row[4])
-        flat = decode_int_seq(row[5], entry_width)
-        slots = 1 << window
-        if len(flat) % slots:
-            raise StoreError(
-                "corrupt fixed-base table for %s: %d entries not divisible"
-                " by %d slots" % (fingerprint, len(flat), slots)
-            )
-        rows = [
-            list(flat[start : start + slots])
-            for start in range(0, len(flat), slots)
-        ]
-        table = FixedBaseTable.from_rows(base, modulus, exponent_bits, window, rows)
-        self._count("repro_store_table_hits_total")
-        return table
-
-    # -- obfuscator pools (encryptions of zero) ---------------------------
-
-    def save_pool(
-        self, public: PaillierPublicKey, obfuscators: Sequence[int]
-    ) -> None:
-        """Persist leftover precomputed obfuscators for a key.
-
-        Replaces any previous pool row for the fingerprint: pooled
-        encryptions are single-use, so the store must only ever hold
-        obfuscators that have *not* been handed out.
-        """
-        entry_width = bytes_for_bits(max(1, public.nsquare.bit_length()))
-        fingerprint = key_fingerprint(public.n)
-        try:
-            with self._lock:
-                conn = self._require_conn()
-                with conn:
-                    conn.execute(
-                        "INSERT OR REPLACE INTO zero_pools"
-                        " (fingerprint, public_n, entry_width, count, pool_blob)"
-                        " VALUES (?, ?, ?, ?, ?)",
-                        (
-                            fingerprint,
-                            _int_blob(public.n),
-                            entry_width,
-                            len(obfuscators),
-                            encode_int_seq(tuple(obfuscators), entry_width),
-                        ),
-                    )
-        except sqlite3.Error as exc:
-            raise StoreError("pool write failed: %s" % exc) from exc
-
-    def load_pool_obfuscators(self, public: PaillierPublicKey) -> List[int]:
-        """Restore (and *consume*) the persisted pool for a key.
-
-        The row is deleted in the same transaction that reads it, so
-        two processes warm-starting from one store can never both hand
-        out the same single-use obfuscator.
-        """
-        fingerprint = key_fingerprint(public.n)
-        try:
-            with self._lock:
-                conn = self._require_conn()
-                with conn:
-                    row = conn.execute(
-                        "SELECT entry_width, pool_blob FROM zero_pools"
-                        " WHERE fingerprint = ?",
-                        (fingerprint,),
-                    ).fetchone()
-                    if row is not None:
-                        conn.execute(
-                            "DELETE FROM zero_pools WHERE fingerprint = ?",
-                            (fingerprint,),
-                        )
-        except sqlite3.Error as exc:
-            raise StoreError("pool read failed: %s" % exc) from exc
-        if row is None:
-            self._count("repro_store_pool_misses_total")
-            return []
-        values = list(decode_int_seq(row[1], int(row[0])))
-        self._count("repro_store_pool_hits_total")
-        self._count("repro_store_pool_obfuscators_restored_total", len(values))
-        return values
-
-    # -- composed warm-start helpers --------------------------------------
-
-    def load_randomness_pool(
-        self,
-        public: PaillierPublicKey,
-        rng: Union[RandomSource, bytes, str, int, None] = None,
-        fixed_base: bool = True,
-        window: Optional[int] = None,
-    ) -> RandomnessPool:
-        """A :class:`~repro.crypto.paillier.RandomnessPool` warm-started
-        from the store: persisted fixed-base table plus any leftover
-        pooled obfuscators.  Misses degrade to a cold pool — the store
-        is an optimisation, never a correctness requirement.
-        """
-        fingerprint = key_fingerprint(public.n)
-        table = (
-            self.load_fixed_base_table(fingerprint, label="obfuscator")
-            if fixed_base
-            else None
-        )
-        pool = RandomnessPool(
-            public, rng=rng, fixed_base=fixed_base, window=window, table=table
-        )
-        restored = self.load_pool_obfuscators(public)
-        if restored:
-            pool.restore(restored)
-        return pool
-
-    def save_randomness_pool(self, pool: RandomnessPool) -> None:
-        """Persist a pool's table and *remaining* obfuscators."""
-        fingerprint = key_fingerprint(pool.public_key.n)
-        table = pool.export_table()
-        if table is not None:
-            self.save_fixed_base_table(fingerprint, table, label="obfuscator")
-        self.save_pool(pool.public_key, pool.export_obfuscators())
 
     # -- named databases --------------------------------------------------
 

@@ -30,14 +30,9 @@ from typing import IO, List, Optional, Sequence, Union
 
 from repro.exceptions import SupervisorError
 from repro.obs.registry import MetricsRegistry
+from repro.store.state import STORE_METRIC_HELP
 
 __all__ = ["SupervisorPolicy", "ServerSupervisor"]
-
-_RESTARTS_HELP = (
-    "Server child processes restarted by the supervisor after a crash."
-)
-_GIVEUPS_HELP = "Supervisor runs that exhausted their restart budget."
-
 
 @dataclass(frozen=True)
 class SupervisorPolicy:
@@ -122,12 +117,18 @@ class ServerSupervisor:
         self._gave_up = False
         self._restarts = 0
         self._restarts_total = (
-            metrics.counter("repro_store_supervisor_restarts_total", _RESTARTS_HELP)
+            metrics.counter(
+                "repro_store_supervisor_restarts_total",
+                STORE_METRIC_HELP["repro_store_supervisor_restarts_total"],
+            )
             if metrics is not None
             else None
         )
         self._giveups_total = (
-            metrics.counter("repro_store_supervisor_giveups_total", _GIVEUPS_HELP)
+            metrics.counter(
+                "repro_store_supervisor_giveups_total",
+                STORE_METRIC_HELP["repro_store_supervisor_giveups_total"],
+            )
             if metrics is not None
             else None
         )

@@ -1,20 +1,18 @@
-"""Tests for the resilient transport layer (timeouts, retry, backoff)."""
+"""Tests for the resilient transport layer (timeouts, backoff schedule).
+
+The reconnect loop itself, :func:`repro.spfe.session.run_resilient`,
+is tested in ``tests/spfe/test_session.py``.
+"""
 
 import socket
 
 import pytest
 
 from repro.crypto.rng import DeterministicRandom
-from repro.exceptions import (
-    RetryExhausted,
-    TransportError,
-    TransportTimeout,
-)
+from repro.exceptions import TransportError, TransportTimeout
 from repro.net.transport import (
-    MemoryTransport,
     RetryPolicy,
     SocketTransport,
-    call_with_retry,
     memory_pair,
 )
 
@@ -137,48 +135,3 @@ class TestRetryPolicy:
         assert one == two  # same seeds, same schedule
         assert all(0.5 <= d <= 1.5 for d in one)
         assert len(set(one)) > 1  # and it actually jitters
-
-
-class TestCallWithRetry:
-    def test_succeeds_after_transient_failures(self):
-        attempts = []
-        slept = []
-
-        def flaky():
-            attempts.append(1)
-            if len(attempts) < 3:
-                raise TransportError("transient")
-            return "ok"
-
-        result = call_with_retry(
-            flaky,
-            RetryPolicy(max_attempts=5, jitter=0.0, base_delay_s=0.01),
-            rng=DeterministicRandom("r"),
-            sleep=slept.append,
-        )
-        assert result == "ok"
-        assert len(attempts) == 3
-        assert slept == [0.01, 0.02]
-
-    def test_exhaustion_chains_last_error(self):
-        def always_down():
-            raise TransportTimeout("still down")
-
-        with pytest.raises(RetryExhausted) as excinfo:
-            call_with_retry(
-                always_down,
-                RetryPolicy(max_attempts=3, jitter=0.0, base_delay_s=0.0),
-                sleep=lambda _: None,
-            )
-        assert isinstance(excinfo.value.__cause__, TransportTimeout)
-
-    def test_non_retryable_errors_propagate(self):
-        calls = []
-
-        def broken():
-            calls.append(1)
-            raise ValueError("a bug, not weather")
-
-        with pytest.raises(ValueError):
-            call_with_retry(broken, RetryPolicy(max_attempts=5), sleep=lambda _: None)
-        assert len(calls) == 1

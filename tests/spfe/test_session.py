@@ -14,14 +14,19 @@ from repro.datastore.workload import WorkloadGenerator
 from repro.exceptions import (
     KeyMismatchError,
     ProtocolError,
+    RetryExhausted,
+    TransportError,
+    TransportTimeout,
     ValidationError,
 )
 from repro.net import codec
 from repro.net.codec import FrameType
+from repro.net.transport import RetryPolicy, Transport
 from repro.spfe.session import (
     ClientSession,
     ServerSession,
     SessionRegistry,
+    run_resilient,
     run_sessions_in_memory,
 )
 
@@ -750,6 +755,34 @@ class TestServerPolicyEnforcement:
         with pytest.raises(PolicyViolation):
             run_sessions_in_memory(client, server)
 
+    def test_oversize_chunk_frame_errors_quickly(self):
+        """One maximal ENC_CHUNK of the smallest ciphertexts must be
+        decoded in linear time: the frame is refused for carrying more
+        ciphertexts than the database has elements, and that answer may
+        not wait on a decode that copies the payload once per element."""
+        import struct
+        import time
+
+        policy = self._policy()
+        database = ServerDatabase([3, 1, 4, 1], value_bits=8)
+        keypair = generate_keypair(64, DeterministicRandom("oversize"))
+        server = ServerSession(database, policy=policy)
+        server.receive_bytes(
+            codec.encode_hello(64, len(database), 4, b"\7" * 16, 0)
+        )
+        server.receive_bytes(codec.encode_public_key(keypair.public.n, 64, 0))
+        width = 16  # one ciphertext mod n^2 at 64-bit keys
+        count = (policy.max_frame_payload - 4) // width
+        payload = struct.pack(">I", count) + bytes(count * width)
+        frame = codec.encode_frame(FrameType.ENC_CHUNK, payload, 0)
+        started = time.perf_counter()
+        reply = server.receive_bytes(frame)
+        elapsed = time.perf_counter() - started
+        (error,) = _decode_frames(reply)
+        assert error.frame_type == FrameType.ERROR
+        assert "more ciphertexts than elements" in str(server.last_error)
+        assert elapsed < 5.0, "oversize chunk took %.1f s to refuse" % elapsed
+
     def test_errored_session_loses_resume_state(self, workload_bytes):
         """A rejected peer must restart, never resume poisoned state."""
         from repro.net import codec
@@ -780,6 +813,97 @@ class TestServerPolicyEnforcement:
         client = make_client(selection)
         with pytest.raises(PolicyViolation):
             run_sessions_in_memory(client, server)
+
+
+class _InProcessTransport(Transport):
+    """A transport whose peer is a :class:`ServerSession` in this thread:
+    every send is answered at once, so replies are always ready."""
+
+    def __init__(self, server):
+        super().__init__()
+        self._server = server
+        self._inbox = bytearray()
+
+    def send(self, data):
+        self.bytes_sent += len(data)
+        self._inbox += self._server.receive_bytes(data)
+
+    def recv_ready(self):
+        return bool(self._inbox)
+
+    def recv(self, max_bytes=65536):
+        chunk = bytes(self._inbox[:max_bytes])
+        del self._inbox[:max_bytes]
+        self.bytes_received += len(chunk)
+        return chunk
+
+    def close(self):
+        pass
+
+
+class TestRunResilientRetry:
+    """The reconnect loop's schedule, driven with an injected ``sleep``."""
+
+    def test_succeeds_after_transient_connect_failures(self, workload_bytes):
+        database, selection = workload_bytes
+        connects = []
+        slept = []
+
+        def connect():
+            connects.append(1)
+            if len(connects) < 3:
+                raise TransportError("connection refused")
+            return _InProcessTransport(ServerSession(database))
+
+        value = run_resilient(
+            make_client(selection),
+            connect,
+            RetryPolicy(max_attempts=5, jitter=0.0, base_delay_s=0.01),
+            rng=DeterministicRandom("r"),
+            sleep=slept.append,
+        )
+        assert value == database.select_sum(selection)
+        assert len(connects) == 3
+        assert slept == [0.01, 0.02]
+
+    def test_exhaustion_chains_last_transport_error(self, workload_bytes):
+        _database, selection = workload_bytes
+
+        def connect():
+            raise TransportTimeout("still down")
+
+        with pytest.raises(RetryExhausted) as excinfo:
+            run_resilient(
+                make_client(selection),
+                connect,
+                RetryPolicy(max_attempts=3, jitter=0.0, base_delay_s=0.0),
+                sleep=lambda _: None,
+            )
+        assert isinstance(excinfo.value.__cause__, TransportTimeout)
+
+    def test_protocol_error_propagates_without_reconnect(self, workload_bytes):
+        from repro.exceptions import PolicyViolation
+        from repro.spfe.validation import ServerPolicy
+
+        database, selection = workload_bytes
+        connects = []
+        slept = []
+
+        def connect():
+            connects.append(1)
+            return _InProcessTransport(
+                ServerSession(database, policy=ServerPolicy(min_key_bits=256))
+            )
+
+        with pytest.raises(PolicyViolation):
+            run_resilient(
+                make_client(selection),  # 128-bit key: out of policy
+                connect,
+                RetryPolicy(max_attempts=5),
+                sleep=slept.append,
+            )
+        assert len(connects) == 1
+        assert slept == []
 
 
 class TestClientBusyHandling:

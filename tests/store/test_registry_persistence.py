@@ -423,6 +423,79 @@ def test_v5_row_with_4bit_buckets_resumes_under_v6(store_path):
         conn.close()
 
 
+def _table_names(path):
+    conn = sqlite3.connect(path)
+    try:
+        return {
+            row[0]
+            for row in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            )
+        }
+    finally:
+        conn.close()
+
+
+def test_v6_store_drops_precomputation_caches_and_keeps_data(
+    store_path, monkeypatch
+):
+    """A v6 store holding a fixed-base table row, an obfuscator-pool row,
+    an in-progress 5-bit session and a named database opens under v7:
+    both cache tables are dropped, the session resumes to the exact sum
+    and the database loads."""
+    import repro.store.state as state_module
+
+    client = long_client("v6-store")
+    hello, key, *chunks = list(client.initial_bytes())
+    folded = 3
+    # write through the real store code, held at the v6 schema
+    monkeypatch.setattr(
+        state_module,
+        "open_store_db",
+        lambda p: open_store_db(p, migrations=MIGRATIONS[:6]),
+    )
+    with StateStore(store_path) as store:
+        server = ServerSession(LONG_DB, registry=SessionRegistry(store=store))
+        assert server.receive_bytes(hello + key + b"".join(chunks[:folded])) == b""
+        store.save_database("named", LONG_DB)
+    monkeypatch.undo()
+    conn = sqlite3.connect(store_path)
+    conn.execute(
+        "INSERT INTO fixed_base_tables (fingerprint, label, base, modulus,"
+        " exponent_bits, window, entry_width, rows_blob)"
+        " VALUES ('ab', 'obfuscator', x'03', x'0b', 4, 2, 1, x'01030905')"
+    )
+    conn.execute(
+        "INSERT INTO zero_pools (fingerprint, public_n, entry_width, count,"
+        " pool_blob) VALUES ('ab', x'0b', 1, 2, x'0105')"
+    )
+    conn.commit()
+    assert schema_version(conn) == 6
+    conn.close()
+    assert {"fixed_base_tables", "zero_pools"} <= _table_names(store_path)
+
+    with StateStore(store_path) as store:
+        row = store.load_session(client.session_id)
+        assert row.plane_window == 5 and not row.done
+        assert row.chunks_received == folded
+        assert store.load_database("named") == LONG_DB
+        server = ServerSession(LONG_DB, registry=SessionRegistry(store=store))
+        reply = server.receive_bytes(client.resume_request())
+        (ack,) = decode_frames(reply)
+        assert codec.decode_ack(ack.payload) == folded
+        client.receive_bytes(reply)
+        replies = server.receive_bytes(b"".join(client.resume_bytes()))
+    assert result_payload(replies) == uncrashed_result([hello, key] + chunks)
+    client.receive_bytes(replies)
+    assert client.result == LONG_DB.select_sum(LONG_SELECTION)
+    assert not {"fixed_base_tables", "zero_pools"} & _table_names(store_path)
+    conn = sqlite3.connect(store_path)
+    try:
+        assert schema_version(conn) == SCHEMA_VERSION == 7
+    finally:
+        conn.close()
+
+
 def test_corrupt_frame_after_valid_chunks_leaves_no_trace():
     metrics = MetricsRegistry()
     client = long_client("corrupt")

@@ -1,17 +1,17 @@
-"""`StateStore` facade: round trips, single-use pools, metrics."""
+"""`StateStore` facade: journal and database round trips, metrics."""
 
 import threading
 
 import pytest
 
-from repro.crypto.multiexp import PLANE_DIGITS, PLANE_WINDOW, FixedBaseTable
-from repro.crypto.paillier import RandomnessPool, generate_keypair
+from repro.crypto.multiexp import PLANE_DIGITS, PLANE_WINDOW
+from repro.crypto.paillier import generate_keypair
 from repro.crypto.rng import DeterministicRandom
 from repro.crypto.serialization import encode_int_seq
 from repro.datastore.database import ServerDatabase
 from repro.exceptions import StoreError
 from repro.obs.registry import MetricsRegistry
-from repro.store.state import SessionRecord, StateStore, key_fingerprint
+from repro.store.state import SessionRecord, StateStore
 
 KEY_BITS = 128
 
@@ -35,13 +35,6 @@ def test_open_creates_directory_and_conventional_file(tmp_path):
         assert store.path.endswith("repro-state.sqlite")
     finally:
         store.close()
-
-
-def test_key_fingerprint_is_stable_and_distinct(keypair):
-    fp = key_fingerprint(keypair.public.n)
-    assert fp == key_fingerprint(keypair.public.n)
-    assert len(fp) == 64  # sha256 hex
-    assert fp != key_fingerprint(keypair.public.n + 2)
 
 
 # -- session journal ------------------------------------------------------
@@ -175,95 +168,6 @@ def test_corrupt_bucket_blob_raises_store_error(store, keypair, corrupt):
         store.load_session(b"C" * 16)
 
 
-# -- fixed-base tables ----------------------------------------------------
-
-
-def test_fixed_base_table_round_trip(store, keypair):
-    public = keypair.public
-    base = pow(3, public.n, public.nsquare)
-    table = FixedBaseTable(base, public.nsquare, public.bits, window=4)
-    fp = key_fingerprint(public.n)
-    store.save_fixed_base_table(fp, table, label="obfuscator")
-
-    loaded = store.load_fixed_base_table(fp, label="obfuscator")
-    assert loaded is not None
-    assert (loaded.base, loaded.modulus) == (table.base, table.modulus)
-    assert (loaded.exponent_bits, loaded.window) == (public.bits, 4)
-    # bit-for-bit equivalent exponentiation, no recomputation
-    for exponent in (0, 1, 5, (1 << public.bits) - 1):
-        assert loaded.pow(exponent) == table.pow(exponent)
-
-    assert store.load_fixed_base_table(fp, label="other") is None
-    assert store.load_fixed_base_table("feed" * 16) is None
-
-
-def test_from_rows_validates_shape(keypair):
-    public = keypair.public
-    table = FixedBaseTable(7, public.nsquare, 32, window=4)
-    rows = table.export_rows()
-    from repro.exceptions import ParameterError
-
-    with pytest.raises(ParameterError, match="shape"):
-        FixedBaseTable.from_rows(7, public.nsquare, 32, 4, rows[:-1])
-    with pytest.raises(ParameterError, match="shape"):
-        FixedBaseTable.from_rows(
-            7, public.nsquare, 32, 4, [r[:-1] for r in rows]
-        )
-    rebuilt = FixedBaseTable.from_rows(7, public.nsquare, 32, 4, rows)
-    assert rebuilt.pow(12345) == table.pow(12345)
-    assert rebuilt.entries == table.entries
-
-
-# -- obfuscator pools -----------------------------------------------------
-
-
-def test_pool_round_trip_is_single_use(store, keypair):
-    public = keypair.public
-    pool = RandomnessPool(
-        public, rng=DeterministicRandom("pool"), fixed_base=True
-    )
-    pool.precompute(6)
-    taken = pool.take()  # one handed out before persistence
-    store.save_randomness_pool(pool)
-    assert len(pool) == 0  # export drains: no obfuscator lives twice
-
-    warm = store.load_randomness_pool(
-        public, rng=DeterministicRandom("pool-2")
-    )
-    assert len(warm) == 5
-    assert warm.restored == 5
-    assert warm.export_table() is not None  # table restored too
-    # the journalled row was consumed by the load: a second warm start
-    # cannot hand out the same single-use obfuscators again
-    again = store.load_randomness_pool(
-        public, rng=DeterministicRandom("pool-3")
-    )
-    assert again.restored == 0
-
-    # restored obfuscators are valid encryptions of zero
-    obfuscator = warm.take()
-    assert obfuscator != taken
-    ciphertext = public.raw_encrypt(0, obfuscator)
-    assert keypair.private.raw_decrypt(ciphertext) == 0
-
-
-def test_warm_pool_skips_table_build(store, keypair):
-    public = keypair.public
-    cold = RandomnessPool(
-        public, rng=DeterministicRandom("cold"), fixed_base=True
-    )
-    cold.precompute(1)  # forces the table build
-    store.save_randomness_pool(cold)
-
-    warm = store.load_randomness_pool(
-        public, rng=DeterministicRandom("warm")
-    )
-    # the table came from the store: drawing obfuscators never rebuilds
-    table_before = warm.export_table()
-    warm.precompute(3)
-    assert warm.export_table() is table_before
-
-
 # -- databases ------------------------------------------------------------
 
 
@@ -309,27 +213,22 @@ def test_store_metrics(keypair):
         store.load_session(b"?" * 16)
         store.delete_session(b"m" * 16)
         store.delete_session(b"m" * 16)  # no row: not a delete
-        fp = key_fingerprint(keypair.public.n)
-        store.load_fixed_base_table(fp)
-        pool = RandomnessPool(
-            keypair.public, rng=DeterministicRandom("m"), fixed_base=True
-        )
-        pool.precompute(2)
-        store.save_randomness_pool(pool)
-        store.load_pool_obfuscators(keypair.public)
+        store.save_database("d", ServerDatabase([7], value_bits=8))
+        store.load_database("d")
 
         values = {
             snap.name: snap.value
             for snap in metrics.collect()
             if snap.kind == "counter"
         }
-        assert values["repro_store_journal_writes_total"] == 1
-        assert values["repro_store_journal_hits_total"] == 1
-        assert values["repro_store_journal_misses_total"] == 1
-        assert values["repro_store_journal_deletes_total"] == 1
-        assert values["repro_store_table_misses_total"] == 1
-        assert values["repro_store_pool_hits_total"] == 1
-        assert values["repro_store_pool_obfuscators_restored_total"] == 2
+        # exactly the names the store emits; the supervisor owns the rest
+        assert values == {
+            "repro_store_journal_writes_total": 1,
+            "repro_store_journal_hits_total": 1,
+            "repro_store_journal_misses_total": 1,
+            "repro_store_journal_deletes_total": 1,
+            "repro_store_db_loads_total": 1,
+        }
 
 
 def test_concurrent_writers_serialise(store, keypair):
