@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Union
 
 from repro.crypto.multiexp import multi_exponent
 from repro.crypto.ntheory import bytes_for_bits, lcm, modinv
-from repro.crypto.primes import random_prime_pair
+from repro.crypto.primes import random_structured_prime_pair
 from repro.crypto.rng import RandomSource, as_random_source
 from repro.crypto.scheme import AdditiveHomomorphicScheme, SchemeKeyPair
 from repro.exceptions import (
@@ -166,11 +166,15 @@ def generate_dj_keypair(
     s: int = 2,
     rng: Union[RandomSource, bytes, str, int, None] = None,
 ) -> SchemeKeyPair:
-    """Generate a Damgård–Jurik key pair (s = 1 is exactly Paillier)."""
+    """Generate a Damgård–Jurik key pair (s = 1 is exactly Paillier).
+
+    The primes are drawn as :func:`~repro.crypto.paillier.generate_keypair`
+    draws them, so one seed gives both schemes the same modulus.
+    """
     if bits < 16:
         raise KeyGenerationError("key size %d too small" % bits)
     source = as_random_source(rng)
-    p, q = random_prime_pair(bits // 2, source)
+    p, q = random_structured_prime_pair(bits // 2, source)
     public = DamgardJurikPublicKey(p * q, s)
     return SchemeKeyPair(public, DamgardJurikPrivateKey(public, p, q))
 

@@ -274,7 +274,9 @@ class FixedBaseTable:
     Used per public key: Paillier's obfuscator exponent ``n`` is fixed,
     so ``r^n = (h^n)^x`` for ``r = h^x`` turns every obfuscator into a
     fixed-base power of the precomputed ``g = h^n mod n^2`` (see
-    :meth:`repro.crypto.paillier.RandomnessPool`).
+    :meth:`repro.crypto.paillier.RandomnessPool`).  And per prime: the
+    key owner's sampler holds one table mod ``p^2`` and one mod ``q^2``
+    (:meth:`repro.crypto.paillier.PaillierPrivateKey.sampler_tables`).
     """
 
     __slots__ = ("base", "modulus", "exponent_bits", "window", "entries", "_rows")

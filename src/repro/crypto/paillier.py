@@ -38,7 +38,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.crypto.multiexp import FixedBaseTable, multi_exponent
 from repro.crypto.ntheory import bytes_for_bits, modinv, crt_pair
-from repro.crypto.primes import random_prime_pair
+from repro.crypto.primes import random_structured_prime_pair, smallest_generator
 from repro.crypto.rng import RandomSource, as_random_source
 from repro.crypto.scheme import AdditiveHomomorphicScheme, SchemeKeyPair
 from repro.crypto.serialization import ciphertext_bytes, decode_int, encode_int
@@ -99,9 +99,11 @@ class PaillierPublicKey:
     def draw_r(self, source: RandomSource) -> int:
         """Draw the encryption randomness ``r`` uniformly from Z*_n.
 
-        Every encryption path draws through here, so the public-key and
-        key-owner paths consume ``source`` identically and produce
-        byte-identical ciphertexts from the same seed.
+        The public-key paths (:meth:`obfuscator`, and through it
+        :meth:`encrypt_raw` and the plain :class:`RandomnessPool`) draw
+        through here.  The key owner's
+        :meth:`PaillierPrivateKey.encrypt_raw_crt` draws table exponents
+        instead: the same obfuscator distribution, different bytes.
         """
         while True:
             r = source.randrange(1, self.n)
@@ -208,6 +210,13 @@ class PaillierPrivateKey:
     Holds the prime factors ``p`` and ``q`` of the public modulus and the
     per-prime decryption constants; ``decrypt`` runs the two half-size
     exponentiations and recombines via the Chinese remainder theorem.
+    The key owner also encrypts through it (:meth:`encrypt_raw_crt`),
+    drawing each obfuscator from two per-prime fixed-base tables built
+    on first use.
+
+    Raises :class:`KeyGenerationError` when ``gcd(n, phi(n)) != 1``:
+    then ``r -> r^n`` is not a permutation of the ``(p-1)``-th roots of
+    unity and the obfuscator sampler would not be exact.
     """
 
     __slots__ = (
@@ -218,9 +227,8 @@ class PaillierPrivateKey:
         "_qsquare",
         "_hp",
         "_hq",
-        "_ep",
-        "_eq",
         "_inv_psquare",
+        "_tables",
     )
 
     def __init__(self, public_key: PaillierPublicKey, p: int, q: int) -> None:
@@ -228,6 +236,8 @@ class PaillierPrivateKey:
             raise KeyGenerationError("p * q does not match the public modulus")
         if p == q:
             raise KeyGenerationError("p and q must be distinct")
+        if math.gcd(public_key.n, (p - 1) * (q - 1)) != 1:
+            raise KeyGenerationError("gcd(n, phi(n)) != 1; regenerate primes")
         self.public_key = public_key
         self.p = p
         self.q = q
@@ -235,13 +245,10 @@ class PaillierPrivateKey:
         self._qsquare = q * q
         self._hp = self._h(p, self._psquare)
         self._hq = self._h(q, self._qsquare)
-        # Encryption constants for obfuscator_from_r: r^n mod p^2 is the
-        # Teichmüller lift of r^q mod p, whose exponent reduces mod p - 1
-        # (likewise for q).  modinv(p^2, q^2) is hoisted here because
-        # crt_pair would otherwise recompute it on every single encryption.
-        self._ep = q % (p - 1)
-        self._eq = p % (q - 1)
+        # modinv(p^2, q^2) is hoisted here because crt_pair would
+        # otherwise recompute it on every single encryption.
         self._inv_psquare = modinv(self._psquare, self._qsquare)
+        self._tables: Optional[Tuple[FixedBaseTable, FixedBaseTable]] = None
 
     def _h(self, prime: int, prime_sq: int) -> int:
         # h = L_prime(g^{prime-1} mod prime^2)^{-1} mod prime, g = n + 1
@@ -262,43 +269,68 @@ class PaillierPrivateKey:
         """Decrypt and decode through the signed encoding."""
         return self.public_key.decode_signed(self.raw_decrypt(ciphertext))
 
-    # -- CRT-split encryption (key-owning clients) -------------------------
+    # -- fixed-base obfuscator sampler (key-owning clients) ----------------
 
-    def obfuscator_from_r(self, r: int) -> int:
-        """``r^n mod n^2`` from the factorisation, via the Teichmüller lift.
+    def sampler_tables(self) -> Tuple[FixedBaseTable, FixedBaseTable]:
+        """The two per-prime tables :meth:`encrypt_raw_crt` draws from.
 
-        (Z/p^2)* is mu_{p-1} x (1 + pZ), and raising to ``n = pq`` kills
-        the second factor (it has order p), so ``r^n mod p^2`` is the
-        Teichmüller lift ``s^p mod p^2`` of ``s = r^q mod p``, where the
-        exponent ``q`` reduces mod ``p - 1``.  Likewise mod ``q^2``; one
-        Garner step recombines the halves.  Each half is one
-        exponentiation mod ``p`` with a half-width exponent plus one
-        mod ``p^2`` with exponent ``p``, against one full-width
-        exponent mod ``n^2`` for :meth:`PaillierPublicKey.obfuscator`:
-        measured about 2x faster at 512-bit keys and 2.4x at 1024
-        (``docs/performance.md`` § CRT-split encryption).  The result is
-        bit-for-bit the same obfuscator, so ciphertexts are
-        byte-identical to the public-key path.
+        Built on first call and kept: for each prime ``p``, the smallest
+        generator ``g`` of Z_p* and a :class:`FixedBaseTable` of its
+        Teichmüller lift ``g^p mod p^2``.  Finding ``g`` needs the prime
+        factors of ``p - 1``, so a key whose ``p - 1`` or ``q - 1`` is
+        not a small-prime-smooth part times one probable prime (as
+        :func:`generate_keypair` draws them) gets a
+        :class:`KeyGenerationError` here, before anything is encrypted.
+        Two threads racing the first call build equal tables, and either
+        may win.
         """
-        p, q, psquare = self.p, self.q, self._psquare
-        cp = pow(pow(r % p, self._ep, p), p, psquare)
-        cq = pow(pow(r % q, self._eq, q), q, self._qsquare)
-        return cp + psquare * ((cq - cp) * self._inv_psquare % self._qsquare)
+        tables = self._tables
+        if tables is None:
+            tables = (
+                self._lift_table(self.p, self._psquare),
+                self._lift_table(self.q, self._qsquare),
+            )
+            self._tables = tables
+        return tables
+
+    @staticmethod
+    def _lift_table(prime: int, prime_sq: int) -> FixedBaseTable:
+        lift = pow(smallest_generator(prime), prime, prime_sq)
+        return FixedBaseTable(lift, prime_sq, prime.bit_length())
 
     def encrypt_raw_crt(
         self, plaintext: int, rng: Optional[RandomSource] = None
     ) -> int:
-        """One-shot raw encryption through :meth:`obfuscator_from_r`.
+        """One-shot raw encryption with a fixed-base obfuscator.
 
-        Draws ``r`` through :meth:`PaillierPublicKey.draw_r`, exactly as
-        :meth:`PaillierPublicKey.obfuscator` does, so with the same
-        seeded source this produces *byte-identical* ciphertexts to
-        ``public_key.encrypt_raw`` — only faster.  The property suite in
-        ``tests/crypto/test_paillier.py`` pins that equality.
+        Draws ``x`` uniformly from ``[0, p-1)`` and ``y`` from
+        ``[0, q-1)`` (one draw below ``phi(n)``, split by ``divmod``),
+        looks up ``w_p^x mod p^2`` and ``w_q^y mod q^2`` in
+        :meth:`sampler_tables` (``w_p = g_p^p mod p^2``, the lifted
+        generator) and recombines them with one Garner step.
+
+        The result has exactly the distribution of ``r^n mod n^2`` for
+        uniform ``r`` in Z*_n.  ``r^n mod p^2`` is the Teichmüller lift
+        of ``(r mod p)^q``; ``r -> r^q`` permutes Z_p* when
+        ``gcd(n, phi(n)) = 1``; and the lift of ``g^x`` is ``w_p^x``.
+        Likewise mod ``q^2``, and the CRT halves of a uniform ``r`` are
+        independent.  So the ciphertexts are not the bytes
+        ``public_key.encrypt_raw`` gives under the same seed, but they
+        have its distribution; ``tests/crypto/test_paillier.py`` checks
+        the two multisets exhaustively on small keys.
         """
         public = self.public_key
-        r = public.draw_r(as_random_source(rng))
-        return public.raw_encrypt(plaintext % public.n, self.obfuscator_from_r(r))
+        index = as_random_source(rng).randrange(0, (self.p - 1) * (self.q - 1))
+        return public.raw_encrypt(plaintext % public.n, self._obfuscator(index))
+
+    def _obfuscator(self, index: int) -> int:
+        """The obfuscator for ``index = x*(q-1) + y`` in ``[0, phi(n))``."""
+        table_p, table_q = self.sampler_tables()
+        x, y = divmod(index, self.q - 1)
+        cp = table_p.pow(x)
+        return cp + self._psquare * (
+            (table_q.pow(y) - cp) * self._inv_psquare % self._qsquare
+        )
 
     def __repr__(self) -> str:
         return "PaillierPrivateKey(bits=%d)" % self.public_key.bits
@@ -309,6 +341,11 @@ def generate_keypair(
     rng: Union[RandomSource, bytes, str, int, None] = None,
 ) -> SchemeKeyPair:
     """Generate a Paillier key pair with an (approximately) ``bits``-bit n.
+
+    Each prime is drawn as ``2*r*q' + 1`` with ``q'`` prime and ``r``
+    small (:func:`~repro.crypto.primes.random_structured_prime_pair`),
+    so the private key can certify the generators its encryption tables
+    need.
 
     Args:
         bits: modulus size; the paper uses 512.
@@ -322,8 +359,7 @@ def generate_keypair(
     """
     if bits < 16:
         raise KeyGenerationError("key size %d too small (minimum 16)" % bits)
-    source = as_random_source(rng)
-    p, q = random_prime_pair(bits // 2, source)
+    p, q = random_structured_prime_pair(bits // 2, as_random_source(rng))
     public = PaillierPublicKey(p * q)
     return SchemeKeyPair(public, PaillierPrivateKey(public, p, q))
 
@@ -349,7 +385,8 @@ class RandomnessPool:
     (``g^x = (h^x mod n)^n mod n^2``, so these are exact Paillier
     obfuscators; the randomness ``r = h^x`` ranges over the subgroup
     generated by ``h`` rather than all of Z*_n — ``docs/performance.md``
-    discusses the assumption.)
+    discusses the assumption.  A key owner does not need it:
+    :meth:`PaillierPrivateKey.encrypt_raw_crt` is as cheap and exact.)
 
     The pool is thread-safe: ``take``/``precompute``/``len`` may be
     called from concurrent sessions, and the ``generated``/``misses``

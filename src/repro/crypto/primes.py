@@ -21,6 +21,10 @@ __all__ = [
     "next_prime",
     "random_prime",
     "random_prime_pair",
+    "random_structured_prime",
+    "random_structured_prime_pair",
+    "smooth_factors",
+    "smallest_generator",
     "random_safe_prime",
     "random_blum_prime",
     "sieve_upto",
@@ -147,6 +151,100 @@ def random_prime_pair(
     if _gcd(n, phi) != 1:  # pragma: no cover - impossible for equal-size primes
         raise KeyGenerationError("gcd(n, phi) != 1; regenerate primes")
     return p, q
+
+
+#: Bits of the small cofactor ``r`` in a structured prime's
+#: ``p = 2*r*q' + 1``: every ``r`` below 2^13 < 10000 factors over
+#: :data:`SMALL_PRIMES`.
+_STRUCTURE_BITS = 12
+
+#: Cofactors ``q'`` :func:`random_structured_prime` tries before it gives up.
+_STRUCTURED_ATTEMPTS = 10_000
+
+
+def random_structured_prime(bits: int, rng: Optional[RandomSource] = None) -> int:
+    """Random ``bits``-bit prime ``p = 2*r*q' + 1`` with ``q'`` prime and
+    ``r < 2^13``, so ``p - 1`` factors over :data:`SMALL_PRIMES` and ``q'``.
+
+    That factorisation is what certifies a generator of Z_p*
+    (:func:`smallest_generator`); it costs about two plain prime
+    searches, where a safe prime ``2q' + 1`` costs hundreds.  ``q'`` is
+    drawn first, then ``r`` uniformly from the range that puts ``p`` at
+    exactly ``bits`` bits; a ``q'`` whose range holds no prime is
+    redrawn.
+    """
+    if bits < 8:
+        raise KeyGenerationError("structured primes need at least 8 bits")
+    source = as_random_source(rng)
+    low, high = 1 << (bits - 1), 1 << bits
+    for _ in range(_STRUCTURED_ATTEMPTS):
+        cofactor = random_prime(bits - min(_STRUCTURE_BITS, bits // 2) - 1, source)
+        step = 2 * cofactor
+        r_low, r_high = -(-low // step), (high - 2) // step
+        for _ in range(4 * (r_high - r_low + 1)):
+            p = step * source.randrange(r_low, r_high + 1) + 1
+            if is_probable_prime(p, source):
+                return p
+    raise KeyGenerationError(
+        "no %d-bit structured prime found in %d attempts"
+        % (bits, _STRUCTURED_ATTEMPTS)
+    )
+
+
+def random_structured_prime_pair(
+    bits: int, rng: Optional[RandomSource] = None
+) -> Tuple[int, int]:
+    """Two distinct :func:`random_structured_prime` primes of ``bits``
+    bits each: the Paillier (and Damgård–Jurik) modulus factors."""
+    source = as_random_source(rng)
+    p = random_structured_prime(bits, source)
+    q = random_structured_prime(bits, source)
+    while q == p:
+        q = random_structured_prime(bits, source)
+    return p, q
+
+
+def smooth_factors(m: int) -> Tuple[int, ...]:
+    """The distinct prime factors of ``m >= 2``, by trial division over
+    :data:`SMALL_PRIMES` and one primality test of what is left.
+
+    Raises :class:`KeyGenerationError` when the cofactor left after
+    trial division is composite: ``m`` is then not a smooth part times
+    one prime, and its factorisation is unknown.  The message carries no
+    number, since ``m`` is usually derived from a secret prime.
+    """
+    factors: List[int] = []
+    for prime in SMALL_PRIMES:
+        if m % prime == 0:
+            factors.append(prime)
+            while m % prime == 0:
+                m //= prime
+            if m == 1:
+                break
+    if m > 1:
+        if not is_probable_prime(m):
+            raise KeyGenerationError(
+                "cofactor is not prime after trial division; "
+                "the factorisation is unknown"
+            )
+        factors.append(m)
+    return tuple(factors)
+
+
+def smallest_generator(p: int) -> int:
+    """The smallest generator of Z_p* for an odd prime ``p``.
+
+    ``g`` generates Z_p* exactly when ``g^((p-1)/l) != 1 mod p`` for
+    every prime ``l`` dividing ``p - 1``, which :func:`smooth_factors`
+    certifies (or refuses with :class:`KeyGenerationError`).  Taking the
+    smallest makes the generator a function of ``p`` alone.
+    """
+    order = p - 1
+    cofactors = [order // factor for factor in smooth_factors(order)]
+    for g in range(2, p):
+        if all(pow(g, e, p) != 1 for e in cofactors):
+            return g
+    raise KeyGenerationError("Z_p* has no generator; the modulus is not prime")
 
 
 def random_safe_prime(

@@ -69,6 +69,7 @@ __all__ = [
     "encode_public_key",
     "decode_public_key",
     "encode_ciphertext_chunk",
+    "chunk_count",
     "decode_ciphertext_chunk",
     "encode_result",
     "decode_result",
@@ -300,12 +301,18 @@ def encode_ciphertext_chunk(
     return encode_frame(FrameType.ENC_CHUNK, b"".join(parts), sequence)
 
 
-def decode_ciphertext_chunk(payload: bytes, key_bits: int) -> List[int]:
-    """Parse a chunk payload, validating its exact length."""
-    width = _ciphertext_width(key_bits)
+def chunk_count(payload: bytes) -> int:
+    """The element count a chunk payload announces in its first 4 bytes."""
     if len(payload) < _COUNT.size:
         raise ProtocolError("truncated chunk payload")
     (count,) = _COUNT.unpack_from(payload, 0)
+    return int(count)
+
+
+def decode_ciphertext_chunk(payload: bytes, key_bits: int) -> List[int]:
+    """Parse a chunk payload, validating its exact length."""
+    width = _ciphertext_width(key_bits)
+    count = chunk_count(payload)
     expected = _COUNT.size + count * width
     if len(payload) != expected:
         raise ProtocolError(

@@ -14,8 +14,9 @@ same protocol runs over a real socket, a pipe, or any
   :meth:`initial_bytes` yields the entire outgoing stream (HELLO,
   public key, encrypted chunks); :meth:`receive_bytes` consumes the
   server's reply and exposes :attr:`result`.  It encrypts through its
-  own private key (``PaillierPrivateKey.encrypt_raw_crt``): the same
-  bytes as the public-key path at about half the cost.
+  own private key (``PaillierPrivateKey.encrypt_raw_crt``), whose
+  per-prime fixed-base tables draw obfuscators with exactly the
+  public-key path's distribution at a fraction of its cost.
 
 Resilience: every frame carries a CRC and chunk frames carry their
 absolute index, and sessions are *resumable*.  The client advertises a
@@ -143,6 +144,8 @@ class ClientSession:
                 )
         self.public_key: PaillierPublicKey = keypair.public
         self._private_key: PaillierPrivateKey = keypair.private
+        # A key the sampler cannot certify fails here, before any frame.
+        self._private_key.sampler_tables()
         #: 16-byte resumable-session identifier
         self.session_id: bytes = self._rng.randbytes(codec.SESSION_ID_BYTES)
         self._decoder = FrameDecoder()
@@ -805,10 +808,17 @@ class ServerSession:
                 "chunk sequence gap: got %d, expected %d"
                 % (frame.sequence, state.chunks_received)
             )
-        ciphertexts = codec.decode_ciphertext_chunk(frame.payload, state.key_bits)
+        # Refuse on the count prefix alone, before decoding the payload.
+        count = codec.chunk_count(frame.payload)
         received = state.received
-        if received + len(ciphertexts) > len(self.database):
+        if received + count > len(self.database):
             raise ProtocolError("client sent more ciphertexts than elements")
+        if count > state.chunk_size:
+            raise ProtocolError(
+                "chunk of %d ciphertexts exceeds the announced chunk size %d"
+                % (count, state.chunk_size)
+            )
+        ciphertexts = codec.decode_ciphertext_chunk(frame.payload, state.key_bits)
         nsquare = state.public_key.nsquare
         n = state.public_key.n
         batch_cts: List[int] = []

@@ -5,21 +5,22 @@ arithmetic is size-independent.  The paper's 512-bit size is exercised
 once in the integration tests and in the live microbenchmarks.
 """
 
-import functools
+import collections
 import math
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.crypto.paillier import (
     EncryptedNumber,
+    PaillierPrivateKey,
     PaillierPublicKey,
     PaillierScheme,
     RandomnessPool,
     generate_keypair,
 )
-from repro.crypto.ntheory import crt_pair
-from repro.crypto.rng import DeterministicRandom
+from repro.crypto.primes import sieve_upto
+from repro.crypto.rng import DeterministicRandom, RandomSource
 from repro.exceptions import (
     DecryptionError,
     EncryptionError,
@@ -52,8 +53,6 @@ class TestKeyGeneration:
         assert a.public.n == b.public.n
 
     def test_private_key_validates_factors(self, keypair):
-        from repro.crypto.paillier import PaillierPrivateKey
-
         with pytest.raises(KeyGenerationError):
             PaillierPrivateKey(keypair.public, 3, 5)
 
@@ -469,49 +468,99 @@ class TestRandomnessPoolFixedBase:
         assert c.decrypt(keypair.private) == 7
 
 
-@functools.lru_cache(maxsize=None)
-def _lift_key(bits, seed):
-    return generate_keypair(bits, "lift-%d-%d" % (bits, seed))
+def _valid_prime_pairs(bound):
+    """Every pair of distinct odd primes below ``bound`` with
+    ``gcd(n, phi(n)) == 1``: the keys the sampler is exact for."""
+    primes = [p for p in sieve_upto(bound) if p > 2]
+    return [
+        (p, q)
+        for i, p in enumerate(primes)
+        for q in primes[i + 1 :]
+        if math.gcd(p * q, (p - 1) * (q - 1)) == 1
+    ]
+
+
+def _small_private_key(p, q):
+    return PaillierPrivateKey(PaillierPublicKey(p * q), p, q)
+
+
+class _EnumeratingRandom(RandomSource):
+    """Stands in for a random source: its ``randrange`` returns each value
+    of the first range it is asked for once, in order, and records every
+    range requested."""
+
+    def __init__(self):
+        self.ranges = set()
+        self._values = None
+
+    def randrange(self, lower, upper):
+        self.ranges.add((lower, upper))
+        if self._values is None:
+            self._values = iter(range(lower, upper))
+        return next(self._values)
 
 
 class TestCrtEncryption:
-    """Key-owner encryption (CRT + Teichmüller lift): identical bytes."""
+    """Key-owner encryption: per-prime fixed-base tables of a certified
+    generator, exact in distribution against ``r^n mod n^2``."""
 
-    def test_obfuscator_from_r_matches_full_pow(self, keypair):
-        pk, sk = keypair.public, keypair.private
-        rng = DeterministicRandom("crt-obf")
-        for _ in range(10):
-            r = rng.randrange(1, pk.n)
-            if math.gcd(r, pk.n) != 1:
-                continue
-            assert sk.obfuscator_from_r(r) == pow(r, pk.n, pk.nsquare)
-
-    def test_encrypt_raw_crt_is_byte_identical(self, keypair):
-        pk, sk = keypair.public, keypair.private
-        for m in (0, 1, 12345, pk.n - 1):
-            seed = "crt-enc-%d" % m
-            assert sk.encrypt_raw_crt(m, seed) == pk.encrypt_raw(m, seed)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(16, 1024),
-        st.integers(0, 2),
-        st.sampled_from(["one", "n-1", "1 mod p", "1 mod q", "random"]),
-        st.integers(0, 2**1024),
+    @pytest.mark.parametrize(
+        "p, q", [(59, 83), (107, 167)] + _valid_prime_pairs(48)
     )
-    def test_lift_equals_full_pow_property(self, bits, key_seed, kind, x):
-        """The Teichmüller-lift obfuscator is exactly ``r^n mod n^2``."""
-        sk = _lift_key(bits, key_seed).private
-        p, q, n = sk.p, sk.q, sk.public_key.n
-        r = {
-            "one": lambda: 1,
-            "n-1": lambda: n - 1,
-            "1 mod p": lambda: crt_pair(1, p, x % (q - 1) + 1, q),
-            "1 mod q": lambda: crt_pair(x % (p - 1) + 1, p, 1, q),
-            "random": lambda: x % (n - 1) + 1,
-        }[kind]()
-        assume(math.gcd(r, n) == 1)
-        assert sk.obfuscator_from_r(r) == pow(r, n, sk.public_key.nsquare)
+    def test_sampler_multiset_equals_textbook_obfuscators(self, p, q):
+        """``encrypt_raw_crt(0)`` draws its index from exactly [0, phi(n)),
+        and over all of that range the sampler hits every ``r^n mod n^2``
+        as often as ``r`` ranging over Z*_n does."""
+        sk = _small_private_key(p, q)
+        n, nsquare = p * q, p * p * q * q
+        phi = (p - 1) * (q - 1)
+        textbook = collections.Counter(
+            pow(r, n, nsquare) for r in range(1, n) if math.gcd(r, n) == 1
+        )
+        draws = _EnumeratingRandom()
+        sampled = collections.Counter(
+            sk.encrypt_raw_crt(0, draws) for _ in range(phi)
+        )
+        assert draws.ranges == {(0, phi)}
+        assert sampled == textbook
+
+    def test_refuses_gcd_n_phi_not_one(self):
+        """23 divides 47 - 1, so r -> r^n is not onto the lifts."""
+        with pytest.raises(KeyGenerationError):
+            _small_private_key(23, 47)
+
+    def test_unstructured_key_refused_at_first_encryption(self, plain_prime_keypair):
+        keypair = plain_prime_keypair(256)
+        with pytest.raises(KeyGenerationError) as excinfo:
+            keypair.private.encrypt_raw_crt(1, "plain-encrypt")
+        message = str(excinfo.value)
+        for secret in (keypair.private.p, keypair.private.q):
+            assert str(secret) not in message
+            assert str(secret - 1) not in message
+
+    def test_tables_are_a_function_of_the_primes(self, keypair):
+        sk = keypair.private
+        twin = PaillierPrivateKey(sk.public_key, sk.p, sk.q)
+        assert [t.base for t in twin.sampler_tables()] == [
+            t.base for t in sk.sampler_tables()
+        ]
+        assert sk.sampler_tables() is sk.sampler_tables()
+
+    def test_secrets_stay_out_of_reprs(self, keypair):
+        sk = keypair.private
+        texts = [repr(sk)] + [repr(table) for table in sk.sampler_tables()]
+        for text in texts:
+            for secret in (sk.p, sk.q, sk.p * sk.p, sk.q * sk.q):
+                assert str(secret) not in text
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(16, 160), st.integers(0, 3))
+    def test_generated_keys_certify_and_roundtrip(self, bits, seed):
+        """Every generated key, down to the 16-bit floor, has a sampler."""
+        keypair = generate_keypair(bits, "sampler-%d-%d" % (bits, seed))
+        pk, sk = keypair.public, keypair.private
+        for m in (0, 1, pk.n - 1):
+            assert sk.raw_decrypt(sk.encrypt_raw_crt(m, "m-%d" % m)) == m
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**64), st.integers())
@@ -519,7 +568,6 @@ class TestCrtEncryption:
         pk, sk = keypair.public, keypair.private
         plaintext = m % pk.n
         ciphertext = sk.encrypt_raw_crt(plaintext, DeterministicRandom(seed))
-        assert ciphertext == pk.encrypt_raw(plaintext, DeterministicRandom(seed))
         assert sk.raw_decrypt(ciphertext) == plaintext
 
 

@@ -112,6 +112,37 @@ class TestGeneration:
         assert p % 2 == 1
 
 
+class TestStructuredPrimes:
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(8, 300))
+    def test_structure_and_size(self, bits):
+        """p = 2*r*q' + 1 with q' prime and r below 2^13, at exact size."""
+        p = primes.random_structured_prime(bits, DeterministicRandom(bits))
+        assert p.bit_length() == bits
+        assert primes.is_probable_prime(p)
+        largest = primes.smooth_factors(p - 1)[-1]
+        assert (p - 1) // (2 * largest) < 1 << 13
+
+    def test_rejects_tiny(self):
+        with pytest.raises(KeyGenerationError):
+            primes.random_structured_prime(7)
+
+    def test_smooth_factors(self):
+        assert primes.smooth_factors(2 * 3 * 3 * 9973) == (2, 3, 9973)
+        big = primes.next_prime(1 << 80)
+        assert primes.smooth_factors(4 * 7 * big) == (2, 7, big)
+        with pytest.raises(KeyGenerationError):
+            primes.smooth_factors(2 * 10007 * 10009)
+
+    def test_smallest_generator_matches_brute_force(self):
+        for p in primes.sieve_upto(600)[1:]:
+            generators = [
+                g for g in range(2, p)
+                if len({pow(g, e, p) for e in range(p - 1)}) == p - 1
+            ]
+            assert primes.smallest_generator(p) == generators[0]
+
+
 class TestMillerRabinDirect:
     def test_witness_proves_composite(self):
         # 221 = 13 * 17; 137 is a Miller-Rabin witness for it.

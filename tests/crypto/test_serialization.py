@@ -50,6 +50,26 @@ class TestSequenceCodec:
         data = ser.encode_int_seq(tuple(values), 8)
         assert ser.decode_int_seq(data, 8) == tuple(values)
 
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda width: st.tuples(
+                st.just(width),
+                st.lists(st.integers(0, 2 ** (8 * width) - 1), max_size=30),
+                st.integers(-8, 8),
+            )
+        )
+    )
+    def test_exact_slices_roundtrip_and_refuse_wrong_lengths(self, case):
+        """Any width, the empty sequence included, round-trips; a blob
+        one or more bytes off its count's length is refused."""
+        width, values, delta = case
+        data = ser.encode_int_seq(tuple(values), width)
+        assert ser.decode_int_seq(data, width) == tuple(values)
+        if delta and len(data) + delta >= 4:
+            mangled = data + bytes(delta) if delta > 0 else data[:delta]
+            with pytest.raises(ValueError, match="expected %d" % len(data)):
+                ser.decode_int_seq(mangled, width)
+
 
 class TestSizeFormulas:
     def test_paper_key_size(self):

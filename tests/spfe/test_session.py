@@ -175,30 +175,26 @@ class TestOverRealSockets:
 
 
 class TestClientEncryption:
-    """The client encrypts through its own private key, byte-identically."""
+    """The client encrypts through its own private key's sampler."""
 
-    def test_chunk_frames_match_public_key_encryption(self):
+    def test_chunk_frames_decrypt_to_the_selection(self):
         keypair = generate_keypair(128, "frames-key")
         selection = [1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1]
         client = ClientSession(
             selection, key_bits=128, chunk_size=4,
             rng=DeterministicRandom("frames"), keypair=keypair,
         )
-        frames = list(client.initial_bytes())
-        reference_rng = DeterministicRandom("frames")
-        assert reference_rng.randbytes(codec.SESSION_ID_BYTES) == client.session_id
-        expected = [
-            codec.encode_ciphertext_chunk(
-                [
-                    keypair.public.encrypt_raw(w, reference_rng)
-                    for w in selection[start : start + 4]
-                ],
-                128,
-                index,
-            )
-            for index, start in enumerate(range(0, len(selection), 4))
-        ]
-        assert frames[2:] == expected
+        ciphertexts = chunk_ciphertexts(list(client.initial_bytes()))
+        assert [keypair.private.raw_decrypt(c) for c in ciphertexts] == selection
+        assert len(set(ciphertexts)) == len(ciphertexts)
+
+    def test_uncertifiable_key_refused_before_any_frame(self, plain_prime_keypair):
+        """Plain primes whose p - 1 leaves a composite cofactor give the
+        sampler no generator: the session refuses them at construction."""
+        from repro.exceptions import KeyGenerationError
+
+        with pytest.raises(KeyGenerationError):
+            ClientSession([1, 0, 1], key_bits=256, keypair=plain_prime_keypair(256))
 
     def test_client_path_never_calls_public_key_encrypt(
         self, workload_bytes, monkeypatch
@@ -242,8 +238,11 @@ class TestValidationAndErrors:
     def test_client_accepts_one_bit_short_key(self):
         """generate_keypair(512) returns a 511-bit modulus about half the
         time; such a key still fits key_bits=512."""
-        keypair = generate_keypair(512, "odd-2")
-        assert keypair.public.bits == 511
+        keypair = next(
+            keypair
+            for keypair in (generate_keypair(512, "odd-%d" % i) for i in range(20))
+            if keypair.public.bits == 511
+        )
         client = ClientSession(
             [1, 0, 1], key_bits=512, rng=DeterministicRandom("short"),
             keypair=keypair,
@@ -782,6 +781,59 @@ class TestServerPolicyEnforcement:
         assert error.frame_type == FrameType.ERROR
         assert "more ciphertexts than elements" in str(server.last_error)
         assert elapsed < 5.0, "oversize chunk took %.1f s to refuse" % elapsed
+
+    def _receiving_server(self, database, chunk_size, seed):
+        keypair = generate_keypair(64, DeterministicRandom(seed))
+        server = ServerSession(database, policy=self._policy())
+        server.receive_bytes(
+            codec.encode_hello(64, len(database), chunk_size, b"\7" * 16, 0)
+        )
+        server.receive_bytes(codec.encode_public_key(keypair.public.n, 64, 0))
+        return server, keypair
+
+    def test_chunk_count_checked_before_decoding(self, monkeypatch):
+        """A maximal 4 MiB ENC_CHUNK is refused on its count prefix: the
+        payload is never decoded."""
+        import struct
+
+        decoded = []
+        real_decode = codec.decode_ciphertext_chunk
+
+        def counting(payload, key_bits):
+            decoded.append(len(payload))
+            return real_decode(payload, key_bits)
+
+        monkeypatch.setattr(codec, "decode_ciphertext_chunk", counting)
+        policy = self._policy()
+        database = ServerDatabase([3, 1, 4, 1], value_bits=8)
+        server, _ = self._receiving_server(database, 4, "count-first")
+        width = 16  # one ciphertext mod n^2 at 64-bit keys
+        count = (policy.max_frame_payload - 4) // width
+        payload = struct.pack(">I", count) + bytes(count * width)
+        reply = server.receive_bytes(
+            codec.encode_frame(FrameType.ENC_CHUNK, payload, 0)
+        )
+        (error,) = _decode_frames(reply)
+        assert error.frame_type == FrameType.ERROR
+        assert "more ciphertexts than elements" in str(server.last_error)
+        assert decoded == []
+
+    def test_chunk_larger_than_announced_refused(self, monkeypatch):
+        """A chunk within the elements left but above HELLO's chunk size
+        is refused, again before decoding."""
+        def refuse(*_args):
+            raise AssertionError("oversized chunk was decoded")
+
+        monkeypatch.setattr(codec, "decode_ciphertext_chunk", refuse)
+        database = ServerDatabase([3, 1, 4, 1, 5, 9], value_bits=8)
+        server, keypair = self._receiving_server(database, 2, "count-chunk")
+        ciphertexts = [keypair.public.encrypt_raw(1, "c%d" % i) for i in range(3)]
+        reply = server.receive_bytes(
+            codec.encode_ciphertext_chunk(ciphertexts, 64, 0)
+        )
+        (error,) = _decode_frames(reply)
+        assert error.frame_type == FrameType.ERROR
+        assert "exceeds the announced chunk size 2" in str(server.last_error)
 
     def test_errored_session_loses_resume_state(self, workload_bytes):
         """A rejected peer must restart, never resume poisoned state."""

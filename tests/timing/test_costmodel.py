@@ -113,6 +113,33 @@ class TestCalibration:
         calibrate_profile(key_bits=64, iterations=3, use_kernels=use_kernels)
         assert len(calls) == (3 if use_kernels else 0)
 
+    def test_encrypt_timed_loop_builds_no_table(self, monkeypatch):
+        """The sampler tables are built before Op.ENCRYPT is timed: no
+        timed encryption pays the one-time build."""
+        import repro.crypto.paillier as paillier
+
+        builds = []
+        real_table = paillier.FixedBaseTable
+        real_encrypt = paillier.PaillierPrivateKey.encrypt_raw_crt
+
+        def counting_table(*args, **kwargs):
+            builds.append(args)
+            return real_table(*args, **kwargs)
+
+        during = []
+
+        def encrypt(self, *args, **kwargs):
+            before = len(builds)
+            result = real_encrypt(self, *args, **kwargs)
+            during.append(len(builds) - before)
+            return result
+
+        monkeypatch.setattr(paillier, "FixedBaseTable", counting_table)
+        monkeypatch.setattr(paillier.PaillierPrivateKey, "encrypt_raw_crt", encrypt)
+        calibrate_profile(key_bits=64, iterations=3, use_kernels=True)
+        assert len(builds) == 2
+        assert during == [0, 0, 0]
+
     def test_fold_timed_over_a_full_query_closed_at_the_plane_width(
         self, monkeypatch
     ):
