@@ -24,7 +24,7 @@ from repro.crypto.rng import DeterministicRandom
 KEY_BITS = 512
 DRAWS = 200
 ROUNDS = 3  # best-of-3: minimum over rounds rejects scheduler noise
-MIN_SPEEDUP = 1.3
+MIN_SPEEDUP = 5.0
 
 
 def _best_of(fn):

@@ -12,8 +12,8 @@ numbers to ``BENCH_kernels.json`` at the repo root:
   sampler the deployed client runs, its tables built before timing);
   every ciphertext of both must decrypt to its plaintext;
 * the encryption obfuscator ``r^n mod n^2`` — full ``pow()`` against
-  the fixed-base windowed :class:`~repro.crypto.multiexp.FixedBaseTable`
-  that :class:`~repro.crypto.paillier.RandomnessPool` refills through.
+  the byte-digit :class:`~repro.crypto.multiexp.FixedBaseTable` that
+  :class:`~repro.crypto.paillier.RandomnessPool` refills through.
 
 Each pair runs interleaved A/B/A/B, best of ``ROUNDS``, so both sides
 see the same machine load.  The fold and table kernels must return

@@ -10,7 +10,7 @@ The package is self-contained — pure Python on built-in big integers, no
 * :mod:`repro.crypto.rsa` — the trapdoor permutation for oblivious transfer.
 * :mod:`repro.crypto.simulated` — the cost-modelled Paillier stand-in.
 * :mod:`repro.crypto.multiexp` — batch exponentiation kernels
-  (simultaneous multiexp, fixed-base windowed tables).
+  (simultaneous multiexp, fixed-base byte-digit tables).
 """
 
 from repro.crypto.damgard_jurik import DamgardJurikScheme, generate_dj_keypair

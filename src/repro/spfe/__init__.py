@@ -54,6 +54,7 @@ from repro.spfe.tradeoff import PartialPrivacySumProtocol
 from repro.spfe.validation import (
     ServerPolicy,
     check_ciphertext,
+    check_ciphertext_chunk,
     check_hello,
     check_public_key,
     resume_state_bytes,
@@ -95,6 +96,7 @@ __all__ = [
     "YaoBaselineProtocol",
     "audit_client_privacy",
     "check_ciphertext",
+    "check_ciphertext_chunk",
     "check_hello",
     "check_public_key",
     "resume_state_bytes",

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.crypto.ntheory import bytes_for_bits
 from repro.exceptions import ParameterError, PolicyViolation, ValidationError
@@ -36,6 +37,7 @@ __all__ = [
     "ServerPolicy",
     "check_public_key",
     "check_ciphertext",
+    "check_ciphertext_chunk",
     "check_hello",
     "resume_state_bytes",
 ]
@@ -162,9 +164,26 @@ def check_ciphertext(ciphertext: int, n: int, nsquare: int) -> None:
     (``E(m; r) = (1+mn) r^n`` is always coprime to n when gcd(r, n)=1 —
     a non-coprime c either leaks a factor of n or poisons the sum).
     """
-    if not 0 < ciphertext < nsquare:
-        raise ValidationError("ciphertext outside Z*_{n^2}")
-    if math.gcd(ciphertext, n) != 1:
+    check_ciphertext_chunk((ciphertext,), n, nsquare)
+
+
+def check_ciphertext_chunk(
+    ciphertexts: Sequence[int], n: int, nsquare: int
+) -> None:
+    """:func:`check_ciphertext` for every element of a chunk, one gcd.
+
+    Each element gets the range check; coprimality is checked once, on
+    the chunk's product mod n.  The two are equivalent: a prime factor
+    of n divides the product exactly when it divides some element (an
+    element that is 0 mod n makes the product 0, whose gcd with n is n).
+    One big-int product per element costs about half a ``gcd``.
+    """
+    product = 1
+    for ciphertext in ciphertexts:
+        if not 0 < ciphertext < nsquare:
+            raise ValidationError("ciphertext outside Z*_{n^2}")
+        product = product * ciphertext % n
+    if math.gcd(product, n) != 1:
         raise ValidationError("ciphertext shares a factor with the modulus")
 
 

@@ -29,7 +29,7 @@ The calibration is *kernel-aware*: by default it charges the server's
 fold (one digit-plane bucket insert, :func:`repro.crypto.multiexp.
 plane_insert`, plus its share of the closing
 :func:`~repro.crypto.multiexp.multi_exponent`) and ``PRECOMPUTE`` at
-the fixed-base windowed table's per-obfuscator cost — the code paths
+the fixed-base byte-digit table's per-obfuscator cost — the code paths
 the measured protocols actually take.  Pass ``use_kernels=False`` to fit
 the naive square-and-multiply costs instead (the paper-era baseline,
 and what ``--no-multiexp`` runs match).
@@ -235,7 +235,7 @@ def calibrate_profile(
         # lazy build would otherwise charge to the first timed encryption.
         sk.sampler_tables()
         t_encrypt = measure(lambda i: sk.encrypt_raw_crt(i, rng))
-        # Offline obfuscator via the fixed-base windowed table (the
+        # Offline obfuscator via the fixed-base byte-digit table (the
         # RandomnessPool fixed-base path): exclude the one-time table
         # build, measure per-lookup cost.
         h = rng.randrange(2, pk.n)

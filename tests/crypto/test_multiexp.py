@@ -12,6 +12,8 @@ examples are cheap.  The digit-plane accumulator (``plane_insert`` /
 across a journal round trip of its buckets.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -259,17 +261,39 @@ class TestSelectWindow:
         assert select_window(10, 0) == 1
 
 
+#: exponent widths on and around the byte boundaries the table's rows
+#: fall on, up to the 512-bit exponents of a 512-bit key's pool table
+TABLE_BITS = [1, 7, 8, 9, 255, 256, 511, 512]
+
+
 class TestFixedBaseTable:
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_agrees_with_pow(self, data):
         modulus = data.draw(moduli)
         base = data.draw(st.integers(0, modulus - 1))
-        bits = data.draw(st.integers(1, 48))
-        window = data.draw(st.one_of(st.none(), st.integers(1, 8)))
-        table = FixedBaseTable(base, modulus, bits, window)
+        bits = data.draw(
+            st.one_of(st.sampled_from(TABLE_BITS), st.integers(1, 48))
+        )
+        table = FixedBaseTable(base, modulus, bits)
         exponent = data.draw(st.integers(0, table.capacity - 1))
         assert table.pow(exponent) == pow(base, exponent, modulus)
+
+    @pytest.mark.parametrize("bits", TABLE_BITS)
+    def test_every_byte_digit_agrees_with_pow(self, bits):
+        modulus, base = (1 << 61) - 1, 0x1234567
+        table = FixedBaseTable(base, modulus, bits)
+        full_bytes = (1 << (bits // 8 * 8)) - 1  # every whole byte 0xFF
+        exponents = {0, table.capacity - 1, full_bytes}
+        # each single nonzero byte: reads every entry of every row once
+        exponents.update(
+            digit << shift
+            for shift in range(0, bits, 8)
+            for digit in range(1, 256)
+            if digit << shift < table.capacity
+        )
+        for exponent in sorted(exponents):
+            assert table.pow(exponent) == pow(base, exponent, modulus), exponent
 
     def test_boundary_exponents(self):
         table = FixedBaseTable(7, 1009, 16)
@@ -289,10 +313,6 @@ class TestFixedBaseTable:
             FixedBaseTable(7, 1, 8)
         with pytest.raises(ParameterError):
             FixedBaseTable(7, 1009, 0)
-        with pytest.raises(ParameterError):
-            FixedBaseTable(7, 1009, 8, window=0)
-        with pytest.raises(ParameterError):
-            FixedBaseTable(7, 1009, 8, window=17)
 
     def test_matches_paillier_obfuscator_identity(self):
         # The fixed-base trick: (h^x mod n)^n == (h^n mod n^2)^x mod n^2,
@@ -308,6 +328,10 @@ class TestFixedBaseTable:
             assert table.pow(x) == pow(r, public.n, public.nsquare)
 
     def test_repr_and_entries(self):
-        table = FixedBaseTable(7, 1009, 12, window=4)
-        assert table.entries == 3 * 15
-        assert "window=4" in repr(table)
+        for bits in TABLE_BITS:
+            table = FixedBaseTable(7, 1009, bits)
+            assert table.entries == math.ceil(bits / 8) * 255
+            assert repr(table) == (
+                "FixedBaseTable(exponent_bits=%d, entries=%d)"
+                % (bits, table.entries)
+            )

@@ -459,14 +459,6 @@ class TestRandomnessPoolFixedBase:
             obf = pool.take()
             assert sk.raw_decrypt(pk.raw_encrypt(0, obf)) == 0
 
-    def test_window_override(self, keypair):
-        pool = RandomnessPool(
-            keypair.public, "pool-window", fixed_base=True, window=4
-        )
-        pool.precompute(3)
-        c = EncryptedNumber.encrypt(keypair.public, 7, pool=pool)
-        assert c.decrypt(keypair.private) == 7
-
 
 def _valid_prime_pairs(bound):
     """Every pair of distinct odd primes below ``bound`` with

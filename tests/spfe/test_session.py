@@ -740,6 +740,33 @@ class TestServerPolicyEnforcement:
         assert server.errored
         assert isinstance(server.last_error, ValidationError)
 
+    @pytest.mark.parametrize("position", [0, 3, 7])  # first, middle, last
+    @pytest.mark.parametrize("forge", ["factor_p", "zero_mod_n"])
+    def test_bad_element_fails_its_frame(self, workload_bytes, position, forge):
+        """The chunk's one gcd rejects the same frames as a gcd per
+        element: wherever a non-coprime element sits in a chunk, that
+        frame gets the validation ERROR and the session is discarded."""
+        database, selection = workload_bytes
+        client = make_client(selection, chunk_size=8)
+        registry = SessionRegistry()
+        server = ServerSession(database, policy=self._policy(), registry=registry)
+        stream = client.initial_bytes()
+        for _ in range(3):  # HELLO, PUBLIC_KEY, chunk 0
+            assert server.receive_bytes(next(stream)) == b""
+        assert client.session_id in registry
+        honest = chunk_ciphertexts([next(stream)])
+        n = client.public_key.n
+        bad = client._private_key.p if forge == "factor_p" else 3 * n
+        honest[position] = bad
+        reply = server.receive_bytes(codec.encode_ciphertext_chunk(honest, 128, 1))
+        (frame,) = _decode_frames(reply)
+        assert frame.frame_type == FrameType.ERROR
+        code, _message = codec.decode_error(frame.payload)
+        assert code == codec.ERROR_CODE_VALIDATION
+        assert isinstance(server.last_error, ValidationError)
+        assert server.chunk_frames_processed == 1
+        assert client.session_id not in registry
+
     def test_session_byte_quota_enforced(self, workload_bytes):
         from repro.exceptions import PolicyViolation
 

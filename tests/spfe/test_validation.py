@@ -1,6 +1,9 @@
 """Unit tests for the trust-boundary validation layer."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.crypto.paillier import generate_keypair
 from repro.crypto.rng import DeterministicRandom
@@ -8,6 +11,7 @@ from repro.exceptions import ParameterError, PolicyViolation, ValidationError
 from repro.spfe.validation import (
     ServerPolicy,
     check_ciphertext,
+    check_ciphertext_chunk,
     check_hello,
     check_public_key,
     resume_state_bytes,
@@ -117,6 +121,50 @@ class TestCheckCiphertext:
 
         assert issubclass(PolicyViolation, ValidationError)
         assert issubclass(ValidationError, ProtocolError)
+
+
+def _per_element_verdict(ciphertexts, n, nsquare):
+    """The definition: every element in range and coprime to n."""
+    return all(0 < c < nsquare and math.gcd(c, n) == 1 for c in ciphertexts)
+
+
+class TestCheckCiphertextChunk:
+    """One gcd of the chunk's product must accept exactly the chunks a
+    per-element gcd accepts."""
+
+    # n = 11 * 13: small enough that random elements often share a factor
+    N, NSQUARE = 143, 143 * 143
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-2, 143 * 143 + 1), min_size=1, max_size=12))
+    def test_agrees_with_per_element_check(self, ciphertexts):
+        n, nsquare = self.N, self.NSQUARE
+        expected = _per_element_verdict(ciphertexts, n, nsquare)
+        try:
+            check_ciphertext_chunk(ciphertexts, n, nsquare)
+        except ValidationError:
+            assert not expected
+        else:
+            assert expected
+
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    @pytest.mark.parametrize("bad", [11, 13 * 7, 143, 143 * 5])
+    def test_bad_element_anywhere_rejected(self, position, bad):
+        chunk = [1, 2, 3, 4, 5]
+        chunk[position] = bad
+        with pytest.raises(ValidationError, match="shares a factor"):
+            check_ciphertext_chunk(chunk, self.N, self.NSQUARE)
+
+    def test_honest_chunk_passes(self, keypair):
+        public = keypair.public
+        rng = DeterministicRandom("chunk")
+        chunk = [public.encrypt_raw(v, rng) for v in range(8)]
+        check_ciphertext_chunk(chunk, public.n, public.nsquare)
+
+    def test_out_of_range_element_rejected(self, keypair):
+        public = keypair.public
+        with pytest.raises(ValidationError, match="outside"):
+            check_ciphertext_chunk([1, public.nsquare], public.n, public.nsquare)
 
 
 class TestResumeStateBytes:
