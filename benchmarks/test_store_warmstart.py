@@ -4,8 +4,8 @@ With ``--state-dir`` the server journals each session once per socket
 read that folded chunks, so a restarted process answers RESUME from the
 store instead of making the client start over.  This benchmark times
 that journal at the paper's 512-bit key size, on the row the server
-really writes (an in-progress chunk-8 session carrying its 217
-digit-plane buckets):
+really writes (an in-progress chunk-8 session whose fold block is half
+received, 128 pending ciphertexts, the average over a query):
 
 * **write**: one ``save_session`` upsert, the commit on the server's
   hot path;
@@ -25,19 +25,18 @@ import statistics
 import time
 from pathlib import Path
 
-from repro.crypto.multiexp import PLANE_DIGITS, PLANE_WINDOW
+from repro.crypto.multiexp import FOLD_BLOCK
 from repro.crypto.paillier import generate_keypair
 from repro.crypto.rng import DeterministicRandom
 from repro.obs.registry import MetricsRegistry
 from repro.store.state import SessionRecord, StateStore
 
 KEY_BITS = 512  # the paper's deployment size
-VALUE_BITS = 32  # the paper's value width
 JOURNAL_OPS = 200  # operations per timed round
 ROUNDS = 9
-#: buckets of an in-progress session: one per nonzero digit of each
-#: digit plane of a 32-bit weight (7 planes x 31 digits = 217)
-JOURNAL_BUCKETS = -(-VALUE_BITS // PLANE_WINDOW) * PLANE_DIGITS  # ceil
+#: pending ciphertexts of an in-progress session: a block holds 0 to
+#: FOLD_BLOCK - 1 of them as it fills, half a block on average
+JOURNAL_PENDING = FOLD_BLOCK // 2
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_store_warmstart.json"
 
@@ -47,21 +46,22 @@ def test_session_journal_write_and_read_cost(tmp_path):
     metrics = MetricsRegistry()
 
     with StateStore(str(tmp_path / "bench.sqlite"), metrics=metrics) as store:
-        # what ServerSession journals mid-query at chunk 8: aggregate
-        # still 1, every bucket a full-width residue mod n^2
-        bucket_rng = DeterministicRandom("buckets")
+        # what ServerSession journals mid-query at chunk 8: the
+        # aggregate of the blocks folded so far and the ciphertexts of
+        # the current block, each a full-width residue mod n^2
+        pending_rng = DeterministicRandom("pending")
         record = SessionRecord(
             session_id=b"\x42" * 16,
             key_bits=KEY_BITS,
             chunk_size=8,
             public_n=public.n,
-            aggregate=1,
-            received=400,
-            chunks_received=50,
+            aggregate=pending_rng.randbelow(public.nsquare),
+            received=FOLD_BLOCK + JOURNAL_PENDING,
+            chunks_received=(FOLD_BLOCK + JOURNAL_PENDING) // 8,
             done=False,
-            buckets=tuple(
-                bucket_rng.randbelow(public.nsquare)
-                for _ in range(JOURNAL_BUCKETS)
+            pending=tuple(
+                pending_rng.randbelow(public.nsquare)
+                for _ in range(JOURNAL_PENDING)
             ),
         )
         write_us, read_us = [], []
@@ -75,7 +75,7 @@ def test_session_journal_write_and_read_cost(tmp_path):
             for _ in range(JOURNAL_OPS):
                 loaded = store.load_session(record.session_id)
             read_us.append((time.perf_counter() - started) * 1e6 / JOURNAL_OPS)
-            assert loaded is not None and loaded.buckets == record.buckets
+            assert loaded is not None and loaded.pending == record.pending
         journal_write_us = statistics.median(write_us)
         journal_read_us = statistics.median(read_us)
 
@@ -89,7 +89,7 @@ def test_session_journal_write_and_read_cost(tmp_path):
         "key_bits": KEY_BITS,
         "journal_write_us": journal_write_us,
         "journal_read_us": journal_read_us,
-        "journal_buckets": JOURNAL_BUCKETS,
+        "journal_pending": JOURNAL_PENDING,
         "journal_ops_per_round": JOURNAL_OPS,
         "rounds": ROUNDS,
     }

@@ -10,8 +10,9 @@ protocol, and exposes a squared view so the statistics layer can compute
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.crypto.multiexp import FoldProgram, fold_plan
 from repro.exceptions import DatabaseError
 
 __all__ = ["ServerDatabase", "VALUE_BITS", "MAX_VALUE", "elementwise_product"]
@@ -36,6 +37,7 @@ class ServerDatabase:
             raise DatabaseError("value_bits must be positive")
         self._values: Tuple[int, ...] = tuple(values)
         self.value_bits = value_bits
+        self._fold_plan: Optional[Tuple[FoldProgram, ...]] = None
         limit = 2**value_bits - 1
         if not self._values:
             raise DatabaseError("database cannot be empty")
@@ -83,6 +85,22 @@ class ServerDatabase:
             raise DatabaseError("chunk size must be positive")
         for start in range(0, len(self._values), size):
             yield start, self._values[start : start + size]
+
+    def fold_plan(self) -> Tuple[FoldProgram, ...]:
+        """The server fold's programs: one per block of
+        :data:`~repro.crypto.multiexp.FOLD_BLOCK` rows, with the values
+        as exponents.
+
+        Built on first call and kept, since the values never change;
+        every session and thread folding against this database shares
+        it.  Two threads racing the first call build equal plans, and
+        either may win.
+        """
+        plan = self._fold_plan
+        if plan is None:
+            plan = fold_plan(self._values)
+            self._fold_plan = plan
+        return plan
 
     def squared(self) -> "ServerDatabase":
         """The element-wise squared database (for Σx² / variance).

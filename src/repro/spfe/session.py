@@ -48,10 +48,9 @@ from collections import OrderedDict
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.crypto.multiexp import (
-    PLANE_WINDOW,
-    multi_exponent,
-    plane_insert,
-    plane_terms,
+    FOLD_BLOCK,
+    FoldProgram,
+    multi_exponent,  # noqa: F401 - perfbench/launcher.py wraps it by name
 )
 from repro.crypto.ntheory import bytes_for_bits
 from repro.crypto.paillier import (
@@ -314,7 +313,7 @@ class _ResumeState:
         "chunk_size",
         "public_key",
         "aggregate",
-        "buckets",
+        "pending",
         "received",
         "chunks_received",
         "done",
@@ -324,11 +323,13 @@ class _ResumeState:
         self.key_bits = key_bits
         self.chunk_size = chunk_size
         self.public_key = public_key
+        #: product of the fold over every complete block received so far
         self.aggregate = 1
-        #: digit-plane buckets of the chunks folded so far (see
-        #: :func:`~repro.crypto.multiexp.plane_insert`); None once the
-        #: session is done and they have collapsed into ``aggregate``
-        self.buckets: Optional[List[int]] = []
+        #: ciphertexts of the rows ``received - len(pending)`` up to
+        #: ``received``: the block still incomplete, folded into
+        #: ``aggregate`` once its last row arrives (fewer than
+        #: :data:`~repro.crypto.multiexp.FOLD_BLOCK` of them)
+        self.pending: List[int] = []
         self.received = 0
         self.chunks_received = 0
         self.done = False
@@ -336,17 +337,15 @@ class _ResumeState:
     @property
     def resident_bytes(self) -> int:
         """What this state costs the registry's byte budget."""
-        base = resume_state_bytes(self.key_bits)
-        if not self.buckets:
-            return base
-        return base + len(self.buckets) * bytes_for_bits(2 * self.key_bits)
+        width = bytes_for_bits(2 * self.key_bits)
+        return resume_state_bytes(self.key_bits) + len(self.pending) * width
 
     def snapshot(self) -> "_ResumeState":
         """An independent copy (the public key is shared — it is never
         mutated)."""
         dup = _ResumeState(self.key_bits, self.chunk_size, self.public_key)
         dup.aggregate = self.aggregate
-        dup.buckets = None if self.buckets is None else list(self.buckets)
+        dup.pending = list(self.pending)
         dup.received = self.received
         dup.chunks_received = self.chunks_received
         dup.done = self.done
@@ -436,7 +435,7 @@ class SessionRegistry:
             received=state.received,
             chunks_received=state.chunks_received,
             done=state.done,
-            buckets=None if state.buckets is None else tuple(state.buckets),
+            pending=tuple(state.pending),
         )
 
     @staticmethod
@@ -447,25 +446,7 @@ class SessionRegistry:
             PaillierPublicKey(record.public_n),
         )
         state.aggregate = record.aggregate
-        if record.done:
-            state.buckets = None
-        elif record.buckets and record.plane_window != PLANE_WINDOW:
-            # Buckets laid out at another digit width (a row journalled
-            # by an older release) are closed into the aggregate: the
-            # fold is linear, so the session resumes with empty buckets
-            # and the same product.
-            state.aggregate = multi_exponent(
-                *plane_terms(record.buckets, record.plane_window),
-                state.public_key.nsquare,
-                initial=record.aggregate,
-                window=record.plane_window,
-            )
-            state.buckets = []
-        else:
-            # A row journalled before buckets were stored (schema v3)
-            # carries its folded chunks in the aggregate alone; the
-            # closing fold then starts from that aggregate.
-            state.buckets = list(record.buckets or ())
+        state.pending = list(record.pending)
         state.received = record.received
         state.chunks_received = record.chunks_received
         state.done = record.done
@@ -709,7 +690,7 @@ class ServerSession:
         if self._unpublished:
             # Publish a frozen snapshot: registry entries are never
             # mutated in place, so a concurrent resume always reads a
-            # self-consistent (buckets, received) pair and can never
+            # self-consistent (pending, received) pair and can never
             # double-fold a chunk.
             assert self._session_id is not None and self._resume_state is not None
             self._unpublished = False
@@ -747,13 +728,15 @@ class ServerSession:
                 "client assumes %d elements; this database has %d"
                 % (database_size, len(self.database))
             )
-        worst = database_size * (2**self.database.value_bits - 1)
-        if worst.bit_length() >= key_bits:
+        if self._worst_case_sum().bit_length() >= key_bits:
             raise ProtocolError("key too small for the worst-case sum")
         self._announced = (key_bits, chunk_size)
         self._session_id = session_id
         self._state = self._WAIT_KEY
         return b""
+
+    def _worst_case_sum(self) -> int:
+        return len(self.database) * (2**self.database.value_bits - 1)
 
     def _on_key(self, frame: Frame) -> bytes:
         if frame.frame_type != FrameType.PUBLIC_KEY:
@@ -763,6 +746,14 @@ class ServerSession:
         if n.bit_length() > key_bits:
             raise ProtocolError("public key larger than announced")
         check_public_key(n, key_bits)
+        # HELLO checked the worst-case sum against the announced size,
+        # but the modulus may be up to 8 bits shorter.  The sum must be
+        # below n itself or it wraps and decrypts wrong; this also puts
+        # every database value below n, so values are the exponents.
+        if self._worst_case_sum() >= n:
+            raise ProtocolError(
+                "public modulus too small for the worst-case sum"
+            )
         # Only register once the key is known: a pre-key session has
         # nothing worth resuming, so RESUME answers "restart".
         self._resume_state = _ResumeState(
@@ -801,7 +792,7 @@ class ServerSession:
         if frame.frame_type != FrameType.ENC_CHUNK:
             raise ProtocolError("expected ENC_CHUNK")
         state = self._resume_state
-        assert state is not None and state.buckets is not None
+        assert state is not None
         if frame.sequence < state.chunks_received:
             return b""  # duplicate of an already-folded chunk: ignore
         if frame.sequence > state.chunks_received:
@@ -811,8 +802,8 @@ class ServerSession:
             )
         # Refuse on the count prefix alone, before decoding the payload.
         count = codec.chunk_count(frame.payload)
-        received = state.received
-        if received + count > len(self.database):
+        rows = len(self.database)
+        if state.received + count > rows:
             raise ProtocolError("client sent more ciphertexts than elements")
         if count > state.chunk_size:
             raise ProtocolError(
@@ -821,38 +812,30 @@ class ServerSession:
             )
         ciphertexts = codec.decode_ciphertext_chunk(frame.payload, state.key_bits)
         nsquare = state.public_key.nsquare
-        n = state.public_key.n
-        check_ciphertext_chunk(ciphertexts, n, nsquare)
-        batch_cts: List[int] = []
-        batch_weights: List[int] = []
-        for ct in ciphertexts:
-            value = self.database[received]
-            if value:
-                batch_cts.append(ct)
-                batch_weights.append(value % n)
-            received += 1
-        done = received == len(self.database)
-        # Fold each element into the persistent digit-plane buckets: a
-        # fixed ~6.6 multiplications per element at any chunk size (the
-        # paper's §3.2 pipelining).  The bucket sweep and squaring chain
-        # are paid once, by the closing multiexp when the last chunk
-        # lands, at the plane width so each bucket lands in one bucket
-        # of the close; the product is a function of the frames alone,
-        # so the RESULT is the same ciphertext a per-chunk fold produces.
+        check_ciphertext_chunk(ciphertexts, state.public_key.n, nsquare)
+        # Buffer the chunk, then fold every block whose last row is in:
+        # each block runs the program compiled from its database values
+        # (~5.2 multiplications per element).  The product is a function
+        # of the frames alone, whatever the chunk size or read split.
         fold_started = time.perf_counter()
-        plane_insert(state.buckets, batch_cts, batch_weights, nsquare)
-        if done:
-            bases, exponents = plane_terms(state.buckets)
-            state.aggregate = multi_exponent(
-                bases,
-                exponents,
-                nsquare,
-                initial=state.aggregate,
-                window=PLANE_WINDOW,
+        pending = state.pending + ciphertexts
+        received = state.received + count
+        first = received - len(pending)
+        while first < received:
+            end = min(first - first % FOLD_BLOCK + FOLD_BLOCK, rows)
+            if end > received:
+                break
+            state.aggregate = (
+                state.aggregate
+                * self._fold_program(first, end).run(pending[: end - first], nsquare)
+                % nsquare
             )
-            state.buckets = None
+            del pending[: end - first]
+            first = end
         if self.tracer is not None:
             self.tracer.record("fold", time.perf_counter() - fold_started)
+        done = received == rows
+        state.pending = pending
         state.received = received
         state.chunks_received += 1
         state.done = done
@@ -862,6 +845,14 @@ class ServerSession:
             self._state = self._DONE
             return codec.encode_result(state.aggregate, state.key_bits)
         return b""
+
+    def _fold_program(self, first: int, end: int) -> FoldProgram:
+        """The program folding rows ``first`` up to ``end``: the
+        database's own for a whole block, compiled here for a range that
+        starts mid-block (a journal row of an older release resumed)."""
+        if first % FOLD_BLOCK == 0:
+            return self.database.fold_plan()[first // FOLD_BLOCK]
+        return FoldProgram(self.database.values[first:end])
 
 
 def run_sessions_in_memory(

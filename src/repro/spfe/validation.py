@@ -71,11 +71,11 @@ class ServerPolicy:
         max_registry_bytes: resume-state *residency* bound in bytes —
             session count alone does not bound memory when key sizes
             vary, see :func:`resume_state_bytes`.  An in-progress
-            session over 32-bit values also holds its 217 digit-plane
-            buckets (5-bit planes), 220 ciphertexts in all: ~28 KB at
-            512-bit keys, ~113 KB at 2048, ~225 KB at 4096.  The
-            default holds ~74 of the largest, so the count bound
-            governs at every accepted key size.
+            session also holds the ciphertexts of its incomplete fold
+            block, at most 255, so 258 ciphertexts in all: ~32 KB at
+            512-bit keys, ~129 KB at 2048, 258 KiB at 4096.  The
+            default is the smallest that holds 64 of the largest, so
+            the count bound governs at every accepted key size.
     """
 
     min_key_bits: int = 64
@@ -84,7 +84,7 @@ class ServerPolicy:
     max_chunks: int = 1 << 16
     max_session_bytes: int = 64 * 1024 * 1024
     max_registry_sessions: int = 64
-    max_registry_bytes: int = 16 * 1024 * 1024
+    max_registry_bytes: int = 64 * 258 * 1024
 
     def __post_init__(self) -> None:
         """Validate the knobs against each other."""

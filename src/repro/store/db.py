@@ -21,9 +21,11 @@ The schema itself (see :data:`MIGRATIONS`):
 
 * ``sessions`` — the resumable-session journal: one frozen snapshot per
   session id, exactly the fields of
-  :class:`repro.spfe.session._ResumeState` (digit-plane buckets
-  included, since v4, and the digit width they were written at, since
-  v6) plus an LRU timestamp.
+  :class:`repro.spfe.session._ResumeState` (the ciphertexts of the
+  incomplete fold block included, since v8) plus an LRU timestamp.
+  Rows written by v4-v7 hold digit-plane buckets instead (and, since
+  v6, the digit width they were written at), which the store closes
+  into the row's aggregate when it reads them.
 * ``databases`` — named server databases, loadable by ``repro serve
   --state-dir ... --db-name ...``.
 
@@ -155,6 +157,15 @@ MIGRATIONS: Tuple[Tuple[int, str, Tuple[str, ...]], ...] = (
         (
             "DROP TABLE IF EXISTS fixed_base_tables",
             "DROP TABLE IF EXISTS zero_pools",
+        ),
+    ),
+    (
+        8,
+        "session pending block: ciphertexts of the incomplete fold block",
+        (
+            # NULL for rows written before v8: their folded chunks are
+            # in `aggregate` and `buckets`, and none are pending.
+            "ALTER TABLE sessions ADD COLUMN pending BLOB",
         ),
     ),
 )

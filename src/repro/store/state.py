@@ -14,9 +14,11 @@ schema and durability model):
   restarts without re-parsing input files.
 
 Trust note: both belong to the database owner.  A journalled snapshot
-holds the public key, counters, and the server's fold of the client's
-ciphertexts, all of which the server saw on the wire; the databases are
-the server's own data.  No client secret (private key, obfuscator,
+holds the public key, counters, the server's fold of the client's
+ciphertexts and the raw ciphertexts of the fold block still incomplete.
+The server saw all of these on the wire: the raw ciphertexts are bytes
+the client sent, kept until their block folds.  The databases are the
+server's own data.  No client secret (private key, obfuscator,
 plaintext selection) is ever written, so the state directory may live
 with ``repro serve``.  ``docs/protocol.md`` § Durability spells out the
 guarantees and non-guarantees.
@@ -37,7 +39,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.crypto.multiexp import PLANE_WINDOW
+from repro.crypto.multiexp import multi_exponent
 from repro.crypto.ntheory import bytes_for_bits
 from repro.crypto.serialization import (
     decode_int,
@@ -95,9 +97,33 @@ def _int_blob(value: int) -> bytes:
     return encode_int(value, bytes_for_bits(max(1, value.bit_length())))
 
 
-def _bucket_width(key_bits: int) -> int:
-    """Bytes per journalled bucket: one ciphertext (mod ``n^2``)."""
+def _ciphertext_width(key_bits: int) -> int:
+    """Bytes per journalled ciphertext (mod ``n^2``)."""
     return bytes_for_bits(2 * key_bits)
+
+
+def _close_buckets(
+    buckets: Tuple[int, ...], window: int, aggregate: int, nsquare: int
+) -> int:
+    """Fold the digit-plane buckets of a v4-v7 row into its aggregate.
+
+    Slot ``p * (2^w - 1) + d - 1`` of a row written at digit width
+    ``w`` holds the product of every ciphertext whose weight has digit
+    ``d`` in plane ``p``, so the buckets stand for
+    ``prod bucket^(d * 2^(w p))``; the aligned window puts each bucket
+    in exactly one bucket of the multiexp.
+    """
+    digits = (1 << window) - 1
+    bases: List[int] = []
+    exponents: List[int] = []
+    for slot, bucket in enumerate(buckets):
+        if bucket != 1:
+            plane, digit = divmod(slot, digits)
+            bases.append(bucket)
+            exponents.append((digit + 1) << (plane * window))
+    return multi_exponent(
+        bases, exponents, nsquare, initial=aggregate, window=window
+    )
 
 
 @dataclass(frozen=True)
@@ -117,13 +143,10 @@ class SessionRecord:
     chunks_received: int
     done: bool
     touched_at: float = 0.0
-    #: digit-plane buckets of an in-progress session (see
-    #: :func:`~repro.crypto.multiexp.plane_insert`); None once done,
-    #: and for rows journalled before schema v4
-    buckets: Optional[Tuple[int, ...]] = None
-    #: digit width, in bits, the buckets are laid out at; rows
-    #: journalled before schema v6 read as 4
-    plane_window: int = PLANE_WINDOW
+    #: ciphertexts of the rows ``received - len(pending)`` up to
+    #: ``received``, not yet folded into ``aggregate``; empty once done
+    #: and for rows journalled before schema v8
+    pending: Tuple[int, ...] = ()
 
 
 class StateStore:
@@ -195,17 +218,15 @@ class StateStore:
         """Journal one frozen session snapshot (upsert by session id).
 
         Called once per socket read that registered a session or
-        folded at least one chunk (``ServerSession.receive_bytes``
+        received at least one chunk (``ServerSession.receive_bytes``
         publishes at the end of each read); the WAL commit makes the
         snapshot process-crash durable before the server's reply leaves
         the process (RESULT in particular is journalled before it is
         sent), and a crash loses at most one read of chunks.
         """
         touched = record.touched_at if record.touched_at else time.time()
-        buckets = (
-            None
-            if record.buckets is None
-            else encode_int_seq(record.buckets, _bucket_width(record.key_bits))
+        pending = encode_int_seq(
+            record.pending, _ciphertext_width(record.key_bits)
         )
         try:
             with self._lock:
@@ -214,16 +235,16 @@ class StateStore:
                     conn.execute(
                         "INSERT INTO sessions (session_id, key_bits, chunk_size,"
                         " public_n, aggregate, received, chunks_received, done,"
-                        " touched_at, buckets, plane_window)"
-                        " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
+                        " touched_at, pending)"
+                        " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
                         " ON CONFLICT(session_id) DO UPDATE SET"
                         " aggregate=excluded.aggregate,"
                         " received=excluded.received,"
                         " chunks_received=excluded.chunks_received,"
                         " done=excluded.done,"
                         " touched_at=excluded.touched_at,"
-                        " buckets=excluded.buckets,"
-                        " plane_window=excluded.plane_window",
+                        " buckets=NULL,"
+                        " pending=excluded.pending",
                         (
                             record.session_id,
                             record.key_bits,
@@ -234,8 +255,7 @@ class StateStore:
                             record.chunks_received,
                             1 if record.done else 0,
                             touched,
-                            buckets,
-                            record.plane_window,
+                            pending,
                         ),
                     )
         except sqlite3.Error as exc:
@@ -243,14 +263,20 @@ class StateStore:
         self._count("repro_store_journal_writes_total")
 
     def load_session(self, session_id: bytes) -> Optional[SessionRecord]:
-        """Fetch one journalled snapshot; None when unknown/deleted."""
+        """Fetch one journalled snapshot; None when unknown/deleted.
+
+        A row an older release journalled with digit-plane buckets
+        (schema v4-v7) is returned with its buckets closed into its
+        aggregate and nothing pending: the fold is linear, so the
+        session resumes with the same product.
+        """
         try:
             with self._lock:
                 conn = self._require_conn()
                 row = conn.execute(
                     "SELECT key_bits, chunk_size, public_n, aggregate,"
                     " received, chunks_received, done, touched_at, buckets,"
-                    " plane_window FROM sessions WHERE session_id = ?",
+                    " plane_window, pending FROM sessions WHERE session_id = ?",
                     (session_id,),
                 ).fetchone()
         except sqlite3.Error as exc:
@@ -259,44 +285,71 @@ class StateStore:
             self._count("repro_store_journal_misses_total")
             return None
         key_bits = int(row[0])
-        plane_window = int(row[9])
-        if plane_window < 1:
-            raise StoreError(
-                "corrupt plane window for session %s: %d"
-                % (session_id.hex(), plane_window)
-            )
-        buckets: Optional[Tuple[int, ...]] = None
+        public_n = decode_int(row[2])
+        aggregate = decode_int(row[3])
+        received = int(row[4])
+        width = _ciphertext_width(key_bits)
         if row[8] is not None:
+            aggregate = _close_buckets(
+                self._legacy_buckets(session_id, row[8], int(row[9]), width),
+                int(row[9]),
+                aggregate,
+                public_n * public_n,
+            )
+        pending: Tuple[int, ...] = ()
+        if row[10] is not None:
             try:
-                buckets = decode_int_seq(row[8], _bucket_width(key_bits))
+                pending = decode_int_seq(row[10], width)
             except (ValueError, struct.error) as exc:
                 raise StoreError(
-                    "corrupt bucket blob for session %s: %s"
+                    "corrupt pending blob for session %s: %s"
                     % (session_id.hex(), exc)
                 ) from exc
-            # Checked against the row's own window, not PLANE_WINDOW:
-            # rows from an older release are still whole.
-            digits = (1 << plane_window) - 1
-            if len(buckets) % digits:
+            if len(pending) > received:
                 raise StoreError(
-                    "corrupt bucket blob for session %s: %d buckets is not"
-                    " a whole number of %d-digit planes"
-                    % (session_id.hex(), len(buckets), digits)
+                    "corrupt pending blob for session %s: %d ciphertexts"
+                    " pending but %d received"
+                    % (session_id.hex(), len(pending), received)
                 )
         self._count("repro_store_journal_hits_total")
         return SessionRecord(
             session_id=session_id,
             key_bits=key_bits,
             chunk_size=int(row[1]),
-            public_n=decode_int(row[2]),
-            aggregate=decode_int(row[3]),
-            received=int(row[4]),
+            public_n=public_n,
+            aggregate=aggregate,
+            received=received,
             chunks_received=int(row[5]),
             done=bool(row[6]),
             touched_at=float(row[7]),
-            buckets=buckets,
-            plane_window=plane_window,
+            pending=pending,
         )
+
+    @staticmethod
+    def _legacy_buckets(
+        session_id: bytes, blob: bytes, window: int, width: int
+    ) -> Tuple[int, ...]:
+        """Decode and check the bucket blob of a v4-v7 row."""
+        if window < 1:
+            raise StoreError(
+                "corrupt plane window for session %s: %d"
+                % (session_id.hex(), window)
+            )
+        try:
+            buckets = decode_int_seq(blob, width)
+        except (ValueError, struct.error) as exc:
+            raise StoreError(
+                "corrupt bucket blob for session %s: %s"
+                % (session_id.hex(), exc)
+            ) from exc
+        digits = (1 << window) - 1
+        if len(buckets) % digits:
+            raise StoreError(
+                "corrupt bucket blob for session %s: %d buckets is not"
+                " a whole number of %d-digit planes"
+                % (session_id.hex(), len(buckets), digits)
+            )
+        return buckets
 
     def delete_session(self, session_id: bytes) -> None:
         """Drop a journal entry (eviction, discard, or completion)."""

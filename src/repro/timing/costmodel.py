@@ -26,9 +26,9 @@ which the live benches use to sanity-check the model's op-cost ratios.
 
 The calibration is *kernel-aware*: by default it charges the server's
 ``WEIGHTED_STEP`` at the per-ciphertext cost of the deployed server's
-fold (one digit-plane bucket insert, :func:`repro.crypto.multiexp.
-plane_insert`, plus its share of the closing
-:func:`~repro.crypto.multiexp.multi_exponent`) and ``PRECOMPUTE`` at
+fold (the steps of the database's precompiled Bos–Coster programs,
+:class:`repro.crypto.multiexp.FoldProgram`, one per block of
+:data:`~repro.crypto.multiexp.FOLD_BLOCK` rows) and ``PRECOMPUTE`` at
 the fixed-base byte-digit table's per-obfuscator cost — the code paths
 the measured protocols actually take.  Pass ``use_kernels=False`` to fit
 the naive square-and-multiply costs instead (the paper-era baseline,
@@ -40,7 +40,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, Mapping, Optional
 
 from repro.exceptions import CalibrationError, ParameterError
 
@@ -171,8 +171,8 @@ class _ProfilePresets:
 profiles = _ProfilePresets()
 
 
-#: database size the calibrated server step spreads one query's closing
-#: multiexp over (the paper's n)
+#: database size the calibrated server step folds one query over (the
+#: paper's n): four block programs, the last one shorter
 _FOLD_ELEMENTS = 1000
 
 
@@ -198,21 +198,15 @@ def calibrate_profile(
     :meth:`~repro.crypto.paillier.PaillierPrivateKey.encrypt_raw_crt`,
     which is what :class:`~repro.spfe.session.ClientSession` runs;
     without kernels it is the textbook ``encrypt_raw``.  The server
-    step is one digit-plane bucket insert per element plus the closing
-    multiexp over the buckets, which a query pays once and is spread
-    over the paper's n = 1000 elements; the obfuscator is a fixed-base
-    table lookup.  The fixed-base tables (the encryption sampler's and
-    the obfuscator's) are one-time per-key costs, built before the
-    timed loops and excluded, like key generation, from the per-op
+    step is a query's run of the fold programs of an n = 1000 database
+    of random 32-bit values, spread over its elements; the obfuscator is
+    a fixed-base table lookup.  The programs (compiled once per
+    database) and the fixed-base tables (the encryption sampler's and
+    the obfuscator's, once per key) are one-time costs, built before
+    the timed loops and excluded, like key generation, from the per-op
     figures.
     """
-    from repro.crypto.multiexp import (
-        PLANE_WINDOW,
-        FixedBaseTable,
-        multi_exponent,
-        plane_insert,
-        plane_terms,
-    )
+    from repro.crypto.multiexp import FOLD_BLOCK, FixedBaseTable, fold_plan
     from repro.crypto.paillier import generate_keypair
     from repro.crypto.rng import DeterministicRandom
 
@@ -242,20 +236,22 @@ def calibrate_profile(
         table = FixedBaseTable(pow(h, pk.n, pk.nsquare), pk.nsquare, pk.bits)
         exps = [rng.randrange(1, table.capacity) for _ in range(iterations)]
         t_precompute = measure(lambda i: table.pow(exps[i]))
-        # Server step, timed the way ServerSession folds: a bucket
-        # insert per element, then the closing multiexp once per query
-        # at the plane width.  A full query's worth of random 32-bit
-        # weights fills the buckets the way the deployed close sees
-        # them, so the close is charged what it costs there.
+        # Server step, timed the way ServerSession folds: each block's
+        # program runs on its ciphertexts and its product is multiplied
+        # into the aggregate.  Program length depends on the weights,
+        # so a full query's worth of random 32-bit weights is folded.
         batch = [ciphertexts[i % iterations] for i in range(_FOLD_ELEMENTS)]
-        weights = [rng.randrange(1, 1 << 32) for _ in batch]
-        buckets: List[int] = []
+        plan = fold_plan([rng.randrange(1, 1 << 32) for _ in batch])
+        aggregate = 1
         start = clock()
-        plane_insert(buckets, batch, weights, pk.nsquare)
-        t_insert = (clock() - start) / len(batch)
-        start = clock()
-        multi_exponent(*plane_terms(buckets), pk.nsquare, window=PLANE_WINDOW)
-        t_step = t_insert + (clock() - start) / _FOLD_ELEMENTS
+        for block, program in enumerate(plan):
+            first = block * FOLD_BLOCK
+            aggregate = (
+                aggregate
+                * program.run(batch[first : first + FOLD_BLOCK], pk.nsquare)
+                % pk.nsquare
+            )
+        t_step = (clock() - start) / _FOLD_ELEMENTS
     else:
         t_encrypt = measure(lambda i: pk.encrypt_raw(i, rng))
         t_precompute = measure(lambda i: pk.obfuscator(rng))

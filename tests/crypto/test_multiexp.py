@@ -7,9 +7,8 @@ does), ``FixedBaseTable.pow`` against ``pow(base, x, modulus)``.  The
 hypothesis suites here drive both across random batches — including the
 zero/one-weight fast paths, negative encoded scalars, and the
 ``initial`` accumulator argument — at tiny moduli where thousands of
-examples are cheap.  The digit-plane accumulator (``plane_insert`` /
-``plane_terms``) must match both, however its batches are split and
-across a journal round trip of its buckets.
+examples are cheap.  The server's fixed-exponent fold programs
+(``FoldProgram`` / ``fold_plan``) must match both, on any exponents.
 """
 
 import math
@@ -18,18 +17,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.multiexp import (
-    PLANE_DIGITS,
-    PLANE_WINDOW,
+    FOLD_BLOCK,
     FixedBaseTable,
+    FoldProgram,
+    fold_plan,
     multi_exponent,
-    plane_insert,
-    plane_terms,
     select_window,
 )
 from repro.crypto.paillier import generate_keypair
 from repro.crypto.rng import DeterministicRandom
 from repro.exceptions import ParameterError
-from repro.store.state import SessionRecord, StateStore
 
 
 def naive_product(bases, exponents, modulus, initial=None):
@@ -161,93 +158,120 @@ weights = st.one_of(
 )
 
 
-def journal_round_trip(buckets, public_n, received, chunks_received):
-    """Buckets as a restarted server reads them back from the journal."""
-    with StateStore(":memory:") as store:
-        store.save_session(
-            SessionRecord(
-                session_id=b"p" * 16,
-                key_bits=public_n.bit_length(),
-                chunk_size=1,
-                public_n=public_n,
-                aggregate=1,
-                received=received,
-                chunks_received=chunks_received,
-                done=False,
-                buckets=tuple(buckets),
+# Exponents as the fold sees them: zeros, repeats, 32-bit database
+# values and wider ones; 2**40 beside small values forces quotients
+# above 1, which random 32-bit values almost never do.
+fold_exponents = st.one_of(
+    st.sampled_from([0, 1, 3, 2**40, WEIGHT_MAX, (1 << 64) - 1]),
+    weights,
+    st.integers(0, (1 << 64) - 1),
+)
+
+
+def run_plan(plan, bases, modulus):
+    """The product of every block program's run, as the server folds."""
+    acc = 1
+    for block, program in enumerate(plan):
+        first = block * FOLD_BLOCK
+        acc = acc * program.run(bases[first : first + FOLD_BLOCK], modulus) % modulus
+    return acc
+
+
+class TestFoldProgram:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_agrees_with_multi_exponent_and_naive_loop(self, data):
+        modulus = data.draw(moduli)
+        count = data.draw(st.integers(0, 300))
+        exponents = data.draw(
+            st.one_of(
+                st.lists(fold_exponents, min_size=count, max_size=count),
+                # a small pool forces repeated exponents
+                st.lists(
+                    st.sampled_from([0, 5, 2**40, WEIGHT_MAX]),
+                    min_size=count,
+                    max_size=count,
+                ),
             )
         )
-        return list(store.load_session(b"p" * 16).buckets)
-
-
-class TestDigitPlanes:
-    @settings(max_examples=80, deadline=None)
-    @given(st.data())
-    def test_chunked_folds_with_a_journal_restore(self, data):
-        # n plays the Paillier modulus; the buckets live mod n^2.
-        public_n = data.draw(st.integers(3, 1 << 48).map(lambda v: v | 1))
-        modulus = public_n * public_n
-        count = data.draw(st.integers(0, 30))
+        # A common factor leaves the last row standing with that factor
+        # as its exponent (the programs run Euclid's algorithm).
+        scale = data.draw(st.sampled_from([1, 6, 2**33]))
+        exponents = [scale * e for e in exponents]
         bases = data.draw(
-            st.lists(st.integers(1, modulus - 1), min_size=count, max_size=count)
+            st.lists(st.integers(0, modulus - 1), min_size=count, max_size=count)
         )
-        exponents = data.draw(st.lists(weights, min_size=count, max_size=count))
-        cuts = sorted(data.draw(st.sets(st.integers(0, count), max_size=6)))
-        bounds = [0] + cuts + [count]
-        chunks = list(zip(bounds, bounds[1:]))
-        restore_at = data.draw(st.integers(0, len(chunks)))
+        plan = fold_plan(exponents)
+        assert [p.rows for p in plan] == [
+            min(FOLD_BLOCK, count - first) for first in range(0, count, FOLD_BLOCK)
+        ]
+        folded = run_plan(plan, bases, modulus)
+        assert folded == naive_product(bases, exponents, modulus)
+        assert folded == multi_exponent(bases, exponents, modulus)
 
-        buckets = []
-        for index, (start, stop) in enumerate(chunks):
-            if index == restore_at:
-                buckets = journal_round_trip(buckets, public_n, start, index)
-            plane_insert(buckets, bases[start:stop], exponents[start:stop], modulus)
-        if restore_at == len(chunks):
-            buckets = journal_round_trip(buckets, public_n, count, len(chunks))
-
-        closed = multi_exponent(*plane_terms(buckets), modulus)
-        assert closed == naive_product(bases, exponents, modulus)
-        assert closed == multi_exponent(bases, exponents, modulus)
-
-    def test_planes_cover_each_nonzero_digit(self):
-        two_planes = (2 << PLANE_WINDOW) | 1  # digit 1, then digit 2
-        buckets = []
-        plane_insert(buckets, [3, 5, 7], [two_planes, 0x1, 0x0], 1009)
-        assert len(buckets) == 2 * PLANE_DIGITS
-        assert buckets[0] == 3 * 5 % 1009  # digit 1 of plane 0
-        assert buckets[PLANE_DIGITS + 1] == 3  # digit 2 of plane 1
-        assert plane_terms(buckets) == ([15, 3], [1, 2 << PLANE_WINDOW])
-
-    def test_exponents_wider_than_32_bits_grow_planes(self):
-        buckets = []
-        plane_insert(buckets, [2], [1 << 40], 10007)
-        plane_insert(buckets, [3], [5], 10007)
-        planes = -(-41 // PLANE_WINDOW)  # 1 << 40 is 41 bits wide
-        assert len(buckets) == planes * PLANE_DIGITS
-        assert multi_exponent(*plane_terms(buckets), 10007) == (
-            pow(2, 1 << 40, 10007) * 3**5 % 10007
+    @pytest.mark.parametrize(
+        "exponents",
+        [
+            [],
+            [0, 0, 0],
+            [0, 12345, 0],  # one nonzero row: the survivor's power alone
+            [2**40, 3],  # quotient 2**40 // 3, then the survivor
+            [3, 2**40],
+            [7, 7, 7, 7],
+            [(1 << 64) - 1, 1, (1 << 63) + 5],
+        ],
+        ids=[
+            "empty",
+            "all-zero",
+            "one-nonzero",
+            "quotient-above-one",
+            "quotient-above-one-reversed",
+            "repeated",
+            "64-bit",
+        ],
+    )
+    def test_edge_cases(self, exponents):
+        modulus = 1_000_003
+        bases = [2 + 17 * i for i in range(len(exponents))]
+        program = FoldProgram(exponents)
+        assert program.run(bases, modulus) == naive_product(
+            bases, exponents, modulus
         )
 
-    def test_plane_terms_read_buckets_laid_out_at_another_window(self):
-        # Two 4-bit planes, as a journal row from an older release holds.
-        buckets = [1] * 30
-        buckets[0] = 3  # digit 1 of plane 0
-        buckets[15 + 1] = 5  # digit 2 of plane 1
-        assert plane_terms(buckets, 4) == ([3, 5], [1, 2 << 4])
-        assert multi_exponent(*plane_terms(buckets, 4), 1009, window=4) == (
-            3 * pow(5, 2 << 4, 1009) % 1009
+    def test_steps_follow_bos_coster(self):
+        # (exponent@row): 9@0 6@1 4@2 -> reg1 *= reg0, 9 -> 3
+        # 6@1 4@2 3@0 -> reg2 *= reg1, 6 -> 2
+        # 4@2 3@0 2@1 -> reg0 *= reg2, 4 -> 1
+        # 3@0 2@1 1@2 -> reg1 *= reg0, 3 -> 1
+        # 2@1 1@0 1@2 -> reg0 *= reg1^2 (ties go to the lower row), 2 -> 0
+        # 1@0 1@2     -> reg2 *= reg0, 1 -> 0; reg2 survives, exponent 1
+        program = FoldProgram([9, 6, 4])
+        assert list(program._dst) == [1, 2, 0, 1, 0, 2]
+        assert list(program._src) == [0, 1, 2, 0, 1, 0]
+        assert program._quotients == ((4, 2),)
+        assert (program._survivor, program._exponent) == (2, 1)
+        assert program.run([2, 3, 5], 10**9 + 7) == (
+            2**9 * 3**6 * 5**4 % (10**9 + 7)
         )
+        assert repr(program) == "FoldProgram(rows=3, steps=6)"
+
+    def test_random_32_bit_blocks_cost_about_5_2_per_element(self):
+        rng = DeterministicRandom("fold-cost")
+        exponents = [rng.randrange(1, 1 << 32) for _ in range(1000)]
+        steps = sum(p.steps for p in fold_plan(exponents))
+        assert 4.8 < steps / 1000 < 5.6
 
     def test_empty_and_invalid_input(self):
-        buckets = []
-        plane_insert(buckets, [], [], 101)
-        assert buckets == [] and plane_terms(buckets) == ([], [])
+        assert fold_plan([]) == ()
+        assert FoldProgram([]).run([], 101) == 1
         with pytest.raises(ParameterError):
-            plane_insert(buckets, [2], [-1], 101)
+            FoldProgram([2, -1])
         with pytest.raises(ParameterError):
-            plane_insert(buckets, [2, 3], [1], 101)
+            FoldProgram([1] * (FOLD_BLOCK + 1))
         with pytest.raises(ParameterError):
-            plane_insert(buckets, [2], [1], 1)
+            FoldProgram([2, 3]).run([5], 101)
+        with pytest.raises(ParameterError):
+            FoldProgram([2, 3]).run([5, 7], 1)
 
 
 class TestSelectWindow:

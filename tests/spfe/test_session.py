@@ -149,6 +149,127 @@ class TestInMemory:
         assert value == database.select_sum(bits)
 
 
+FOLD_KEY_BITS = 128
+
+
+@pytest.fixture(scope="module")
+def fold_keypair():
+    return generate_keypair(FOLD_KEY_BITS, DeterministicRandom("block-fold"))
+
+
+def fold_case(keypair, rows):
+    """A database of ``rows`` 32-bit values (zeros and repeats
+    included), one ciphertext per row and the RESULT payload the fold
+    must send: ``prod c_i^(x_i) mod n^2``, computed naively."""
+    rng = DeterministicRandom("block-fold-%d" % rows)
+    values = [
+        [0, 1, 7, (1 << 32) - 1, rng.randrange(0, 1 << 32)][rng.randrange(0, 5)]
+        for _ in range(rows)
+    ]
+    ciphertexts = [
+        keypair.private.encrypt_raw_crt(rng.randrange(0, 2), rng)
+        for _ in range(rows)
+    ]
+    nsquare = keypair.public.nsquare
+    expected = 1
+    for ct, value in zip(ciphertexts, values):
+        expected = expected * pow(ct, value, nsquare) % nsquare
+    payload = expected.to_bytes(2 * FOLD_KEY_BITS // 8, "big")
+    return ServerDatabase(values), ciphertexts, payload
+
+
+def fold_frames(keypair, ciphertexts, chunk_size, session_id=b"f" * 16):
+    """HELLO, PUBLIC_KEY and the chunk frames of a client stream."""
+    hello = codec.encode_hello(
+        FOLD_KEY_BITS, len(ciphertexts), chunk_size, session_id
+    )
+    key = codec.encode_public_key(keypair.public.n, FOLD_KEY_BITS)
+    chunks = [
+        codec.encode_ciphertext_chunk(
+            ciphertexts[start : start + chunk_size], FOLD_KEY_BITS, index
+        )
+        for index, start in enumerate(range(0, len(ciphertexts), chunk_size))
+    ]
+    return [hello, key] + chunks
+
+
+def result_of(replies):
+    decoder = codec.FrameDecoder()
+    decoder.feed(replies)
+    (frame,) = decoder.frames()
+    assert frame.frame_type == FrameType.RESULT
+    return frame.payload
+
+
+class TestBlockFold:
+    """The server folds each block of database rows with its compiled
+    program once the block is complete; the RESULT is the naive
+    product whatever the chunk size, read split or resume point."""
+
+    @pytest.mark.parametrize("rows", [1, 100, 257, 1000])
+    def test_result_is_the_naive_product_at_every_chunk_size(
+        self, fold_keypair, rows
+    ):
+        database, ciphertexts, expected = fold_case(fold_keypair, rows)
+        for chunk_size in (1, 7, 64, 255, 256, 257, 1000):
+            frames = fold_frames(fold_keypair, ciphertexts, chunk_size)
+            server = ServerSession(database)
+            replies = b"".join(server.receive_bytes(f) for f in frames)
+            assert result_of(replies) == expected, chunk_size
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_any_split_into_reads_gives_the_naive_product(
+        self, fold_keypair, data
+    ):
+        rows = data.draw(st.sampled_from([100, 257, 600]))
+        chunk_size = data.draw(st.sampled_from([1, 7, 64, 255, 256, 257]))
+        database, ciphertexts, expected = fold_case(fold_keypair, rows)
+        stream = b"".join(fold_frames(fold_keypair, ciphertexts, chunk_size))
+        cuts = sorted(
+            data.draw(st.sets(st.integers(1, len(stream) - 1), max_size=10))
+        )
+        server = ServerSession(database)
+        replies = b"".join(
+            server.receive_bytes(stream[start:stop])
+            for start, stop in zip([0] + cuts, cuts + [len(stream)])
+        )
+        assert result_of(replies) == expected
+
+    @pytest.mark.parametrize("chunk_size", [7, 64, 100])
+    def test_resume_from_the_journal_at_every_chunk_boundary(
+        self, fold_keypair, chunk_size
+    ):
+        """A server restarted after any number of chunks (mid-block
+        included) resumes from its journal row, pending block and all."""
+        from repro.store.state import StateStore
+
+        database, ciphertexts, expected = fold_case(fold_keypair, 600)
+        hello, key, *chunks = fold_frames(fold_keypair, ciphertexts, chunk_size)
+        for cut in range(len(chunks) + 1):
+            with StateStore(":memory:") as store:
+                first = ServerSession(
+                    database, registry=SessionRegistry(store=store)
+                )
+                replies = first.receive_bytes(hello + key + b"".join(chunks[:cut]))
+                # the restart: a new registry over the same journal
+                second = ServerSession(
+                    database, registry=SessionRegistry(store=store)
+                )
+                reply = second.receive_bytes(codec.encode_resume(b"f" * 16))
+                decoder = codec.FrameDecoder()
+                decoder.feed(reply)
+                ack = next(decoder.frames())
+                assert codec.decode_ack(ack.payload) == cut
+                if cut < len(chunks):
+                    assert replies == b""
+                    replies = second.receive_bytes(b"".join(chunks[cut:]))
+                    assert second.finished
+                else:
+                    replies = reply[len(reply) - len(replies) :]
+            assert result_of(replies) == expected, cut
+
+
 class TestOverRealSockets:
     def test_socketpair_with_fragmented_reads(self, workload_bytes):
         database, selection = workload_bytes
@@ -234,6 +355,31 @@ class TestValidationAndErrors:
         )
         with pytest.raises(KeyMismatchError):
             ClientSession([1, 0, 1], key_bits=128, keypair=mixed)
+
+    @pytest.mark.parametrize(
+        "modulus, refused",
+        [((1 << 55) | 1, True), ((1 << 62) | 1, False)],
+        ids=["56-bit", "63-bit"],
+    )
+    def test_server_refuses_modulus_below_the_worst_case_sum(
+        self, modulus, refused
+    ):
+        """HELLO announces 64 bits, which the worst case (~2^61) fits;
+        a 56-bit modulus passes the key checks but would wrap the sum,
+        so the key frame is refused before anything is folded."""
+        database = ServerDatabase([5, 6], value_bits=60)
+        server = ServerSession(database)
+        hello = codec.encode_hello(64, 2, 2, b"w" * 16)
+        assert server.receive_bytes(hello) == b""
+        reply = server.receive_bytes(codec.encode_public_key(modulus, 64))
+        assert server.errored is refused
+        if refused:
+            decoder = codec.FrameDecoder()
+            decoder.feed(reply)
+            (frame,) = decoder.frames()
+            assert frame.frame_type == FrameType.ERROR
+            assert type(server.last_error) is ProtocolError
+            assert "worst-case sum" in str(server.last_error)
 
     def test_client_accepts_one_bit_short_key(self):
         """generate_keypair(512) returns a 511-bit modulus about half the
@@ -546,10 +692,10 @@ class TestRegistryByteBudget:
 
         assert registry.resident_bytes == resume_state_bytes(128)
 
-    def test_in_progress_sessions_account_their_buckets(self, workload_bytes):
-        """Buckets cost registry bytes while a session is in progress
-        and are released once they collapse into the aggregate."""
-        from repro.crypto.multiexp import PLANE_DIGITS, PLANE_WINDOW
+    def test_in_progress_sessions_account_pending_block(self, workload_bytes):
+        """The pending ciphertexts of the incomplete fold block cost
+        registry bytes while a session is in progress and are released
+        once the last block folds into the aggregate."""
         from repro.spfe.validation import resume_state_bytes
 
         database, selection = workload_bytes
@@ -563,31 +709,29 @@ class TestRegistryByteBudget:
 
         server.receive_bytes(frames[2])
         (state,) = registry._states.values()
-        planes = -(-database.value_bits // PLANE_WINDOW)
-        assert len(state.buckets) == planes * PLANE_DIGITS
-        bucket_bytes = len(state.buckets) * (2 * 128 // 8)
-        assert state.resident_bytes == resume_state_bytes(128) + bucket_bytes
+        assert len(state.pending) == 20  # 60 rows: one block, incomplete
+        pending_bytes = len(state.pending) * (2 * 128 // 8)
+        assert state.resident_bytes == resume_state_bytes(128) + pending_bytes
         assert registry.resident_bytes == state.resident_bytes
 
         for data in frames[3:]:
             client.receive_bytes(server.receive_bytes(data))
         assert client.result == database.select_sum(selection)
         (state,) = registry._states.values()
-        assert state.done and state.buckets is None
+        assert state.done and state.pending == []
         assert registry.resident_bytes == resume_state_bytes(128)
 
     def test_default_budget_holds_the_count_bound_at_max_key_bits(self):
-        """Wider digit planes grow every in-progress session; the default
-        byte budget must still not evict before the count bound does."""
-        from repro.crypto.multiexp import PLANE_DIGITS, PLANE_WINDOW
-        from repro.datastore.database import VALUE_BITS
+        """Every in-progress session may hold a fold block's worth of
+        pending ciphertexts less one; the default byte budget must
+        still not evict before the count bound does."""
+        from repro.crypto.multiexp import FOLD_BLOCK
         from repro.spfe.validation import ServerPolicy, resume_state_bytes
 
         policy = ServerPolicy()
-        slots = -(-VALUE_BITS // PLANE_WINDOW) * PLANE_DIGITS
-        per_session = resume_state_bytes(policy.max_key_bits) + slots * (
-            2 * policy.max_key_bits // 8
-        )
+        per_session = resume_state_bytes(policy.max_key_bits) + (
+            FOLD_BLOCK - 1
+        ) * (2 * policy.max_key_bits // 8)
         assert policy.max_registry_sessions * per_session <= (
             policy.max_registry_bytes
         )

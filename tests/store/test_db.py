@@ -97,7 +97,6 @@ def test_v1_store_upgrades_in_place_and_keeps_data(tmp_path):
             chunks_received=2,
             done=False,
             touched_at=0.0,  # the v2 default for pre-v2 rows
-            plane_window=4,  # the v6 default for pre-v6 rows
         )
         # and the store is fully writable at the new schema
         store.save_session(record)
@@ -171,34 +170,40 @@ def test_v2_store_upgrades_to_latest_without_calibration(tmp_path):
     StateStore(path).close()
     conn = sqlite3.connect(path)
     try:
-        assert schema_version(conn) == SCHEMA_VERSION == 7
+        assert schema_version(conn) == SCHEMA_VERSION == 8
         assert "calibration" not in _table_names(conn)
         applied = conn.execute(
             "SELECT version FROM dbversion ORDER BY version"
         ).fetchall()
-        assert [row[0] for row in applied] == [1, 2, 3, 4, 5, 6, 7]
+        assert [row[0] for row in applied] == [1, 2, 3, 4, 5, 6, 7, 8]
     finally:
         conn.close()
 
 
 def test_v4_store_drops_calibration_and_keeps_data(tmp_path, monkeypatch):
     """A v4 store with a calibration row and an in-progress session of
-    4-bit buckets opens under current code intact."""
+    4-bit buckets opens under current code intact, the buckets closed
+    into the session's aggregate."""
     import repro.store.state as state_module
 
     path = str(tmp_path / "v4.sqlite")
+    from repro.crypto.multiexp import multi_exponent
+
+    public_n = 0xABCDEF
+    nsquare = public_n * public_n
+    buckets = tuple(range(1, 2 * 15 + 1))  # two 4-bit planes
+    # slot p * 15 + d - 1 stands for bucket^(d * 16^p)
+    exponents = [(slot % 15 + 1) << (4 * (slot // 15)) for slot in range(30)]
     record = SessionRecord(
         session_id=b"J" * 16,
         key_bits=128,
         chunk_size=8,
-        public_n=0xABCDEF,
-        aggregate=12345,
+        public_n=public_n,
+        aggregate=12345 * multi_exponent(buckets, exponents, nsquare) % nsquare,
         received=16,
         chunks_received=2,
         done=False,
         touched_at=1.5,
-        buckets=tuple(range(1, 2 * 15 + 1)),  # two 4-bit planes
-        plane_window=4,
     )
     database = ServerDatabase([7, 0, 65535, 42], value_bits=16)
     # write through the real store code, held at the v4 schema; the
@@ -221,12 +226,12 @@ def test_v4_store_drops_calibration_and_keeps_data(tmp_path, monkeypatch):
             record.key_bits,
             record.chunk_size,
             encode_int(record.public_n, 3),
-            encode_int(record.aggregate, 2),
+            encode_int(12345, 2),
             record.received,
             record.chunks_received,
             0,
             record.touched_at,
-            encode_int_seq(record.buckets, 2 * record.key_bits // 8),
+            encode_int_seq(buckets, 2 * record.key_bits // 8),
         ),
     )
     conn.execute(

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.multiexp import PLANE_WINDOW, multi_exponent
+from repro.crypto.multiexp import multi_exponent
 from repro.crypto.rng import DeterministicRandom
 from repro.crypto.serialization import encode_int, encode_int_seq
 from repro.datastore.database import ServerDatabase
@@ -231,7 +231,7 @@ def test_v3_row_without_buckets_resumes_to_the_exact_sum(store_path):
     conn.close()
 
     with StateStore(store_path) as store:
-        assert store.load_session(client.session_id).buckets is None
+        assert store.load_session(client.session_id).pending == ()
         server = ServerSession(DB, registry=SessionRegistry(store=store))
         client.receive_bytes(server.receive_bytes(client.resume_request()))
         assert client.resume_ready
@@ -351,19 +351,21 @@ def test_crash_at_a_read_boundary_resumes_from_the_last_commit(store_path):
     assert client.encryptions == len(LONG_SELECTION)
 
 
-def four_bit_buckets(bases, exponents, modulus):
-    """The digit-plane buckets a v4/v5 server journalled: 4-bit digits,
-    15 slots per plane, planes grown to fit the widest exponent."""
+def plane_buckets(bases, exponents, modulus, window):
+    """The digit-plane buckets a v4-v7 server journalled: ``window``-bit
+    digits, ``2^window - 1`` slots per plane, planes grown to fit the
+    widest exponent."""
+    digits = (1 << window) - 1
     width = max(e.bit_length() for e in exponents)
-    buckets = [1] * (-(-width // 4) * 15)
+    buckets = [1] * (-(-width // window) * digits)
     for base, exponent in zip(bases, exponents):
         slot = -1
         while exponent:
-            digit = exponent & 15
+            digit = exponent & digits
             if digit:
                 buckets[slot + digit] = buckets[slot + digit] * base % modulus
-            exponent >>= 4
-            slot += 15
+            exponent >>= window
+            slot += digits
     return buckets
 
 
@@ -377,7 +379,7 @@ def test_v5_row_with_4bit_buckets_resumes_under_v6(store_path):
     folded = 3
     cts = [ct for frame in chunks[:folded] for ct in chunk_ciphertexts(frame)]
     nsquare = client.public_key.nsquare
-    buckets = four_bit_buckets(cts, list(LONG_DB.values[: len(cts)]), nsquare)
+    buckets = plane_buckets(cts, list(LONG_DB.values[: len(cts)]), nsquare, 4)
     assert len(buckets) == 2 * 15  # 8-bit values: two 4-bit planes
 
     conn = open_store_db(store_path, migrations=MIGRATIONS[:5])
@@ -404,7 +406,10 @@ def test_v5_row_with_4bit_buckets_resumes_under_v6(store_path):
 
     with StateStore(store_path) as store:
         row = store.load_session(client.session_id)
-        assert row.plane_window == 4 and list(row.buckets) == buckets
+        # the buckets are closed into the aggregate as the row is read
+        assert row.pending == () and row.aggregate == multi_exponent(
+            cts, list(LONG_DB.values[: len(cts)]), nsquare
+        )
         server = ServerSession(LONG_DB, registry=SessionRegistry(store=store))
         reply = server.receive_bytes(client.resume_request())
         (ack,) = decode_frames(reply)
@@ -412,7 +417,7 @@ def test_v5_row_with_4bit_buckets_resumes_under_v6(store_path):
         assert codec.decode_ack(ack.payload) == folded
         client.receive_bytes(reply)
         replies = server.receive_bytes(b"".join(client.resume_bytes()))
-        assert store.load_session(client.session_id).plane_window == PLANE_WINDOW
+        assert store.load_session(client.session_id).done
     assert result_payload(replies) == uncrashed_result([hello, key] + chunks)
     client.receive_bytes(replies)
     assert client.result == LONG_DB.select_sum(LONG_SELECTION)
@@ -436,29 +441,63 @@ def _table_names(path):
         conn.close()
 
 
+def insert_bucket_row(store_path, client, folded, window, database=LONG_DB):
+    """Journal ``client``'s session after ``folded`` chunks the way a
+    v4-v7 server did: ``window``-bit buckets, an aggregate of 1."""
+    cts = []
+    for frame in list(client.initial_bytes())[2 : 2 + folded]:
+        cts.extend(chunk_ciphertexts(frame))
+    exponents = list(database.values[: len(cts)])
+    buckets = plane_buckets(cts, exponents, client.public_key.nsquare, window)
+    conn = sqlite3.connect(store_path)
+    try:
+        with conn:
+            conn.execute(
+                "INSERT INTO sessions (session_id, key_bits, chunk_size,"
+                " public_n, aggregate, received, chunks_received, done,"
+                " touched_at, buckets, plane_window)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                (
+                    client.session_id,
+                    KEY_BITS,
+                    client.chunk_size,
+                    encode_int(client.public_key.n, KEY_BITS // 8),
+                    b"\x01",
+                    len(cts),
+                    folded,
+                    0,
+                    1.0,
+                    encode_int_seq(buckets, 2 * KEY_BITS // 8),
+                    window,
+                ),
+            )
+    finally:
+        conn.close()
+
+
 def test_v6_store_drops_precomputation_caches_and_keeps_data(
     store_path, monkeypatch
 ):
     """A v6 store holding a fixed-base table row, an obfuscator-pool row,
-    an in-progress 5-bit session and a named database opens under v7:
-    both cache tables are dropped, the session resumes to the exact sum
-    and the database loads."""
+    an in-progress 5-bit session and a named database opens under the
+    current schema: both cache tables are dropped, the session resumes
+    to the exact sum and the database loads."""
     import repro.store.state as state_module
 
     client = long_client("v6-store")
     hello, key, *chunks = list(client.initial_bytes())
     folded = 3
-    # write through the real store code, held at the v6 schema
+    # the database goes in through the real store code, held at the v6
+    # schema; the session row as a v6 server wrote it, 5-bit buckets
     monkeypatch.setattr(
         state_module,
         "open_store_db",
         lambda p: open_store_db(p, migrations=MIGRATIONS[:6]),
     )
     with StateStore(store_path) as store:
-        server = ServerSession(LONG_DB, registry=SessionRegistry(store=store))
-        assert server.receive_bytes(hello + key + b"".join(chunks[:folded])) == b""
         store.save_database("named", LONG_DB)
     monkeypatch.undo()
+    insert_bucket_row(store_path, client, folded, 5)
     conn = sqlite3.connect(store_path)
     conn.execute(
         "INSERT INTO fixed_base_tables (fingerprint, label, base, modulus,"
@@ -476,7 +515,7 @@ def test_v6_store_drops_precomputation_caches_and_keeps_data(
 
     with StateStore(store_path) as store:
         row = store.load_session(client.session_id)
-        assert row.plane_window == 5 and not row.done
+        assert row.pending == () and not row.done
         assert row.chunks_received == folded
         assert store.load_database("named") == LONG_DB
         server = ServerSession(LONG_DB, registry=SessionRegistry(store=store))
@@ -491,9 +530,56 @@ def test_v6_store_drops_precomputation_caches_and_keeps_data(
     assert not {"fixed_base_tables", "zero_pools"} & _table_names(store_path)
     conn = sqlite3.connect(store_path)
     try:
-        assert schema_version(conn) == SCHEMA_VERSION == 7
+        assert schema_version(conn) == SCHEMA_VERSION == 8
     finally:
         conn.close()
+
+
+WIDE_DB = ServerDatabase(
+    [(2654435761 * i + 12345) % (1 << 32) for i in range(300)]
+)
+WIDE_SELECTION = [i % 2 for i in range(300)]
+
+
+def test_v7_row_with_buckets_resumes_mid_block_under_v8(store_path):
+    """A session a v7 server journalled after 100 of 300 rows holds
+    5-bit buckets.  Under v8 they close into the aggregate, the rest of
+    the first fold block (rows 100-255) folds with a program compiled
+    for that range, and the RESULT is the one an uninterrupted server
+    sends: ``prod c_i^(x_i) mod n^2``."""
+    client = ClientSession(
+        WIDE_SELECTION, key_bits=KEY_BITS, chunk_size=CHUNK,
+        rng=DeterministicRandom("v7-row"),
+    )
+    hello, key, *chunks = list(client.initial_bytes())
+    folded = 25  # received = 100: mid-block
+    conn = open_store_db(store_path, migrations=MIGRATIONS[:7])
+    assert schema_version(conn) == 7
+    conn.close()
+    insert_bucket_row(store_path, client, folded, 5, database=WIDE_DB)
+
+    with StateStore(store_path) as store:
+        row = store.load_session(client.session_id)
+        assert (row.received, row.pending) == (100, ())
+        server = ServerSession(WIDE_DB, registry=SessionRegistry(store=store))
+        reply = server.receive_bytes(client.resume_request())
+        (ack,) = decode_frames(reply)
+        assert codec.decode_ack(ack.payload) == folded
+        client.receive_bytes(reply)
+        replies = b"".join(server.receive_bytes(f) for f in client.resume_bytes())
+
+    cts = [ct for frame in chunks for ct in chunk_ciphertexts(frame)]
+    nsquare = client.public_key.nsquare
+    expected = 1
+    for ct, value in zip(cts, WIDE_DB.values):
+        expected = expected * pow(ct, value, nsquare) % nsquare
+    assert result_payload(replies) == expected.to_bytes(2 * KEY_BITS // 8, "big")
+    uncrashed = ServerSession(WIDE_DB, registry=SessionRegistry())
+    assert result_payload(replies) == result_payload(
+        b"".join(uncrashed.receive_bytes(f) for f in [hello, key] + chunks)
+    )
+    client.receive_bytes(replies)
+    assert client.result == WIDE_DB.select_sum(WIDE_SELECTION)
 
 
 def test_corrupt_frame_after_valid_chunks_leaves_no_trace():
@@ -617,7 +703,7 @@ def test_concurrent_saves_keep_journal_and_memory_in_step():
         SessionRecord(
             session_id=ids[0], key_bits=KEY_BITS, chunk_size=CHUNK,
             public_n=make_client("stress").public_key.n, aggregate=1,
-            received=0, chunks_received=0, done=False, buckets=(),
+            received=0, chunks_received=0, done=False,
         )
     )
     switch = sys.getswitchinterval()

@@ -4,10 +4,10 @@ import threading
 
 import pytest
 
-from repro.crypto.multiexp import PLANE_DIGITS, PLANE_WINDOW
+from repro.crypto.multiexp import multi_exponent
 from repro.crypto.paillier import generate_keypair
 from repro.crypto.rng import DeterministicRandom
-from repro.crypto.serialization import encode_int_seq
+from repro.crypto.serialization import encode_int, encode_int_seq
 from repro.datastore.database import ServerDatabase
 from repro.exceptions import StoreError
 from repro.obs.registry import MetricsRegistry
@@ -82,58 +82,95 @@ def test_zero_aggregate_round_trips(store, keypair):
     assert store.load_session(b"Z" * 16).aggregate == 0
 
 
-def test_session_buckets_round_trip(store, keypair):
+def test_session_pending_round_trip(store, keypair):
     nsquare = keypair.public.nsquare
-    buckets = tuple(nsquare - 1 - i for i in range(2 * PLANE_DIGITS))
+    pending = tuple(nsquare - 1 - i for i in range(5))
     record = SessionRecord(
-        b"B" * 16, KEY_BITS, 4, keypair.public.n, 1, 8, 2, False,
-        buckets=buckets,
+        b"P" * 16, KEY_BITS, 4, keypair.public.n, 1, 8, 2, False,
+        pending=pending,
     )
     store.save_session(record)
-    assert store.load_session(b"B" * 16).buckets == buckets
-    # a finished session's buckets collapse: the upsert clears them
+    assert store.load_session(b"P" * 16).pending == pending
+    # a finished session has folded everything: the upsert clears them
     store.save_session(
-        SessionRecord(b"B" * 16, KEY_BITS, 4, keypair.public.n, 77, 9, 3, True)
+        SessionRecord(b"P" * 16, KEY_BITS, 4, keypair.public.n, 77, 9, 3, True)
     )
-    loaded = store.load_session(b"B" * 16)
-    assert loaded.buckets is None and loaded.aggregate == 77
-    # buckets are optional: in-progress rows without them still load
-    assert SessionRecord(b"x" * 16, KEY_BITS, 4, 5, 1, 0, 0, False).buckets is None
+    loaded = store.load_session(b"P" * 16)
+    assert loaded.pending == () and loaded.aggregate == 77
 
 
-def window_record(public_n, plane_window, slots):
-    return SessionRecord(
-        b"W" * 16, KEY_BITS, 4, public_n, 1, 4, 1, False,
-        touched_at=1.0,
-        buckets=tuple(range(2, 2 + slots)),
-        plane_window=plane_window,
-    )
+def insert_bucket_row(store, public_n, buckets_blob, window, aggregate=1):
+    """A session row as a v4-v7 server journalled it: digit-plane
+    buckets at ``window`` bits, and no pending column written."""
+    with store._conn as conn:
+        conn.execute(
+            "INSERT INTO sessions (session_id, key_bits, chunk_size,"
+            " public_n, aggregate, received, chunks_received, done,"
+            " touched_at, buckets, plane_window)"
+            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            (
+                b"W" * 16, KEY_BITS, 4,
+                encode_int(public_n, KEY_BITS // 8),
+                encode_int(aggregate, 2 * KEY_BITS // 8),
+                4, 1, 0, 1.0, buckets_blob, window,
+            ),
+        )
+
+
+def bucket_blob(slots):
+    return encode_int_seq(tuple(range(2, 2 + slots)), 2 * KEY_BITS // 8)
+
+
+def closed(aggregate, slots, window, nsquare):
+    """What :func:`bucket_blob`'s buckets close to: slot
+    ``p * (2^w - 1) + d - 1`` stands for ``bucket^(d * 2^(w p))``."""
+    digits = (1 << window) - 1
+    exponents = [
+        (slot % digits + 1) << (window * (slot // digits)) for slot in range(slots)
+    ]
+    bases = list(range(2, 2 + slots))
+    return aggregate * multi_exponent(bases, exponents, nsquare) % nsquare
+
+
+def test_session_buckets_round_trip(store, keypair):
+    """A row of 5-bit buckets, as a v6 or v7 server journalled it,
+    loads with its buckets closed into its aggregate and nothing
+    pending; the next upsert leaves no buckets to close twice."""
+    nsquare = keypair.public.nsquare
+    insert_bucket_row(store, keypair.public.n, bucket_blob(2 * 31), 5, 99)
+    loaded = store.load_session(b"W" * 16)
+    assert loaded.aggregate == closed(99, 2 * 31, 5, nsquare)
+    assert loaded.pending == ()
+    assert (loaded.received, loaded.chunks_received) == (4, 1)
+    store.save_session(loaded)
+    assert store.load_session(b"W" * 16) == loaded
 
 
 def test_buckets_of_an_older_window_round_trip(store, keypair):
-    record = window_record(keypair.public.n, 4, 2 * 15)  # two 4-bit planes
-    store.save_session(record)
-    assert store.load_session(b"W" * 16) == record
+    """A row of 4-bit buckets (schema v4-v5) closes at its own width."""
+    nsquare = keypair.public.nsquare
+    insert_bucket_row(store, keypair.public.n, bucket_blob(2 * 15), 4, 99)
+    loaded = store.load_session(b"W" * 16)
+    assert loaded.aggregate == closed(99, 2 * 15, 4, nsquare)
+    assert loaded.pending == ()
 
 
 @pytest.mark.parametrize(
     "plane_window, slots",
-    [(4, PLANE_DIGITS), (PLANE_WINDOW, 2 * 15)],
-    ids=["4-bit-row", "current-row"],
+    [(4, 31), (5, 2 * 15)],
+    ids=["4-bit-row", "5-bit-row"],
 )
 def test_bucket_blob_must_be_whole_planes_of_the_rows_window(
     store, keypair, plane_window, slots
 ):
-    store.save_session(window_record(keypair.public.n, plane_window, slots))
+    insert_bucket_row(store, keypair.public.n, bucket_blob(slots), plane_window)
     with pytest.raises(StoreError, match="whole number of"):
         store.load_session(b"W" * 16)
 
 
 @pytest.mark.parametrize("plane_window", [0, -3])
 def test_corrupt_plane_window_raises_store_error(store, keypair, plane_window):
-    store.save_session(window_record(keypair.public.n, PLANE_WINDOW, 0))
-    with store._conn as conn:
-        conn.execute("UPDATE sessions SET plane_window = ?", (plane_window,))
+    insert_bucket_row(store, keypair.public.n, bucket_blob(0), plane_window)
     with pytest.raises(StoreError, match="corrupt plane window"):
         store.load_session(b"W" * 16)
 
@@ -148,23 +185,37 @@ def test_corrupt_plane_window_raises_store_error(store, keypair, plane_window):
     ],
 )
 def test_corrupt_bucket_blob_raises_store_error(store, keypair, corrupt):
-    buckets = tuple(range(2, 2 + PLANE_DIGITS))
+    insert_bucket_row(store, keypair.public.n, corrupt(bucket_blob(31)), 5)
+    with pytest.raises(StoreError, match="corrupt bucket blob"):
+        store.load_session(b"W" * 16)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda blob: blob[:-1],  # truncated mid-ciphertext
+        lambda blob: blob[:2],  # shorter than the count prefix
+        # more ciphertexts pending than the row has received
+        lambda blob: encode_int_seq((2,) * 9, 2 * KEY_BITS // 8),
+    ],
+)
+def test_corrupt_pending_blob_raises_store_error(store, keypair, corrupt):
     store.save_session(
         SessionRecord(
-            b"C" * 16, KEY_BITS, 4, keypair.public.n, 1, 4, 1, False,
-            buckets=buckets,
+            b"C" * 16, KEY_BITS, 4, keypair.public.n, 1, 8, 2, False,
+            pending=(2, 3, 4),
         )
     )
     conn = store._conn
     (blob,) = conn.execute(
-        "SELECT buckets FROM sessions WHERE session_id = ?", (b"C" * 16,)
+        "SELECT pending FROM sessions WHERE session_id = ?", (b"C" * 16,)
     ).fetchone()
     with conn:
         conn.execute(
-            "UPDATE sessions SET buckets = ? WHERE session_id = ?",
+            "UPDATE sessions SET pending = ? WHERE session_id = ?",
             (corrupt(blob), b"C" * 16),
         )
-    with pytest.raises(StoreError, match="corrupt bucket blob"):
+    with pytest.raises(StoreError, match="corrupt pending blob"):
         store.load_session(b"C" * 16)
 
 

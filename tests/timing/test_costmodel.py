@@ -140,31 +140,41 @@ class TestCalibration:
         assert len(builds) == 2
         assert during == [0, 0, 0]
 
-    def test_fold_timed_over_a_full_query_closed_at_the_plane_width(
+    def test_fold_timed_over_a_full_query_of_block_programs(
         self, monkeypatch
     ):
-        """With kernels, Op.WEIGHTED_STEP inserts a query's worth of
-        weights and closes the buckets the way ServerSession does."""
+        """With kernels, Op.WEIGHTED_STEP runs the fold programs of a
+        query's worth of weights, block by block as ServerSession does,
+        and the compile stays outside the timed loop."""
         import repro.crypto.multiexp as multiexp
         from repro.timing.costmodel import _FOLD_ELEMENTS
 
-        inserted, windows = [], []
-        real_insert = multiexp.plane_insert
-        real_close = multiexp.multi_exponent
+        events = []
+        real_init = multiexp.FoldProgram.__init__
+        real_run = multiexp.FoldProgram.run
 
-        def counting_insert(buckets, bases, exponents, modulus):
-            inserted.append(len(bases))
-            return real_insert(buckets, bases, exponents, modulus)
+        def clock():
+            events.append("clock")
+            return float(len(events))
 
-        def recording_close(*args, **kwargs):
-            windows.append(kwargs.get("window"))
-            return real_close(*args, **kwargs)
+        def compiling(self, exponents):
+            events.append("compile")
+            real_init(self, exponents)
 
-        monkeypatch.setattr(multiexp, "plane_insert", counting_insert)
-        monkeypatch.setattr(multiexp, "multi_exponent", recording_close)
-        calibrate_profile(key_bits=64, iterations=3)
-        assert inserted == [_FOLD_ELEMENTS]
-        assert windows == [multiexp.PLANE_WINDOW]
+        def running(self, bases, modulus):
+            events.append(len(bases))
+            return real_run(self, bases, modulus)
+
+        monkeypatch.setattr(multiexp.FoldProgram, "__init__", compiling)
+        monkeypatch.setattr(multiexp.FoldProgram, "run", running)
+        calibrate_profile(key_bits=64, iterations=3, clock=clock)
+        blocks = -(-_FOLD_ELEMENTS // multiexp.FOLD_BLOCK)
+        first = events.index("compile")
+        assert events[first : first + blocks] == ["compile"] * blocks
+        start = events.index("clock", first)
+        runs = events[start + 1 : start + 1 + blocks]
+        assert sum(runs) == _FOLD_ELEMENTS and len(runs) == blocks
+        assert events[start + 1 + blocks] == "clock"
 
     def test_rejects_zero_iterations(self):
         from repro.exceptions import CalibrationError
