@@ -103,6 +103,11 @@ class SocketTransport(Transport):
     a silent peer raises :class:`~repro.exceptions.TransportTimeout`
     instead of hanging the caller forever — the failure mode the
     original TCP example had.
+
+    A TCP socket gets ``TCP_NODELAY``: every :meth:`send` is a whole
+    frame, and the server answers only at ``RESULT``, so under Nagle's
+    algorithm each small chunk frame would wait for a delayed ACK of
+    the one before it.
     """
 
     def __init__(
@@ -113,6 +118,8 @@ class SocketTransport(Transport):
         self._closed = False
         self.read_timeout = read_timeout
         sock.settimeout(read_timeout)
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     @classmethod
     def connect(

@@ -19,7 +19,9 @@ from repro.net.transport import (
 
 class TestSocketTransport:
     def test_roundtrip_and_accounting(self):
+        # AF_UNIX has no TCP level, so no TCP_NODELAY is attempted here
         a, b = socket.socketpair()
+        assert a.family == socket.AF_UNIX
         ta, tb = SocketTransport(a), SocketTransport(b)
         try:
             ta.send(b"hello")
@@ -74,6 +76,24 @@ class TestSocketTransport:
         with pytest.raises(TransportError):
             transport.send(b"y")
         b.close()
+
+    def test_tcp_connect_and_accept_sides_turn_off_nagle(self):
+        def nodelay(transport):
+            return transport._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            port = listener.getsockname()[1]
+            client = SocketTransport.connect("127.0.0.1", port, connect_timeout=1.0)
+            connection, _ = listener.accept()
+            server = SocketTransport(connection, read_timeout=1.0)
+            try:
+                assert nodelay(client) != 0
+                assert nodelay(server) != 0
+                client.send(b"frame")
+                assert server.recv() == b"frame"
+            finally:
+                client.close()
+                server.close()
 
 
 class TestMemoryTransport:
