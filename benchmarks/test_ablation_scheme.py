@@ -11,8 +11,6 @@ at growing sum bounds.
 
 import time
 
-import pytest
-
 from repro.crypto.elgamal import ExponentialElGamalScheme, generate_elgamal_keypair
 from repro.crypto.paillier import generate_keypair
 from repro.crypto.rng import DeterministicRandom

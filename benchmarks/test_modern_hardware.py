@@ -13,10 +13,6 @@ model; a C implementation (like the paper's OpenSSL one) would widen
 that by another order of magnitude.
 """
 
-import time
-
-import pytest
-
 from repro.crypto.paillier import PaillierScheme
 from repro.datastore.workload import WorkloadGenerator
 from repro.experiments.series import ExperimentSeries

@@ -18,7 +18,6 @@ Run:  python examples/quickstart.py
 
 from repro import (
     EncryptedNumber,
-    ExecutionContext,
     ServerDatabase,
     generate_keypair,
     private_selected_sum,

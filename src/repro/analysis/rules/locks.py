@@ -28,7 +28,6 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.config import LockGuard
 from repro.analysis.context import FileContext, self_attribute
 from repro.analysis.findings import Finding
 from repro.analysis.registry import Rule, register

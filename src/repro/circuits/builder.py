@@ -55,10 +55,6 @@ class CircuitBuilder:
         """Append an OR gate; returns its output wire."""
         return self.circuit.add_gate(GateOp.OR, a, b)
 
-    def not_(self, a: int) -> int:
-        """Append a NOT gate; returns its output wire."""
-        return self.circuit.add_gate(GateOp.NOT, a)
-
     # -- composite blocks -----------------------------------------------------------
 
     def full_adder(self, a: int, b: int, carry_in: int) -> Tuple[int, int]:

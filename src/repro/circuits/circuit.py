@@ -12,8 +12,8 @@ is complete and matches what the garbler knows how to handle.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 from repro.exceptions import CircuitError
 
@@ -106,10 +106,6 @@ class Circuit:
         self.output_wires = list(wires)
 
     # -- introspection ----------------------------------------------------------
-
-    @property
-    def wire_count(self) -> int:
-        return self._next_wire
 
     @property
     def gate_count(self) -> int:

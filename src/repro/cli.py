@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.datastore.database import ServerDatabase
 from repro.datastore.workload import WorkloadGenerator, indices_to_bits
@@ -75,11 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     sum_cmd.add_argument("--batch-size", type=int, default=100)
     sum_cmd.add_argument("--clients", type=int, default=3)
     sum_cmd.add_argument("--seed", default="cli")
-    sum_cmd.add_argument(
-        "--no-multiexp", action="store_true",
-        help="disable the simultaneous-multiexp aggregation kernel "
-        "(naive per-ciphertext pow; for comparison)",
-    )
     sum_cmd.add_argument(
         "--metrics-json", metavar="PATH", default=None,
         help="write the run's metrics registry (phase breakdown) to PATH "
@@ -365,14 +360,7 @@ def cmd_sum(args, out) -> int:
         registry = MetricsRegistry()
     environment = _environment(args.env)
     mode = "measured" if args.real else "modelled"
-    scheme = None
-    if args.real:
-        from repro.crypto.paillier import PaillierScheme
-
-        scheme = PaillierScheme(use_multiexp=not args.no_multiexp)
-    context = environment.context(
-        key_bits=args.key_bits, seed=args.seed, scheme=scheme, mode=mode
-    )
+    context = environment.context(key_bits=args.key_bits, seed=args.seed, mode=mode)
     result = _protocol(args.protocol, context, args).run(database, selection)
     result.verify(database.select_sum(selection))
 

@@ -6,8 +6,8 @@ The package is self-contained — pure Python on built-in big integers, no
 
 * :mod:`repro.crypto.paillier` — the paper's cryptosystem (the default).
 * :mod:`repro.crypto.elgamal` — exponential ElGamal, an ablation comparator.
-* :mod:`repro.crypto.goldwasser_micali` — GM bit encryption.
-* :mod:`repro.crypto.rsa` — the trapdoor permutation for oblivious transfer.
+* :mod:`repro.crypto.rsa` — the trapdoor permutation for the Yao
+  baseline's oblivious transfer.
 * :mod:`repro.crypto.simulated` — the cost-modelled Paillier stand-in.
 * :mod:`repro.crypto.multiexp` — batch exponentiation kernels
   (simultaneous multiexp, fixed-base byte-digit tables).

@@ -60,16 +60,6 @@ class DamgardJurikPublicKey:
         self.modulus = n ** (s + 1)
         self.bits = n.bit_length()
 
-    def _g_to_m(self, m: int) -> int:
-        """(1 + n)^m mod n^{s+1} via the binomial expansion (s+1 terms)."""
-        result = 1
-        term = 1
-        for k in range(1, self.s + 1):
-            # term = C(m, k) * n^k, built incrementally.
-            term = term * (m - k + 1) // k
-            result = (result + term * pow(self.n, k, self.modulus)) % self.modulus
-        return result
-
     def raw_encrypt(self, plaintext: int, r: int) -> int:
         """Encrypt ``plaintext`` in [0, n^s) with explicit randomness r."""
         if not 0 <= plaintext < self.n_to_s:
@@ -189,15 +179,10 @@ class DamgardJurikScheme(AdditiveHomomorphicScheme):
 
     name = "damgard-jurik"
 
-    def __init__(
-        self,
-        s: int = 2,
-        use_multiexp: bool = True,
-    ) -> None:
+    def __init__(self, s: int = 2) -> None:
         if s < 1:
             raise KeyGenerationError("s must be at least 1")
         self.s = s
-        self.use_multiexp = use_multiexp
 
     def generate(self, bits: int = 512, rng: Union[RandomSource, bytes, str, int, None] = None) -> SchemeKeyPair:
         """Generate a key pair (scheme-interface hook)."""
@@ -256,8 +241,6 @@ class DamgardJurikScheme(AdditiveHomomorphicScheme):
         initial: Optional[int] = None,
     ) -> int:
         """The server aggregate ``prod_i c_i^{w_i} mod n^{s+1}``, batched."""
-        if not self.use_multiexp:
-            return super().weighted_product(public, ciphertexts, weights, initial)
         if len(ciphertexts) != len(weights):
             raise ValueError("ciphertext/weight length mismatch")
         return multi_exponent(

@@ -112,9 +112,9 @@ def crt(residues: Sequence[int], moduli: Sequence[int]) -> int:
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol ``(a/n)`` for odd ``n > 0``.
 
-    Returns -1, 0, or 1.  The Goldwasser–Micali cryptosystem uses this to
-    pick pseudo-residues, and the Solovay–Strassen check in the test suite
-    uses it as an independent primality oracle.
+    Returns -1, 0, or 1.  No protocol uses it: it is the test oracle for
+    the Solovay–Strassen check that cross-examines
+    :func:`~repro.crypto.primes.is_probable_prime` in the test suite.
     """
     if n <= 0 or n % 2 == 0:
         raise ValueError("Jacobi symbol is defined for odd positive n")

@@ -476,15 +476,6 @@ class RandomnessPool:
                 self._pool.extend(batch)
                 self.generated += len(batch)
 
-    def ensure(self, count: int) -> None:
-        """Top the pool up to at least ``count`` pooled obfuscators."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        with self._lock:
-            shortfall = count - len(self._pool)
-        if shortfall > 0:
-            self.precompute(shortfall)
-
     def take(self) -> int:
         """Pop one obfuscator, computing it on the spot if the pool is dry."""
         with self._lock:
@@ -650,18 +641,12 @@ class PaillierScheme(AdditiveHomomorphicScheme):
 
     :meth:`weighted_product` runs the
     :func:`~repro.crypto.multiexp.multi_exponent` bucket kernel (one
-    shared squaring chain for the whole batch) unless
-    ``use_multiexp=False`` restores the naive per-element loop.
+    shared squaring chain for the whole batch).
     """
 
     name = "paillier"
 
-    def __init__(
-        self,
-        use_multiexp: bool = True,
-        pool: Optional[RandomnessPool] = None,
-    ) -> None:
-        self.use_multiexp = use_multiexp
+    def __init__(self, pool: Optional[RandomnessPool] = None) -> None:
         #: optional :class:`RandomnessPool` batched rerandomisation draws
         #: obfuscators from (the §3.3 offline tier)
         self.pool = pool
@@ -752,8 +737,6 @@ class PaillierScheme(AdditiveHomomorphicScheme):
         into Z_n exactly as ``ciphertext_scale`` does, so the result is
         bit-for-bit the naive loop's).
         """
-        if not self.use_multiexp:
-            return super().weighted_product(public, ciphertexts, weights, initial)
         if len(ciphertexts) != len(weights):
             raise ValueError("ciphertext/weight length mismatch")
         return multi_exponent(

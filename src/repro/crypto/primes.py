@@ -1,7 +1,7 @@
 """Prime generation and primality testing.
 
-The Paillier, RSA, ElGamal, and Goldwasser–Micali key generators all pull
-their primes from here.  Testing is Miller–Rabin with a deterministic
+The Paillier, RSA and ElGamal key generators all pull their primes from
+here.  Testing is Miller–Rabin with a deterministic
 witness set for 64-bit inputs and random witnesses above that, preceded by
 trial division against a precomputed table of small primes (the standard
 speed/assurance tradeoff used by production crypto libraries).
@@ -26,7 +26,6 @@ __all__ = [
     "smooth_factors",
     "smallest_generator",
     "random_safe_prime",
-    "random_blum_prime",
     "sieve_upto",
 ]
 
@@ -252,10 +251,10 @@ def random_safe_prime(
 ) -> int:
     """Random safe prime ``p = 2q + 1`` with ``q`` prime, of ``bits`` bits.
 
-    Safe primes give the ElGamal scheme a large prime-order subgroup and
-    give the DDH-based oblivious transfer its group.  Generation is slow
-    for large sizes, so the tests use modest sizes and the library caches
-    a few precomputed groups (:mod:`repro.crypto.elgamal`).
+    Safe primes give the ElGamal scheme a large prime-order subgroup.
+    Generation is slow for large sizes, so the tests use modest sizes and
+    the library caches a few precomputed groups
+    (:mod:`repro.crypto.elgamal`).
     """
     if bits < 3:
         raise KeyGenerationError("safe primes need at least 3 bits")
@@ -267,24 +266,6 @@ def random_safe_prime(
             return p
     raise KeyGenerationError(
         "no %d-bit safe prime found in %d attempts" % (bits, max_attempts)
-    )
-
-
-def random_blum_prime(
-    bits: int, rng: Optional[RandomSource] = None, max_attempts: int = 100_000
-) -> int:
-    """Random prime congruent to 3 mod 4 (a Blum prime).
-
-    Goldwasser–Micali uses a Blum modulus so that -1 is a canonical
-    quadratic non-residue with Jacobi symbol +1.
-    """
-    source = as_random_source(rng)
-    for _ in range(max_attempts):
-        p = random_prime(bits, source)
-        if p % 4 == 3:
-            return p
-    raise KeyGenerationError(
-        "no %d-bit Blum prime found in %d attempts" % (bits, max_attempts)
     )
 
 

@@ -1,5 +1,5 @@
 """Minimal RSA: the trapdoor permutation underlying the EGL oblivious
-transfer (:mod:`repro.ot.egl`).
+transfer of the Yao baseline (:class:`repro.yao.protocol.BatchOT`).
 
 This is *textbook* RSA on purpose — the oblivious-transfer construction
 needs the raw trapdoor permutation ``x -> x^e mod n`` and its inverse,

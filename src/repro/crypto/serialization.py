@@ -54,7 +54,7 @@ def encode_int_seq(values: Tuple[int, ...], width: int) -> bytes:
 
     A negative or too-wide element raises ``OverflowError``.
     """
-    # Every journal commit encodes a session's whole bucket blob here;
+    # Every journal commit encodes the pending block's ciphertexts here;
     # mapping int.to_bytes costs a third less than a call per element
     # through encode_int.
     body = b"".join(map(int.to_bytes, values, repeat(width), repeat(_BIG)))
@@ -69,7 +69,7 @@ def decode_int_seq(data: bytes, width: int) -> Tuple[int, ...]:
         raise ValueError(
             "encoded sequence has %d bytes, expected %d" % (len(data), expected)
         )
-    # Every warm restart decodes each journalled bucket blob here.
+    # Every warm restart decodes each journalled pending block here.
     # Mapping int.from_bytes over exact slices, as encode_int_seq maps
     # int.to_bytes, takes about half the time of a decode_int call per
     # element.

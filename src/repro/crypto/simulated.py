@@ -25,7 +25,7 @@ swapping it for the real scheme is a one-argument change.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Tuple, Union
+from typing import Union
 
 from repro.crypto.ntheory import bytes_for_bits
 from repro.crypto.rng import RandomSource, as_random_source

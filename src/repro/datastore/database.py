@@ -10,7 +10,7 @@ protocol, and exposes a squared view so the statistics layer can compute
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from repro.crypto.multiexp import FoldProgram, fold_plan
 from repro.exceptions import DatabaseError
@@ -147,7 +147,3 @@ def elementwise_product(x: "ServerDatabase", y: "ServerDatabase") -> "ServerData
         [a * b for a, b in zip(x.values, y.values)],
         value_bits=x.value_bits + y.value_bits,
     )
-
-
-def _as_list(values: Iterable[int]) -> List[int]:
-    return list(values)

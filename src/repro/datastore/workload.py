@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.crypto.rng import DeterministicRandom, RandomSource, as_random_source
+from repro.crypto.rng import DeterministicRandom, RandomSource
 from repro.datastore.database import ServerDatabase, VALUE_BITS
 from repro.exceptions import ParameterError
 

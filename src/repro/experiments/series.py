@@ -10,7 +10,7 @@ and ``EXPERIMENTS.md`` quotes it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.exceptions import ParameterError
 

@@ -20,7 +20,7 @@ connection plus per-party transcripts for privacy audits.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional, Tuple
+from typing import Deque, Tuple
 
 from repro.exceptions import ChannelError
 from repro.net.link import LinkModel

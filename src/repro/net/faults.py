@@ -31,7 +31,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from repro.crypto.rng import DeterministicRandom, RandomSource
+from repro.crypto.rng import DeterministicRandom
 from repro.exceptions import ParameterError, TransportError
 from repro.net.transport import DEFAULT_RECV_BYTES, Transport
 

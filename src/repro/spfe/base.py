@@ -16,7 +16,7 @@ from repro.datastore.database import ServerDatabase
 from repro.exceptions import ParameterError, ProtocolError
 from repro.net.channel import Channel
 from repro.net.wire import Message
-from repro.spfe.context import CLIENT, SERVER, ExecutionContext
+from repro.spfe.context import CLIENT, ExecutionContext
 from repro.spfe.result import SumRunResult
 from repro.timing.report import TimingBreakdown
 

@@ -23,7 +23,6 @@ from repro.crypto.serialization import (
     public_key_bytes,
 )
 from repro.exceptions import ParameterError
-from repro.net.link import LinkModel
 from repro.spfe.batching import PAPER_BATCH_SIZE
 from repro.spfe.context import ExecutionContext
 from repro.timing.clock import PipelineSchedule

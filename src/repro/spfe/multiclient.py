@@ -32,15 +32,15 @@ paper measured this optimization only in Java, hence Figure 9's Java
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.crypto.ntheory import bytes_for_bits
 from repro.crypto.serialization import FRAME_HEADER_BYTES
 from repro.datastore.database import ServerDatabase
 from repro.exceptions import ParameterError, ProtocolError
 from repro.net.wire import Message
-from repro.spfe.base import MSG_ENC_INDEX, MSG_RESULT, SelectedSumBase
-from repro.spfe.context import CLIENT, SERVER
+from repro.spfe.base import MSG_ENC_INDEX, SelectedSumBase
+from repro.spfe.context import SERVER
 from repro.spfe.result import SumRunResult
 from repro.timing.clock import VirtualClock
 from repro.timing.costmodel import Op

@@ -25,7 +25,7 @@ metadata says so explicitly.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Tuple
 
 from repro.datastore.database import ServerDatabase
 from repro.exceptions import ParameterError

@@ -9,7 +9,7 @@ accounting from the channel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.timing.report import TimingBreakdown, seconds_to_minutes
 

@@ -28,7 +28,6 @@ from repro.crypto.scheme import SchemeKeyPair
 from repro.datastore.database import ServerDatabase
 from repro.spfe.base import (
     MSG_ENC_INDEX,
-    MSG_PUBLIC_KEY,
     MSG_RESULT,
     SelectedSumBase,
 )

@@ -25,7 +25,7 @@ tradeoff bench sweeps the full curve.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set
+from typing import List, Sequence, Set
 
 from repro.crypto.serialization import FRAME_HEADER_BYTES
 from repro.datastore.database import ServerDatabase

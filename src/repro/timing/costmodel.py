@@ -31,8 +31,8 @@ fold (the steps of the database's precompiled Bos–Coster programs,
 :data:`~repro.crypto.multiexp.FOLD_BLOCK` rows) and ``PRECOMPUTE`` at
 the fixed-base byte-digit table's per-obfuscator cost — the code paths
 the measured protocols actually take.  Pass ``use_kernels=False`` to fit
-the naive square-and-multiply costs instead (the paper-era baseline,
-and what ``--no-multiexp`` runs match).
+the naive square-and-multiply costs instead (the paper-era baseline:
+one ``pow`` per ciphertext).
 """
 
 from __future__ import annotations

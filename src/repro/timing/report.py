@@ -9,7 +9,7 @@ whole point) and the multi-client combining time (§3.5's phase two).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 __all__ = ["TimingBreakdown", "seconds_to_minutes"]

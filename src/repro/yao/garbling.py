@@ -24,10 +24,10 @@ ablation bench quantifies against the classic scheme.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
-from repro.circuits.circuit import Circuit, Gate, GateOp
+from repro.circuits.circuit import Circuit, GateOp
 from repro.crypto.rng import RandomSource, as_random_source
 from repro.exceptions import GarblingError
 

@@ -34,7 +34,6 @@ from repro.crypto.rsa import generate_rsa_keypair
 from repro.exceptions import OTError, ParameterError
 from repro.yao.garbling import (
     LABEL_BYTES,
-    GarbledCircuit,
     WireLabel,
     evaluate_garbled,
     garble,

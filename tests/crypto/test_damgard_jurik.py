@@ -74,8 +74,6 @@ class TestRoundtrip:
         with pytest.raises(EncryptionError):
             keypair.public.raw_encrypt(keypair.public.n_to_s, 2)
         with pytest.raises(DecryptionError):
-            from repro.crypto.damgard_jurik import DamgardJurikScheme as S
-
             keypair.private.raw_decrypt(keypair.public.modulus)
 
     @settings(max_examples=20, deadline=None)

@@ -99,11 +99,6 @@ class TestGeneration:
         assert primes.is_probable_prime((p - 1) // 2)
         assert p.bit_length() == 40
 
-    def test_blum_prime(self):
-        p = primes.random_blum_prime(48, DeterministicRandom("blum"))
-        assert primes.is_probable_prime(p)
-        assert p % 4 == 3
-
     @settings(max_examples=10, deadline=None)
     @given(st.integers(20, 80))
     def test_random_prime_property(self, bits):

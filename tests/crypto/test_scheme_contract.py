@@ -14,12 +14,12 @@ from repro.crypto.damgard_jurik import DamgardJurikScheme
 from repro.crypto.elgamal import ExponentialElGamalScheme
 from repro.crypto.paillier import PaillierScheme
 from repro.crypto.rng import DeterministicRandom
+from repro.crypto.scheme import AdditiveHomomorphicScheme
 from repro.crypto.simulated import SimulatedPaillier
 
 # (scheme factory, key bits, plaintext test bound)
 _SCHEMES = {
     "paillier": (lambda: PaillierScheme(), 128, 2**64),
-    "paillier-naive": (lambda: PaillierScheme(use_multiexp=False), 128, 2**64),
     "damgard-jurik-s1": (lambda: DamgardJurikScheme(1), 128, 2**64),
     "damgard-jurik-s2": (lambda: DamgardJurikScheme(2), 128, 2**64),
     "damgard-jurik-s3": (lambda: DamgardJurikScheme(3), 128, 2**64),
@@ -144,3 +144,33 @@ class TestSchemeContract:
             keypair.public, scheme.ciphertext_scale(keypair.public, ca, k), cb
         )
         assert scheme.decrypt(keypair.private, combined) == a * k + b
+
+
+@pytest.fixture(scope="module")
+def multiexp_kits():
+    """Paillier and Damgård–Jurik keys, each with eight fresh ciphertexts."""
+    kits = []
+    for scheme in (PaillierScheme(), DamgardJurikScheme(2)):
+        public = scheme.generate(128, "naive-%s" % scheme.name).public
+        cts = scheme.encrypt_vector(public, list(range(8)), "naive-cts")
+        kits.append((scheme, public, cts))
+    return kits
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_multiexp_fold_equals_the_naive_loop_bit_for_bit(multiexp_kits, data):
+    """The kernel-backed folds return the base class's per-element loop's bytes.
+
+    Weights are signed, often zero and up to 80 bits wide, and the fold
+    sometimes continues from an ``initial`` partial product.
+    """
+    weight = st.one_of(st.just(0), st.just(1), st.just(-1), st.integers(-(2**80), 2**80))
+    for scheme, public, cts in multiexp_kits:
+        size = data.draw(st.integers(0, len(cts)))
+        weights = data.draw(st.lists(weight, min_size=size, max_size=size))
+        initial = data.draw(st.one_of(st.none(), st.sampled_from(cts)))
+        naive = AdditiveHomomorphicScheme.weighted_product(
+            scheme, public, cts[:size], weights, initial=initial
+        )
+        assert scheme.weighted_product(public, cts[:size], weights, initial=initial) == naive

@@ -12,7 +12,6 @@ ground-truth comparisons:
   runs, and between distributed partitions and the single-server run.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datastore.database import ServerDatabase

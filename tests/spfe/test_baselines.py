@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.datastore.database import ServerDatabase
 from repro.datastore.workload import WorkloadGenerator
 from repro.exceptions import PrivacyViolationError
 from repro.spfe.baselines import (

@@ -9,7 +9,6 @@ from repro.exceptions import ParameterError
 from repro.experiments.environments import long_distance, short_distance
 from repro.spfe.batching import BatchedSelectedSumProtocol
 from repro.spfe.combined import CombinedSelectedSumProtocol
-from repro.spfe.context import ExecutionContext
 from repro.spfe.estimator import ProtocolCostEstimator
 from repro.spfe.multiclient import MultiClientSelectedSumProtocol
 from repro.spfe.preprocessing import PreprocessedSelectedSumProtocol

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.paillier import PaillierScheme
-from repro.datastore.database import ServerDatabase
 from repro.datastore.workload import WorkloadGenerator
 from repro.exceptions import ParameterError
 from repro.spfe.context import ExecutionContext

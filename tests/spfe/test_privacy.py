@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.datastore.database import ServerDatabase
 from repro.exceptions import PrivacyViolationError
 from repro.net.channel import Channel
 from repro.net.link import links

@@ -5,7 +5,6 @@ import pytest
 
 from repro.datastore.table import Table
 from repro.datastore.workload import WorkloadGenerator
-from repro.spfe.context import ExecutionContext
 from repro.spfe.table_client import PrivateTableClient
 
 

@@ -164,7 +164,6 @@ class TestServeQuery:
     def test_tcp_round_trip(self, tmp_path):
         """serve and query over a real TCP socket, both via the CLI."""
         import io
-        import re
         import socket
         import threading
 

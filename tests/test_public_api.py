@@ -1,16 +1,21 @@
 """Public-API integrity: exports resolve, and everything is documented.
 
-Two repository-wide invariants:
+Three repository-wide invariants:
 
 * every name in every ``__all__`` actually exists in its module;
 * every public module, class, and function in :mod:`repro` carries a
   docstring (documentation is a deliverable, so its absence is a test
-  failure, not a style nit).
+  failure, not a style nit);
+* every module under ``src/repro`` is imported by something that runs:
+  a command, an example, a benchmark or a perfbench workload.  Tests do
+  not count, so code only its own tests use shows up as an orphan.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +63,67 @@ def test_public_callables_documented(module_name):
                         "%s.%s.%s has no docstring"
                         % (module_name, name, attr_name)
                     )
+
+
+_REPO = Path(__file__).resolve().parents[1]
+_PACKAGE_DIR = Path(repro.__file__).resolve().parent
+_ENTRY_MODULES = ("repro", "repro.cli", "repro.__main__", "repro.analysis.__main__")
+_ENTRY_DIRS = ("examples", "benchmarks", "perfbench")
+
+
+def _source_modules():
+    """Dotted name -> path of every module under ``src/repro``."""
+    modules = {}
+    for path in _PACKAGE_DIR.rglob("*.py"):
+        parts = path.relative_to(_PACKAGE_DIR.parent).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        modules[".".join(parts)] = path
+    return modules
+
+
+def _imported_names(path, module_name=None):
+    """Every dotted name an ``import`` anywhere in ``path`` may load.
+
+    ``from a import b`` yields both ``a`` and ``a.b``, since ``b`` may be
+    a submodule; the caller keeps the names that are modules.  Relative
+    imports resolve against ``module_name`` (``None`` outside ``src``).
+    """
+    is_package = path.name == "__init__.py"
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level and module_name:
+                package = module_name if is_package else module_name.rpartition(".")[0]
+                for _ in range(node.level - 1):
+                    package = package.rpartition(".")[0]
+                base = package + "." + base if base else package
+            yield base
+            yield from (base + "." + alias.name for alias in node.names)
+
+
+def test_every_module_is_reachable_from_an_entry_point():
+    """Parse imports (executing nothing) from the commands, examples,
+    benchmarks and perfbench; every ``repro`` module must be reached."""
+    modules = _source_modules()
+    reached = set()
+    frontier = list(_ENTRY_MODULES)
+    for directory in _ENTRY_DIRS:
+        for path in sorted((_REPO / directory).rglob("*.py")):
+            frontier.extend(_imported_names(path))
+    while frontier:
+        name = frontier.pop()
+        # Importing a.b.c runs a and a.b first.
+        parts = name.split(".")
+        for depth in range(1, len(parts) + 1):
+            prefix = ".".join(parts[:depth])
+            if prefix in modules and prefix not in reached:
+                reached.add(prefix)
+                frontier.extend(_imported_names(modules[prefix], prefix))
+    orphans = sorted(set(modules) - reached)
+    assert not orphans, "modules nothing runs imports: %s" % ", ".join(orphans)
 
 
 def test_top_level_api_surface():

@@ -1,7 +1,7 @@
 """Tests for the end-to-end Yao selected-sum protocol."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.crypto.rng import DeterministicRandom
 from repro.exceptions import OTError, ParameterError
@@ -13,10 +13,21 @@ from repro.yao.protocol import (
 
 
 class TestBatchOT:
-    def test_batch_correctness(self):
-        pairs = [(10, 20), (30, 40), (50, 60)]
-        batch = BatchOT(pairs, key_bits=128, rng=DeterministicRandom("b"))
-        assert batch.transfer([0, 1, 0]) == [10, 40, 50]
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), st.integers(0, 1)),
+            max_size=6,
+        )
+    )
+    @example([(10, 20, 0), (30, 40, 1), (50, 60, 0)])
+    def test_batch_correctness(self, transfers):
+        pairs = [(m0, m1) for m0, m1, _ in transfers]
+        choices = [choice for _, _, choice in transfers]
+        batch = BatchOT(pairs, key_bits=128, rng=DeterministicRandom(repr(transfers)))
+        assert batch.transfer(choices) == [
+            m1 if choice else m0 for m0, m1, choice in transfers
+        ]
 
     def test_choice_count_validated(self):
         batch = BatchOT([(1, 2)], key_bits=128, rng=DeterministicRandom("b"))
