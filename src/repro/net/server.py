@@ -412,14 +412,11 @@ class SpfeServer:
         policy: resource limits applied to every session; None installs
             the default :class:`ServerPolicy`.  A policy moves only the
             limits: the key and ciphertext checks run under every policy.
-        registry: shared resume registry; None builds one sized by the
-            policy's registry budgets.
         store: optional :class:`~repro.store.state.StateStore` making
-            the registry a durable journal — sessions survive a server
-            *process* restart, not just a dropped connection.  Ignored
-            when an explicit ``registry`` is passed (attach the store to
-            that registry instead).  The server does not own the store:
-            the caller that opened it closes it after :meth:`stop`.
+            the server's resume registry a durable journal — sessions
+            survive a server *process* restart, not just a dropped
+            connection.  The server does not own the store: the caller
+            that opened it closes it after :meth:`stop`.
         max_sessions: worker threads = maximum concurrent sessions.
         accept_backlog: bounded queue of accepted-but-unstarted
             connections; beyond it, connections are shed with BUSY.
@@ -458,7 +455,6 @@ class SpfeServer:
         port: int = 0,
         *,
         policy: Optional[ServerPolicy] = None,
-        registry: Optional[SessionRegistry] = None,
         store: Optional[StateStore] = None,
         max_sessions: int = 4,
         accept_backlog: int = 8,
@@ -481,12 +477,8 @@ class SpfeServer:
         self.database = database
         self.host = host
         self.policy = policy if policy is not None else ServerPolicy()
-        self.store = store if registry is None else None
-        self.registry = (
-            registry
-            if registry is not None
-            else SessionRegistry.from_policy(self.policy, store=self.store)
-        )
+        self.store = store
+        self.registry = SessionRegistry(store=store)
         self.max_sessions = max_sessions
         self.accept_backlog = accept_backlog
         self.read_timeout = read_timeout

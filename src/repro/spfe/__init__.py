@@ -57,8 +57,8 @@ from repro.spfe.validation import (
     check_ciphertext_chunk,
     check_hello,
     check_public_key,
-    resume_state_bytes,
 )
+from repro.store.state import resume_state_bytes
 
 __all__ = [
     "BatchedSelectedSumProtocol",

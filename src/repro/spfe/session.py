@@ -52,7 +52,6 @@ from repro.crypto.multiexp import (
     FoldProgram,
     multi_exponent,  # noqa: F401 - perfbench/launcher.py wraps it by name
 )
-from repro.crypto.ntheory import bytes_for_bits
 from repro.crypto.paillier import (
     PaillierPrivateKey,
     PaillierPublicKey,
@@ -89,7 +88,6 @@ from repro.spfe.validation import (
     check_ciphertext_chunk,
     check_hello,
     check_public_key,
-    resume_state_bytes,
 )
 
 __all__ = [
@@ -101,9 +99,24 @@ __all__ = [
     "run_resilient",
     "serve_over_transport",
     "DEFAULT_CHUNK",
+    "REGISTRY_CAPACITY",
+    "REGISTRY_MAX_BYTES",
 ]
 
 DEFAULT_CHUNK = 64
+
+#: :class:`SessionRegistry`'s default session-count bound (LRU evicted)
+REGISTRY_CAPACITY = 64
+
+#: :class:`SessionRegistry`'s default residency bound in bytes.  Session
+#: count alone does not bound memory when key sizes vary, see
+#: :func:`~repro.store.state.resume_state_bytes`.  An in-progress
+#: session also holds the ciphertexts of its incomplete fold block, at
+#: most 255, so 258 ciphertexts in all: ~32 KB at 512-bit keys, ~129 KB
+#: at 2048, 258 KiB at 4096.  This is the smallest budget that holds
+#: :data:`REGISTRY_CAPACITY` of the largest, so the count bound governs
+#: at every key size the default policy accepts.
+REGISTRY_MAX_BYTES = 64 * 258 * 1024
 
 
 class ClientSession:
@@ -297,61 +310,6 @@ class ClientSession:
             )
 
 
-class _ResumeState:
-    """Everything the server must keep to resume one session.
-
-    Sessions never share a live state object: what a
-    :class:`ServerSession` mutates is always its private copy, and what
-    sits in the :class:`SessionRegistry` is always a frozen
-    :meth:`snapshot` of one — so a client that reconnects while its old
-    connection is still being served can never observe (or double-fold
-    into) a state another thread is mid-way through mutating.
-    """
-
-    __slots__ = (
-        "key_bits",
-        "chunk_size",
-        "public_key",
-        "aggregate",
-        "pending",
-        "received",
-        "chunks_received",
-        "done",
-    )
-
-    def __init__(self, key_bits: int, chunk_size: int, public_key: PaillierPublicKey) -> None:
-        self.key_bits = key_bits
-        self.chunk_size = chunk_size
-        self.public_key = public_key
-        #: product of the fold over every complete block received so far
-        self.aggregate = 1
-        #: ciphertexts of the rows ``received - len(pending)`` up to
-        #: ``received``: the block still incomplete, folded into
-        #: ``aggregate`` once its last row arrives (fewer than
-        #: :data:`~repro.crypto.multiexp.FOLD_BLOCK` of them)
-        self.pending: List[int] = []
-        self.received = 0
-        self.chunks_received = 0
-        self.done = False
-
-    @property
-    def resident_bytes(self) -> int:
-        """What this state costs the registry's byte budget."""
-        width = bytes_for_bits(2 * self.key_bits)
-        return resume_state_bytes(self.key_bits) + len(self.pending) * width
-
-    def snapshot(self) -> "_ResumeState":
-        """An independent copy (the public key is shared — it is never
-        mutated)."""
-        dup = _ResumeState(self.key_bits, self.chunk_size, self.public_key)
-        dup.aggregate = self.aggregate
-        dup.pending = list(self.pending)
-        dup.received = self.received
-        dup.chunks_received = self.chunks_received
-        dup.done = self.done
-        return dup
-
-
 class SessionRegistry:
     """Server-side store of resumable sessions, LRU-bounded twice over.
 
@@ -368,9 +326,12 @@ class SessionRegistry:
     The registry is thread-safe: one instance is shared by every worker
     of a concurrent :class:`~repro.net.server.SpfeServer`, so all access
     to the LRU map and the byte accounting happens under an internal
-    lock.  Stored states are treated as frozen — sessions save
-    :meth:`_ResumeState.snapshot` copies and copy again on resume — so
-    an entry read under the lock stays consistent after it is released.
+    lock.  Each entry is an immutable
+    :class:`~repro.store.state.SessionRecord`: a session folds each
+    chunk into a new record and saves that, and a resuming session
+    adopts the stored record itself.  Sharing one between connections
+    therefore needs no copies, and an entry read under the lock stays
+    consistent after it is released.
 
     With a :class:`~repro.store.state.StateStore` attached the registry
     becomes a *journal*: every save is also written durably, a memory
@@ -378,7 +339,7 @@ class SessionRegistry:
     resumes sessions its predecessor was serving), and eviction/discard
     delete the journal row too — an evicted session answers
     ``RESUME_UNKNOWN`` after a restart exactly as it does before one,
-    never a stale snapshot.  Store writes happen outside the registry
+    never a stale record.  Store writes happen outside the registry
     lock but under a journal-order lock taken *before* the registry lock
     is released (lock order: registry, journal order, store, never
     back), so the store sees deletes and upserts in the same order as
@@ -388,13 +349,13 @@ class SessionRegistry:
 
     def __init__(
         self,
-        capacity: int = 64,
-        max_bytes: Optional[int] = None,
+        capacity: int = REGISTRY_CAPACITY,
+        max_bytes: int = REGISTRY_MAX_BYTES,
         store: Optional[StateStore] = None,
     ) -> None:
         if capacity < 1:
             raise ParameterError("registry capacity must be positive")
-        if max_bytes is not None and max_bytes < 1:
+        if max_bytes < 1:
             raise ParameterError("registry byte budget must be positive")
         self.capacity = capacity
         self.max_bytes = max_bytes
@@ -403,54 +364,13 @@ class SessionRegistry:
         #: serialises journal writes in registry order; see the class
         #: docstring for the lock order
         self._journal_lock = threading.Lock()
-        self._states: "OrderedDict[bytes, _ResumeState]" = OrderedDict()
+        self._states: "OrderedDict[bytes, SessionRecord]" = OrderedDict()
         self.evictions = 0
         #: sessions recovered from the journal after a memory miss
         #: (i.e. across a process restart)
         self.recoveries = 0
-        #: resident ciphertext bytes across all stored states
+        #: resident ciphertext bytes across all stored records
         self.resident_bytes = 0
-
-    @classmethod
-    def from_policy(
-        cls, policy: ServerPolicy, store: Optional[StateStore] = None
-    ) -> "SessionRegistry":
-        """Build a registry sized by a :class:`ServerPolicy`."""
-        return cls(
-            capacity=policy.max_registry_sessions,
-            max_bytes=policy.max_registry_bytes,
-            store=store,
-        )
-
-    @staticmethod
-    def _record_from_state(
-        session_id: bytes, state: _ResumeState
-    ) -> SessionRecord:
-        return SessionRecord(
-            session_id=session_id,
-            key_bits=state.key_bits,
-            chunk_size=state.chunk_size,
-            public_n=state.public_key.n,
-            aggregate=state.aggregate,
-            received=state.received,
-            chunks_received=state.chunks_received,
-            done=state.done,
-            pending=tuple(state.pending),
-        )
-
-    @staticmethod
-    def _state_from_record(record: SessionRecord) -> _ResumeState:
-        state = _ResumeState(
-            record.key_bits,
-            record.chunk_size,
-            PaillierPublicKey(record.public_n),
-        )
-        state.aggregate = record.aggregate
-        state.pending = list(record.pending)
-        state.received = record.received
-        state.chunks_received = record.chunks_received
-        state.done = record.done
-        return state
 
     def _evict_lru_locked(self) -> bytes:
         """Evict the LRU entry; caller holds ``self._lock``.
@@ -464,7 +384,7 @@ class SessionRegistry:
         return session_id
 
     def _insert_locked(
-        self, session_id: bytes, state: _ResumeState
+        self, session_id: bytes, record: SessionRecord
     ) -> List[bytes]:
         """Insert/refresh an entry; caller holds ``self._lock``.
 
@@ -473,18 +393,14 @@ class SessionRegistry:
         previous = self._states.get(session_id)
         if previous is not None:
             self.resident_bytes -= previous.resident_bytes
-        self._states[session_id] = state
-        self.resident_bytes += state.resident_bytes
+        self._states[session_id] = record
+        self.resident_bytes += record.resident_bytes
         self._states.move_to_end(session_id)
         evicted: List[bytes] = []
         while len(self._states) > self.capacity:
             evicted.append(self._evict_lru_locked())
-        if self.max_bytes is not None:
-            while (
-                len(self._states) > 1
-                and self.resident_bytes > self.max_bytes
-            ):
-                evicted.append(self._evict_lru_locked())
+        while len(self._states) > 1 and self.resident_bytes > self.max_bytes:
+            evicted.append(self._evict_lru_locked())
         return evicted
 
     def _journal_released(
@@ -504,49 +420,44 @@ class SessionRegistry:
         finally:
             self._journal_lock.release()
 
-    def save(self, session_id: bytes, state: _ResumeState) -> None:
+    def save(self, session_id: bytes, record: SessionRecord) -> None:
         """Insert or refresh a session, evicting LRU beyond either bound.
 
-        The newest session is never evicted on its own account: a state
+        The newest session is never evicted on its own account: a record
         larger than ``max_bytes`` by itself still resumes, it just has
-        the registry to itself.  With a store attached the snapshot is
-        journalled durably *before* this method returns — which is what
-        lets :meth:`ServerSession.receive_bytes` guarantee that a RESULT
-        is journalled before it is sent.
+        the registry to itself.  With a store attached the same record
+        is journalled durably *before* this method returns — which is
+        what lets :meth:`ServerSession.receive_bytes` guarantee that a
+        RESULT is journalled before it is sent.  The journal keys the
+        row by ``record.session_id``, so it must be ``session_id``.
         """
-        record = (
-            None
-            if self.store is None
-            else self._record_from_state(session_id, state)
-        )
         with self._lock:
-            evicted = self._insert_locked(session_id, state)
-            if record is None:
+            evicted = self._insert_locked(session_id, record)
+            if self.store is None:
                 return
             self._journal_lock.acquire()
         self._journal_released(evicted, record)
 
-    def get(self, session_id: bytes) -> Optional[_ResumeState]:
+    def get(self, session_id: bytes) -> Optional[SessionRecord]:
         """Look up (and LRU-touch) a session; None when unknown/evicted.
 
         On a memory miss with a store attached, the journal is
         consulted: a hit means this process restarted since the session
-        was journalled, so the snapshot is rehydrated into memory and
-        the resume proceeds as if the crash never happened.  Eviction
+        was journalled, so the record is taken back into memory and the
+        resume proceeds as if the crash never happened.  Eviction
         deletes the journal row, so an evicted session stays unknown
-        here — never a stale snapshot.
+        here — never a stale record.
         """
         with self._lock:
-            state = self._states.get(session_id)
-            if state is not None:
+            record = self._states.get(session_id)
+            if record is not None:
                 self._states.move_to_end(session_id)
-                return state
+                return record
         if self.store is None:
             return None
         record = self.store.load_session(session_id)
         if record is None:
             return None
-        state = self._state_from_record(record)
         with self._lock:
             # A concurrent resume may have rehydrated first; prefer the
             # entry already in memory (it can only be newer).
@@ -554,18 +465,18 @@ class SessionRegistry:
             if existing is not None:
                 self._states.move_to_end(session_id)
                 return existing
-            evicted = self._insert_locked(session_id, state)
+            evicted = self._insert_locked(session_id, record)
             self.recoveries += 1
             self._journal_lock.acquire()
         self._journal_released(evicted)
-        return state
+        return record
 
     def discard(self, session_id: bytes) -> None:
         """Forget a session if present (memory *and* journal)."""
         with self._lock:
-            state = self._states.pop(session_id, None)
-            if state is not None:
-                self.resident_bytes -= state.resident_bytes
+            record = self._states.pop(session_id, None)
+            if record is not None:
+                self.resident_bytes -= record.resident_bytes
             if self.store is None:
                 return
             self._journal_lock.acquire()
@@ -585,9 +496,15 @@ class ServerSession:
 
     Every session validates under a :class:`ServerPolicy` (the default
     one unless given) and keeps its resume state in a
-    :class:`SessionRegistry` (by default a private one sized by the
-    policy, so RESUME answers "unknown, restart").  Share one registry
-    across connections to make sessions resumable.
+    :class:`SessionRegistry` (by default a private one, so RESUME
+    answers "unknown, restart").  Share one registry across connections
+    to make sessions resumable.
+
+    The resume state is one immutable
+    :class:`~repro.store.state.SessionRecord`: the public key builds
+    the first, each folded chunk replaces it with a new one, and RESUME
+    adopts the record the registry holds.  The registry and the journal
+    receive the session's current record as it is, once per read.
 
     Thread safety: this class performs **no I/O** —
     :meth:`receive_bytes` maps input bytes to output bytes and touches
@@ -616,11 +533,7 @@ class ServerSession:
         self.database = database
         #: trust-boundary limits applied to every frame of this session
         self.policy = policy if policy is not None else ServerPolicy()
-        self.registry = (
-            registry
-            if registry is not None
-            else SessionRegistry.from_policy(self.policy)
-        )
+        self.registry = registry if registry is not None else SessionRegistry()
         #: optional :class:`~repro.obs.tracing.Tracer` recording the
         #: server's ``fold`` phase (a concurrent server shares one
         #: tracer across all of its sessions)
@@ -630,11 +543,12 @@ class ServerSession:
         #: (key bits, chunk size) announced by HELLO, until the key lands
         self._announced = (0, 0)
         self._session_id: Optional[bytes] = None
-        #: this session's private resume state, from the public key (or
-        #: RESUME) on; the registry only ever holds snapshots of it
-        self._resume_state: Optional[_ResumeState] = None
+        #: this session's resume state, from the public key (or RESUME) on
+        self._record: Optional[SessionRecord] = None
+        #: ``n^2`` of :attr:`_record`'s public key, the fold modulus
+        self._nsquare = 0
         #: True once this read registered the session or folded a chunk:
-        #: :meth:`receive_bytes` then publishes one snapshot at its end
+        #: :meth:`receive_bytes` then publishes :attr:`_record` at its end
         self._unpublished = False
         self.bytes_received = 0
         self.bytes_sent = 0
@@ -656,8 +570,8 @@ class ServerSession:
     def receive_bytes(self, data: bytes) -> bytes:
         """Consume client bytes; returns reply bytes (possibly empty).
 
-        Resume state is published once per call — one registry snapshot
-        and, with a store attached, one journal commit — and only if
+        Resume state is published once per call — one registry save and,
+        with a store attached, one journal commit — and only if
         the call registered the session or folded at least one chunk.
         The commit happens before the reply is returned, so a RESULT is
         journalled before it can be sent; a crash loses at most the
@@ -688,13 +602,12 @@ class ServerSession:
             self.bytes_sent += len(error)
             return error
         if self._unpublished:
-            # Publish a frozen snapshot: registry entries are never
-            # mutated in place, so a concurrent resume always reads a
-            # self-consistent (pending, received) pair and can never
-            # double-fold a chunk.
-            assert self._session_id is not None and self._resume_state is not None
+            # Records are immutable, so a concurrent resume that adopts
+            # this one always reads a self-consistent (pending, received)
+            # pair and can never double-fold a chunk.
+            assert self._session_id is not None and self._record is not None
             self._unpublished = False
-            self.registry.save(self._session_id, self._resume_state.snapshot())
+            self.registry.save(self._session_id, self._record)
         self.bytes_sent += len(out)
         return bytes(out)
 
@@ -756,9 +669,11 @@ class ServerSession:
             )
         # Only register once the key is known: a pre-key session has
         # nothing worth resuming, so RESUME answers "restart".
-        self._resume_state = _ResumeState(
-            key_bits, chunk_size, PaillierPublicKey(n)
+        assert self._session_id is not None
+        self._record = SessionRecord(
+            self._session_id, key_bits, chunk_size, n, 1, 0, 0, False
         )
+        self._nsquare = n * n
         self._unpublished = True
         self._state = self._RECEIVING
         return b""
@@ -767,23 +682,23 @@ class ServerSession:
         if self._state != self._WAIT_HELLO:
             raise ProtocolError("RESUME must be the first frame of a connection")
         session_id = codec.decode_resume(frame.payload)
-        entry = self.registry.get(session_id)
-        if entry is None:
+        record = self.registry.get(session_id)
+        if record is None:
             # Unknown or evicted: tell the client to start over.
             return codec.encode_ack(codec.RESUME_UNKNOWN)
-        # Copy-on-resume: work on a private copy so a second connection
-        # resuming the same id (an honest client whose old read timed
-        # out, reconnecting while the stale connection is still being
-        # served) never shares mutable state with this one.
-        state = entry.snapshot()
+        # Adopt the stored record itself: it is immutable, so a second
+        # connection resuming the same id (an honest client whose old
+        # read timed out, reconnecting while the stale connection is
+        # still being served) shares nothing it could change.
         self._session_id = session_id
-        self._resume_state = state
-        reply = codec.encode_ack(state.chunks_received)
-        if state.done:
+        self._record = record
+        self._nsquare = record.public_n * record.public_n
+        reply = codec.encode_ack(record.chunks_received)
+        if record.done:
             # The previous connection died between computing the result
             # and the client receiving it: re-send the result directly.
             self._state = self._DONE
-            reply += codec.encode_result(state.aggregate, state.key_bits)
+            reply += codec.encode_result(record.aggregate, record.key_bits)
         else:
             self._state = self._RECEIVING
         return reply
@@ -791,59 +706,78 @@ class ServerSession:
     def _on_chunk(self, frame: Frame) -> bytes:
         if frame.frame_type != FrameType.ENC_CHUNK:
             raise ProtocolError("expected ENC_CHUNK")
-        state = self._resume_state
-        assert state is not None
-        if frame.sequence < state.chunks_received:
+        record = self._record
+        assert record is not None
+        if frame.sequence < record.chunks_received:
             return b""  # duplicate of an already-folded chunk: ignore
-        if frame.sequence > state.chunks_received:
+        if frame.sequence > record.chunks_received:
             raise ProtocolError(
                 "chunk sequence gap: got %d, expected %d"
-                % (frame.sequence, state.chunks_received)
+                % (frame.sequence, record.chunks_received)
             )
         # Refuse on the count prefix alone, before decoding the payload.
         count = codec.chunk_count(frame.payload)
         rows = len(self.database)
-        if state.received + count > rows:
+        if record.received + count > rows:
             raise ProtocolError("client sent more ciphertexts than elements")
-        if count > state.chunk_size:
+        if count > record.chunk_size:
             raise ProtocolError(
                 "chunk of %d ciphertexts exceeds the announced chunk size %d"
-                % (count, state.chunk_size)
+                % (count, record.chunk_size)
             )
-        ciphertexts = codec.decode_ciphertext_chunk(frame.payload, state.key_bits)
-        nsquare = state.public_key.nsquare
-        check_ciphertext_chunk(ciphertexts, state.public_key.n, nsquare)
+        ciphertexts = codec.decode_ciphertext_chunk(frame.payload, record.key_bits)
+        nsquare = self._nsquare
+        check_ciphertext_chunk(ciphertexts, record.public_n, nsquare)
+        # Every chunk but the last is full: a short or empty one would
+        # spend a frame (and a journal commit) beyond what max_chunks
+        # budgets for.
+        expected = min(record.chunk_size, rows - record.received)
+        if count != expected:
+            raise ProtocolError(
+                "short chunk of %d ciphertexts; %d were due" % (count, expected)
+            )
         # Buffer the chunk, then fold every block whose last row is in:
         # each block runs the program compiled from its database values
         # (~5.2 multiplications per element).  The product is a function
         # of the frames alone, whatever the chunk size or read split.
         fold_started = time.perf_counter()
-        pending = state.pending + ciphertexts
-        received = state.received + count
+        aggregate = record.aggregate
+        pending = record.pending + tuple(ciphertexts)
+        received = record.received + count
         first = received - len(pending)
         while first < received:
             end = min(first - first % FOLD_BLOCK + FOLD_BLOCK, rows)
             if end > received:
                 break
-            state.aggregate = (
-                state.aggregate
+            aggregate = (
+                aggregate
                 * self._fold_program(first, end).run(pending[: end - first], nsquare)
                 % nsquare
             )
-            del pending[: end - first]
+            pending = pending[end - first :]
             first = end
         if self.tracer is not None:
             self.tracer.record("fold", time.perf_counter() - fold_started)
         done = received == rows
-        state.pending = pending
-        state.received = received
-        state.chunks_received += 1
-        state.done = done
+        # touched_at stays at its default, so the journal stamps the
+        # write time rather than that of a record read back from it.
+        self._record = SessionRecord(
+            record.session_id,
+            record.key_bits,
+            record.chunk_size,
+            record.public_n,
+            aggregate,
+            received,
+            record.chunks_received + 1,
+            done,
+            0.0,
+            pending,
+        )
         self.chunk_frames_processed += 1
         self._unpublished = True
         if done:
             self._state = self._DONE
-            return codec.encode_result(state.aggregate, state.key_bits)
+            return codec.encode_result(aggregate, record.key_bits)
         return b""
 
     def _fold_program(self, first: int, end: int) -> FoldProgram:
@@ -876,9 +810,7 @@ def run_sessions_in_memory(
 
 
 def serve_over_transport(
-    session: ServerSession,
-    transport: Transport,
-    recv_bytes: int = DEFAULT_RECV_BYTES,
+    session: ServerSession, transport: Transport
 ) -> ServerSession:
     """Serve one connection until completion, error, or peer close.
 
@@ -887,7 +819,7 @@ def serve_over_transport(
     typed :class:`~repro.exceptions.TransportError`\\ s.
     """
     while True:
-        data = transport.recv(recv_bytes)
+        data = transport.recv(DEFAULT_RECV_BYTES)
         if not data:
             break  # peer closed; a resumable client will reconnect
         reply = session.receive_bytes(data)
@@ -898,9 +830,7 @@ def serve_over_transport(
     return session
 
 
-def _drain_early_replies(
-    client: ClientSession, transport: Transport, recv_bytes: int
-) -> None:
+def _drain_early_replies(client: ClientSession, transport: Transport) -> None:
     """Process anything the server already said while we were streaming.
 
     A hardened server rejects a bad session (policy violation, invalid
@@ -909,23 +839,19 @@ def _drain_early_replies(
     frame instead of a broken pipe on the next write.
     """
     while client.result is None and transport.recv_ready():
-        data = transport.recv(recv_bytes)
+        data = transport.recv(DEFAULT_RECV_BYTES)
         if not data:
             raise TransportError("server closed the connection mid-stream")
         client.receive_bytes(data)
 
 
-def run_over_transport(
-    client: ClientSession,
-    transport: Transport,
-    recv_bytes: int = DEFAULT_RECV_BYTES,
-) -> int:
+def run_over_transport(client: ClientSession, transport: Transport) -> int:
     """Run a client to completion over one connection (no reconnects)."""
     for outgoing in client.initial_bytes():
         transport.send(outgoing)
-        _drain_early_replies(client, transport, recv_bytes)
+        _drain_early_replies(client, transport)
     while client.result is None:
-        data = transport.recv(recv_bytes)
+        data = transport.recv(DEFAULT_RECV_BYTES)
         if not data:
             raise TransportError("server closed the connection before the result")
         client.receive_bytes(data)
@@ -938,7 +864,6 @@ def run_resilient(
     policy: Optional[RetryPolicy] = None,
     rng: Optional[RandomSource] = None,
     sleep: Callable[[float], None] = time.sleep,
-    recv_bytes: int = DEFAULT_RECV_BYTES,
     metrics: Optional[MetricsRegistry] = None,
 ) -> int:
     """Run a client to completion across reconnects and resumes.
@@ -1009,7 +934,7 @@ def run_resilient(
                 resume_started = time.perf_counter()
                 transport.send(client.resume_request())
                 while not client.resume_ready and client.result is None:
-                    data = transport.recv(recv_bytes)
+                    data = transport.recv(DEFAULT_RECV_BYTES)
                     if not data:
                         raise TransportError("connection closed awaiting ACK")
                     client.receive_bytes(data)
@@ -1022,9 +947,9 @@ def run_resilient(
                 stream = client.initial_bytes()
             for outgoing in stream:
                 transport.send(outgoing)
-                _drain_early_replies(client, transport, recv_bytes)
+                _drain_early_replies(client, transport)
             while client.result is None:
-                data = transport.recv(recv_bytes)
+                data = transport.recv(DEFAULT_RECV_BYTES)
                 if not data:
                     raise TransportError(
                         "server closed the connection before the result"

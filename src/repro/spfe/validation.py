@@ -16,8 +16,8 @@ Two kinds of check, surfacing as two exception types:
   sharing a factor with n is never produced by honest encryption, and
   folding one into the aggregate would corrupt the sum for free).
 * :class:`~repro.exceptions.PolicyViolation` — resource limits from a
-  :class:`ServerPolicy`: accepted key sizes, frame/payload caps,
-  per-session chunk and byte quotas, and registry residency budgets.
+  :class:`ServerPolicy`: accepted key sizes, frame/payload caps, and
+  per-session chunk and byte quotas.
 
 :class:`ServerPolicy` is a frozen dataclass so a policy can be shared
 across all connections of a :class:`~repro.net.server.SpfeServer`
@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.crypto.ntheory import bytes_for_bits
 from repro.exceptions import ParameterError, PolicyViolation, ValidationError
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "check_ciphertext",
     "check_ciphertext_chunk",
     "check_hello",
-    "resume_state_bytes",
 ]
 
 #: Slack allowed between the announced key size and the actual modulus
@@ -67,15 +65,6 @@ class ServerPolicy:
             included.  An honest session needs HELLO + key + one
             ciphertext per element; the default is sized for the paper's
             512-bit keys at n = 100k with generous headroom.
-        max_registry_sessions: resume-state count bound (LRU evicted).
-        max_registry_bytes: resume-state *residency* bound in bytes —
-            session count alone does not bound memory when key sizes
-            vary, see :func:`resume_state_bytes`.  An in-progress
-            session also holds the ciphertexts of its incomplete fold
-            block, at most 255, so 258 ciphertexts in all: ~32 KB at
-            512-bit keys, ~129 KB at 2048, 258 KiB at 4096.  The
-            default is the smallest that holds 64 of the largest, so
-            the count bound governs at every accepted key size.
     """
 
     min_key_bits: int = 64
@@ -83,8 +72,6 @@ class ServerPolicy:
     max_frame_payload: int = 4 * 1024 * 1024
     max_chunks: int = 1 << 16
     max_session_bytes: int = 64 * 1024 * 1024
-    max_registry_sessions: int = 64
-    max_registry_bytes: int = 64 * 258 * 1024
 
     def __post_init__(self) -> None:
         """Validate the knobs against each other."""
@@ -97,8 +84,6 @@ class ServerPolicy:
             "max_frame_payload",
             "max_chunks",
             "max_session_bytes",
-            "max_registry_sessions",
-            "max_registry_bytes",
         ):
             if getattr(self, name) < 1:
                 raise ParameterError("%s must be positive" % name)
@@ -185,14 +170,3 @@ def check_ciphertext_chunk(
         product = product * ciphertext % n
     if math.gcd(product, n) != 1:
         raise ValidationError("ciphertext shares a factor with the modulus")
-
-
-def resume_state_bytes(key_bits: int) -> int:
-    """Resident bytes one resume state costs the registry.
-
-    Dominated by three big integers of ciphertext width — the cached
-    modulus, its square, and the running aggregate — so the registry can
-    budget memory in bytes rather than pretending all sessions are the
-    same size.
-    """
-    return 3 * bytes_for_bits(2 * key_bits)

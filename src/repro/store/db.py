@@ -19,10 +19,10 @@ Durability model (documented in ``docs/protocol.md`` § Durability):
 
 The schema itself (see :data:`MIGRATIONS`):
 
-* ``sessions`` — the resumable-session journal: one frozen snapshot per
-  session id, exactly the fields of
-  :class:`repro.spfe.session._ResumeState` (the ciphertexts of the
-  incomplete fold block included, since v8) plus an LRU timestamp.
+* ``sessions`` — the resumable-session journal: one row per session
+  id, exactly the fields of :class:`repro.store.state.SessionRecord`
+  (the ciphertexts of the incomplete fold block included, since v8),
+  ``touched_at`` being the time of the row's last write.
   Rows written by v4-v7 hold digit-plane buckets instead (and, since
   v6, the digit width they were written at), which the store closes
   into the row's aggregate when it reads them.

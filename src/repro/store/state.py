@@ -3,7 +3,8 @@
 Two kinds of state, one SQLite file (see :mod:`repro.store.db` for the
 schema and durability model):
 
-* **Session journal** — frozen resumable-session snapshots, written by
+* **Session journal** — one immutable :class:`SessionRecord` per
+  resumable session, written by
   :class:`~repro.spfe.session.SessionRegistry` on every save (once per
   socket read that made progress).  A client
   whose server was SIGKILLed reconnects, sends RESUME, and the restarted
@@ -13,7 +14,7 @@ schema and durability model):
   serve --state-dir DIR --db-name NAME`` serves the same data across
   restarts without re-parsing input files.
 
-Trust note: both belong to the database owner.  A journalled snapshot
+Trust note: both belong to the database owner.  A journalled record
 holds the public key, counters, the server's fold of the client's
 ciphertexts and the raw ciphertexts of the fold block still incomplete.
 The server saw all of these on the wire: the raw ciphertexts are bytes
@@ -57,6 +58,7 @@ __all__ = [
     "SessionRecord",
     "STORE_METRIC_HELP",
     "DEFAULT_STORE_FILENAME",
+    "resume_state_bytes",
 ]
 
 #: the store file a ``--state-dir`` directory contains
@@ -102,6 +104,18 @@ def _ciphertext_width(key_bits: int) -> int:
     return bytes_for_bits(2 * key_bits)
 
 
+def resume_state_bytes(key_bits: int) -> int:
+    """Resident bytes one session record costs the registry, before any
+    pending ciphertexts.
+
+    Budgeted as three big integers of ciphertext width — the modulus,
+    the running aggregate and the record around them — so the registry
+    can bound memory in bytes rather than pretending all sessions are
+    the same size.
+    """
+    return 3 * _ciphertext_width(key_bits)
+
+
 def _close_buckets(
     buckets: Tuple[int, ...], window: int, aggregate: int, nsquare: int
 ) -> int:
@@ -128,10 +142,13 @@ def _close_buckets(
 
 @dataclass(frozen=True)
 class SessionRecord:
-    """One journalled session snapshot, as plain data.
+    """Everything the server keeps to resume one session, as plain data.
 
-    The session layer converts to/from its private resume-state type;
-    the store neither imports nor understands protocol objects.
+    The one representation of resume state: a
+    :class:`~repro.spfe.session.ServerSession` folds each chunk into a
+    new record, and the registry and the journal hold that same object.
+    Being immutable, a record can be shared between connections without
+    copies.  The store neither imports nor understands protocol objects.
     """
 
     session_id: bytes
@@ -142,11 +159,20 @@ class SessionRecord:
     received: int
     chunks_received: int
     done: bool
+    #: when the journal row was written; 0.0 on a record built in
+    #: memory, which :meth:`StateStore.save_session` stamps on writing
     touched_at: float = 0.0
     #: ciphertexts of the rows ``received - len(pending)`` up to
     #: ``received``, not yet folded into ``aggregate``; empty once done
     #: and for rows journalled before schema v8
     pending: Tuple[int, ...] = ()
+
+    @property
+    def resident_bytes(self) -> int:
+        """What this record costs the registry's byte budget."""
+        return resume_state_bytes(self.key_bits) + len(
+            self.pending
+        ) * _ciphertext_width(self.key_bits)
 
 
 class StateStore:
@@ -215,12 +241,12 @@ class StateStore:
     # -- session journal --------------------------------------------------
 
     def save_session(self, record: SessionRecord) -> None:
-        """Journal one frozen session snapshot (upsert by session id).
+        """Journal one session record (upsert by session id).
 
         Called once per socket read that registered a session or
         received at least one chunk (``ServerSession.receive_bytes``
         publishes at the end of each read); the WAL commit makes the
-        snapshot process-crash durable before the server's reply leaves
+        record process-crash durable before the server's reply leaves
         the process (RESULT in particular is journalled before it is
         sent), and a crash loses at most one read of chunks.
         """
@@ -263,7 +289,7 @@ class StateStore:
         self._count("repro_store_journal_writes_total")
 
     def load_session(self, session_id: bytes) -> Optional[SessionRecord]:
-        """Fetch one journalled snapshot; None when unknown/deleted.
+        """Fetch one journalled record; None when unknown/deleted.
 
         A row an older release journalled with digit-plane buckets
         (schema v4-v7) is returned with its buckets closed into its

@@ -688,7 +688,7 @@ class TestRegistryByteBudget:
         run_sessions_in_memory(
             make_client(selection), ServerSession(database, registry=registry)
         )
-        from repro.spfe.validation import resume_state_bytes
+        from repro.store.state import resume_state_bytes
 
         assert registry.resident_bytes == resume_state_bytes(128)
 
@@ -696,7 +696,7 @@ class TestRegistryByteBudget:
         """The pending ciphertexts of the incomplete fold block cost
         registry bytes while a session is in progress and are released
         once the last block folds into the aggregate."""
-        from repro.spfe.validation import resume_state_bytes
+        from repro.store.state import resume_state_bytes
 
         database, selection = workload_bytes
         registry = SessionRegistry(capacity=8, max_bytes=1 << 20)
@@ -718,7 +718,7 @@ class TestRegistryByteBudget:
             client.receive_bytes(server.receive_bytes(data))
         assert client.result == database.select_sum(selection)
         (state,) = registry._states.values()
-        assert state.done and state.pending == []
+        assert state.done and state.pending == ()
         assert registry.resident_bytes == resume_state_bytes(128)
 
     def test_default_budget_holds_the_count_bound_at_max_key_bits(self):
@@ -726,15 +726,15 @@ class TestRegistryByteBudget:
         pending ciphertexts less one; the default byte budget must
         still not evict before the count bound does."""
         from repro.crypto.multiexp import FOLD_BLOCK
-        from repro.spfe.validation import ServerPolicy, resume_state_bytes
+        from repro.spfe.session import REGISTRY_CAPACITY, REGISTRY_MAX_BYTES
+        from repro.spfe.validation import ServerPolicy
+        from repro.store.state import resume_state_bytes
 
         policy = ServerPolicy()
         per_session = resume_state_bytes(policy.max_key_bits) + (
             FOLD_BLOCK - 1
         ) * (2 * policy.max_key_bits // 8)
-        assert policy.max_registry_sessions * per_session <= (
-            policy.max_registry_bytes
-        )
+        assert REGISTRY_CAPACITY * per_session <= REGISTRY_MAX_BYTES
 
     def test_bad_byte_budget_rejected(self):
         with pytest.raises(Exception):
@@ -782,7 +782,10 @@ class TestConcurrentRegistry:
         """A client whose read timed out reconnects and resumes while
         its old connection is still folding buffered chunks; the two
         server sessions must never share a mutable state object, or the
-        stale one corrupts the live one's aggregate."""
+        stale one corrupts the live one's aggregate.  They share the
+        registry's record, which is immutable."""
+        import dataclasses
+
         database, selection = workload_bytes
         registry = SessionRegistry()
         client = make_client(selection, chunk_size=9)
@@ -801,12 +804,12 @@ class TestConcurrentRegistry:
         client.receive_bytes(server2.receive_bytes(client.resume_request()))
         assert client.resume_ready
 
-        # Registry entries are frozen snapshots: neither live session
-        # holds the stored object (publish-snapshot + copy-on-resume).
+        # The resumed session adopted the stored record, which nothing
+        # can change in place.
         entry = registry.get(client.session_id)
-        assert entry is not server1._resume_state
-        assert entry is not server2._resume_state
-        assert server1._resume_state is not server2._resume_state
+        assert entry is server2._record
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            entry.aggregate = 1
 
         # The stale connection drains its buffered chunk *after* the
         # resume; with shared state this would fold chunk 3 into the
@@ -1005,6 +1008,35 @@ class TestServerPolicyEnforcement:
         (error,) = _decode_frames(reply)
         assert error.frame_type == FrameType.ERROR
         assert "exceeds the announced chunk size 2" in str(server.last_error)
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_short_chunk_refused(self, count):
+        """Every chunk but the last carries exactly the announced chunk
+        size: empty or short chunks would let a session spend frames
+        (each one a registry save) beyond what max_chunks allows."""
+        database = ServerDatabase([3, 1, 4, 1], value_bits=8)
+        keypair = generate_keypair(64, DeterministicRandom("short-chunk"))
+        registry = SessionRegistry()
+        server = ServerSession(
+            database, policy=self._policy(max_chunks=1), registry=registry
+        )
+        server.receive_bytes(
+            codec.encode_hello(64, len(database), 4, b"\7" * 16, 0)
+        )
+        server.receive_bytes(codec.encode_public_key(keypair.public.n, 64, 0))
+        ciphertexts = [
+            keypair.public.encrypt_raw(1, "s%d" % i) for i in range(count)
+        ]
+        reply = server.receive_bytes(
+            codec.encode_ciphertext_chunk(ciphertexts, 64, 0)
+        )
+        (error,) = _decode_frames(reply)
+        assert error.frame_type == FrameType.ERROR
+        assert "short chunk of %d ciphertexts; 4 were due" % count in str(
+            server.last_error
+        )
+        assert server.chunk_frames_processed == 0
+        assert b"\7" * 16 not in registry
 
     def test_errored_session_loses_resume_state(self, workload_bytes):
         """A rejected peer must restart, never resume poisoned state."""

@@ -14,8 +14,8 @@ from repro.spfe.validation import (
     check_ciphertext_chunk,
     check_hello,
     check_public_key,
-    resume_state_bytes,
 )
+from repro.store.state import resume_state_bytes
 
 
 @pytest.fixture(scope="module")
@@ -37,8 +37,8 @@ class TestServerPolicy:
             {"max_frame_payload": 0},
             {"max_chunks": 0},
             {"max_session_bytes": 0},
-            {"max_registry_sessions": 0},
-            {"max_registry_bytes": 0},
+            {"max_chunks": -1},
+            {"max_session_bytes": -1},
             {"max_frame_payload": 100, "max_session_bytes": 50},
         ],
     )

@@ -9,6 +9,8 @@ call that made progress (group commit at the read boundary), so a crash
 loses at most one read of chunks and never changes the RESULT.
 """
 
+import dataclasses
+import functools
 import sqlite3
 import sys
 import threading
@@ -18,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.multiexp import multi_exponent
+from repro.crypto.paillier import generate_keypair
 from repro.crypto.rng import DeterministicRandom
 from repro.crypto.serialization import encode_int, encode_int_seq
 from repro.datastore.database import ServerDatabase
@@ -639,6 +642,59 @@ def test_any_split_into_reads_gives_the_same_result(data):
     assert result_payload(replies) == SPLIT_RESULT
 
 
+BLOCK_DB = ServerDatabase([(13 * i + 5) % 251 for i in range(300)], value_bits=8)
+BLOCK_SELECTION = [i % 3 for i in range(300)]
+BLOCK_KEYPAIR = generate_keypair(KEY_BITS, DeterministicRandom("block-keypair"))
+
+
+@functools.lru_cache(maxsize=None)
+def block_stream(chunk_size):
+    """A 300-row client stream (one whole fold block and a partial one)."""
+    client = ClientSession(
+        BLOCK_SELECTION,
+        key_bits=KEY_BITS,
+        chunk_size=chunk_size,
+        rng=DeterministicRandom("block-%d" % chunk_size),
+        keypair=BLOCK_KEYPAIR,
+    )
+    return client.session_id, b"".join(client.initial_bytes())
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.data())
+def test_journal_holds_the_registry_record_after_every_read(data):
+    """Whatever the chunk size and however the stream is split into
+    reads, the journal row equals the registry's record after each read
+    (the row's write stamp aside), and the RESULT is the exact sum."""
+    chunk_size = data.draw(st.integers(min_value=1, max_value=len(BLOCK_DB)))
+    session_id, stream = block_stream(chunk_size)
+    cuts = sorted(
+        data.draw(
+            st.sets(st.integers(min_value=1, max_value=len(stream) - 1), max_size=12)
+        )
+    )
+    with StateStore(":memory:") as store:
+        registry = SessionRegistry(store=store)
+        server = ServerSession(BLOCK_DB, registry=registry)
+        replies = b""
+        for start, stop in zip([0] + cuts, cuts + [len(stream)]):
+            replies += server.receive_bytes(stream[start:stop])
+            row = store.load_session(session_id)
+            record = registry.get(session_id)
+            if row is None:
+                assert record is None
+            else:
+                assert dataclasses.replace(row, touched_at=0.0) == record
+    ciphertext = codec.decode_result(result_payload(replies), KEY_BITS)
+    assert BLOCK_KEYPAIR.private.raw_decrypt(ciphertext) == BLOCK_DB.select_sum(
+        BLOCK_SELECTION
+    )
+
+
 class HeldStore(StateStore):
     """A store whose upsert for one session blocks until released."""
 
@@ -699,13 +755,15 @@ def test_concurrent_saves_keep_journal_and_memory_in_step():
     """Threads saving and evicting through a tiny registry: afterwards a
     journal row exists exactly for the sessions still in memory."""
     ids = [bytes([i]) * 16 for i in range(6)]
-    state = SessionRegistry._state_from_record(
-        SessionRecord(
-            session_id=ids[0], key_bits=KEY_BITS, chunk_size=CHUNK,
-            public_n=make_client("stress").public_key.n, aggregate=1,
-            received=0, chunks_received=0, done=False,
+    public_n = make_client("stress").public_key.n
+    records = {
+        session_id: SessionRecord(
+            session_id=session_id, key_bits=KEY_BITS, chunk_size=CHUNK,
+            public_n=public_n, aggregate=1, received=0, chunks_received=0,
+            done=False,
         )
-    )
+        for session_id in ids
+    }
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -718,7 +776,7 @@ def test_concurrent_saves_keep_journal_and_memory_in_step():
                     if step % 7 == 3:
                         registry.discard(session_id)
                     else:
-                        registry.save(session_id, state)
+                        registry.save(session_id, records[session_id])
 
             workers = [
                 threading.Thread(target=churn, args=(i,)) for i in range(8)
