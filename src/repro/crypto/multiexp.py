@@ -14,10 +14,11 @@ exponentiation, and both have algorithmic structure a per-element
   At 512-bit keys and 32-bit weights this is ~5-8x faster than the
   naive loop in pure Python (see ``benchmarks/test_kernels.py``).
   The deployed server's exponents are its own database, fixed for its
-  whole life, so it does better still: :class:`FoldProgram` compiles a
-  Bos–Coster addition program once per block of :data:`FOLD_BLOCK`
-  database rows (:func:`fold_plan`), and each query runs those
-  programs on its ciphertexts, ~5.2 multiplications per element.
+  whole life, so it does better still: :func:`fold_plan` cuts the
+  database into blocks of up to :data:`FOLD_CAP` rows and compiles a
+  Bos–Coster addition program (:class:`FoldProgram`) for each, and
+  each query runs those programs on its ciphertexts, ~4.6
+  multiplications per element at n = 1000.
 
 * **The encryption obfuscator** ``r^n mod n^2`` raises a *varying* base
   to the *fixed* per-key exponent ``n``.  Written as ``r = h^x mod n``
@@ -41,7 +42,9 @@ independent), which the property tests in
 from __future__ import annotations
 
 import heapq
-from typing import List, Literal, Optional, Sequence, Tuple
+from array import array
+from bisect import bisect_right
+from typing import List, Literal, NamedTuple, Optional, Sequence, Tuple
 
 from repro.exceptions import ParameterError
 
@@ -49,8 +52,11 @@ __all__ = [
     "multi_exponent",
     "select_window",
     "FoldProgram",
+    "FoldPlan",
     "fold_plan",
-    "FOLD_BLOCK",
+    "fold_blocks",
+    "FOLD_CAP",
+    "FOLD_SINGLE",
     "FixedBaseTable",
 ]
 
@@ -152,12 +158,16 @@ def multi_exponent(
     return acc * _bucket_fold(pairs, modulus, max_bits, window) % modulus
 
 
-#: Most rows one :class:`FoldProgram` folds: register indices are
-#: stored one byte each.  The deployed server cuts its database into
-#: blocks of this many consecutive rows.  Wider blocks fold cheaper on
-#: random 32-bit values (~5.9 multiplications per element at 128 rows,
-#: ~5.2 at 256, ~4.6 at 512) but hold more ciphertexts pending.
-FOLD_BLOCK = 256
+#: Widest fold block.  A Bos–Coster program folds cheaper per element
+#: the wider its block (random 32-bit values: ~5.2 multiplications per
+#: element at 256 rows, ~4.6 at 500, ~4.2 at 1024), but a session holds
+#: the ciphertexts of its incomplete block pending, up to
+#: ``FOLD_CAP - 1`` of them, and a block folds only once its last row
+#: has arrived (see :func:`fold_blocks`).
+FOLD_CAP = 512
+
+#: A database of at most this many rows folds as one block.
+FOLD_SINGLE = 256
 
 
 class FoldProgram:
@@ -173,19 +183,20 @@ class FoldProgram:
     row standing is raised to its remaining exponent.
 
     On random 32-bit exponents almost every quotient is 1, so a step is
-    one modular multiplication, and a block of 256 rows costs ~5.2 per
-    element against ~7 for digit-plane buckets.  Steps are stored as two
-    byte strings of register indices; the rare quotients above 1 are
-    kept apart, each run as one ``pow``.
+    one modular multiplication; a block of 256 rows costs ~5.2 per
+    element and one of 500 rows ~4.6, against ~7 for digit-plane
+    buckets.  Steps are stored as two arrays of two-byte register
+    indices, so a program takes at most :data:`FOLD_CAP` rows; the rare
+    quotients above 1 are kept apart, each run as one ``pow``.
     """
 
     __slots__ = ("rows", "_dst", "_src", "_quotients", "_survivor", "_exponent")
 
     def __init__(self, exponents: Sequence[int]) -> None:
-        if len(exponents) > FOLD_BLOCK:
+        if len(exponents) > FOLD_CAP:
             raise ParameterError(
                 "a fold program takes at most %d rows, got %d"
-                % (FOLD_BLOCK, len(exponents))
+                % (FOLD_CAP, len(exponents))
             )
         heap: List[Tuple[int, int]] = []
         for row, exponent in enumerate(exponents):
@@ -196,8 +207,8 @@ class FoldProgram:
             if exponent:
                 heap.append((-exponent, row))
         heapq.heapify(heap)
-        dst = bytearray()
-        src = bytearray()
+        dst = array("H")
+        src = array("H")
         quotients: List[Tuple[int, int]] = []
         # The heap holds negated exponents, so divmod of two entries
         # gives the quotient and the negated remainder directly.
@@ -217,8 +228,8 @@ class FoldProgram:
             else:
                 heapq.heappop(heap)
         self.rows = len(exponents)
-        self._dst = bytes(dst)
-        self._src = bytes(src)
+        self._dst = dst
+        self._src = src
         self._quotients = tuple(quotients)
         #: the last row standing and its exponent; -1 and 0 if none
         self._survivor, self._exponent = (
@@ -261,12 +272,63 @@ class FoldProgram:
         return "FoldProgram(rows=%d, steps=%d)" % (self.rows, self.steps)
 
 
-def fold_plan(exponents: Sequence[int]) -> Tuple[FoldProgram, ...]:
-    """One :class:`FoldProgram` per block of :data:`FOLD_BLOCK`
-    consecutive exponents; the last block may be shorter."""
-    return tuple(
-        FoldProgram(exponents[start : start + FOLD_BLOCK])
-        for start in range(0, len(exponents), FOLD_BLOCK)
+def fold_blocks(rows: int) -> Tuple[int, ...]:
+    """First rows of the fold blocks of a ``rows``-row database.
+
+    One fixed rule of ``rows`` alone: a database of at most
+    :data:`FOLD_SINGLE` rows is one block; a wider one is cut into the
+    fewest blocks of at most :data:`FOLD_CAP` rows, but at least two,
+    of near-equal width.
+
+    Almost every step of a block's program needs one of the block's
+    last rows, so a block folds after its last row arrives.  With at
+    least two blocks, no block but the last is wider than the rows
+    still to come when it folds, so its fold runs while the rest of
+    the query streams in; only the last block's fold waits for the end.
+    """
+    if rows <= FOLD_SINGLE:
+        return (0,) if rows else ()
+    count = max(2, -(-rows // FOLD_CAP))  # ceil
+    return tuple(rows * block // count for block in range(count))
+
+
+class FoldPlan(NamedTuple):
+    """The server fold of one database: its blocks and their programs.
+
+    Block ``i`` covers rows ``starts[i]`` up to the next start (or
+    ``rows``), and ``programs[i]`` folds it.
+    """
+
+    rows: int
+    starts: Tuple[int, ...]
+    programs: Tuple[FoldProgram, ...]
+
+    def block_end(self, row: int) -> int:
+        """The row after the last of the block that holds ``row``."""
+        block = bisect_right(self.starts, row)
+        return self.starts[block] if block < len(self.starts) else self.rows
+
+    def program_at(self, first: int) -> Optional[FoldProgram]:
+        """The program of the block that starts at row ``first``; None
+        when ``first`` is inside a block."""
+        block = bisect_right(self.starts, first) - 1
+        return self.programs[block] if self.starts[block] == first else None
+
+    def bounds(self) -> Tuple[Tuple[int, int], ...]:
+        """``(first, end)`` rows of every block, in order."""
+        return tuple(zip(self.starts, self.starts[1:] + (self.rows,)))
+
+
+def fold_plan(exponents: Sequence[int]) -> FoldPlan:
+    """One :class:`FoldProgram` per block of :func:`fold_blocks`, with
+    ``exponents`` as the rows' values."""
+    rows = len(exponents)
+    starts = fold_blocks(rows)
+    ends = starts[1:] + (rows,)
+    return FoldPlan(
+        rows,
+        starts,
+        tuple(FoldProgram(exponents[first:end]) for first, end in zip(starts, ends)),
     )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
-from repro.crypto.multiexp import FoldProgram, fold_plan
+from repro.crypto.multiexp import FoldPlan, fold_plan
 from repro.exceptions import DatabaseError
 
 __all__ = ["ServerDatabase", "VALUE_BITS", "MAX_VALUE", "elementwise_product"]
@@ -37,7 +37,7 @@ class ServerDatabase:
             raise DatabaseError("value_bits must be positive")
         self._values: Tuple[int, ...] = tuple(values)
         self.value_bits = value_bits
-        self._fold_plan: Optional[Tuple[FoldProgram, ...]] = None
+        self._fold_plan: Optional[FoldPlan] = None
         limit = 2**value_bits - 1
         if not self._values:
             raise DatabaseError("database cannot be empty")
@@ -86,10 +86,12 @@ class ServerDatabase:
         for start in range(0, len(self._values), size):
             yield start, self._values[start : start + size]
 
-    def fold_plan(self) -> Tuple[FoldProgram, ...]:
-        """The server fold's programs: one per block of
-        :data:`~repro.crypto.multiexp.FOLD_BLOCK` rows, with the values
-        as exponents.
+    def fold_plan(self) -> FoldPlan:
+        """The server fold's plan: the block bounds
+        :func:`~repro.crypto.multiexp.fold_blocks` cuts for this many
+        rows (near-equal blocks of at most
+        :data:`~repro.crypto.multiexp.FOLD_CAP` rows) and one program
+        per block, with the values as exponents.
 
         Built on first call and kept, since the values never change;
         every session and thread folding against this database shares

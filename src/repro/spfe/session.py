@@ -48,7 +48,7 @@ from collections import OrderedDict
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.crypto.multiexp import (
-    FOLD_BLOCK,
+    FOLD_CAP,
     FoldProgram,
     multi_exponent,  # noqa: F401 - perfbench/launcher.py wraps it by name
 )
@@ -112,11 +112,13 @@ REGISTRY_CAPACITY = 64
 #: count alone does not bound memory when key sizes vary, see
 #: :func:`~repro.store.state.resume_state_bytes`.  An in-progress
 #: session also holds the ciphertexts of its incomplete fold block, at
-#: most 255, so 258 ciphertexts in all: ~32 KB at 512-bit keys, ~129 KB
-#: at 2048, 258 KiB at 4096.  This is the smallest budget that holds
-#: :data:`REGISTRY_CAPACITY` of the largest, so the count bound governs
-#: at every key size the default policy accepts.
-REGISTRY_MAX_BYTES = 64 * 258 * 1024
+#: most ``FOLD_CAP - 1`` (the widest block less one), so
+#: ``FOLD_CAP + 2`` ciphertexts in all: ~64 KiB at 512-bit keys, 257
+#: KiB at 2048 and 514 KiB at 4096, where a ciphertext takes 1 KiB.
+#: This is the smallest budget that holds :data:`REGISTRY_CAPACITY` of
+#: the largest (~32 MiB), so the count bound governs at every key size
+#: the default policy accepts.
+REGISTRY_MAX_BYTES = REGISTRY_CAPACITY * (FOLD_CAP + 2) * 1024
 
 
 class ClientSession:
@@ -738,15 +740,17 @@ class ServerSession:
             )
         # Buffer the chunk, then fold every block whose last row is in:
         # each block runs the program compiled from its database values
-        # (~5.2 multiplications per element).  The product is a function
-        # of the frames alone, whatever the chunk size or read split.
+        # (~4.6 multiplications per element at n = 1000).  The product is
+        # a function of the frames alone, whatever the chunk size or
+        # read split.
         fold_started = time.perf_counter()
+        plan = self.database.fold_plan()
         aggregate = record.aggregate
         pending = record.pending + tuple(ciphertexts)
         received = record.received + count
         first = received - len(pending)
         while first < received:
-            end = min(first - first % FOLD_BLOCK + FOLD_BLOCK, rows)
+            end = plan.block_end(first)
             if end > received:
                 break
             aggregate = (
@@ -781,12 +785,14 @@ class ServerSession:
         return b""
 
     def _fold_program(self, first: int, end: int) -> FoldProgram:
-        """The program folding rows ``first`` up to ``end``: the
-        database's own for a whole block, compiled here for a range that
-        starts mid-block (a journal row of an older release resumed)."""
-        if first % FOLD_BLOCK == 0:
-            return self.database.fold_plan()[first // FOLD_BLOCK]
-        return FoldProgram(self.database.values[first:end])
+        """The program folding rows ``first`` up to ``end``, the end of
+        a block: the database's own for a whole block, compiled here for
+        a range that starts mid-block (a journal row of an older
+        release, whose blocks were cut elsewhere, resumed)."""
+        program = self.database.fold_plan().program_at(first)
+        if program is None:
+            program = FoldProgram(self.database.values[first:end])
+        return program
 
 
 def run_sessions_in_memory(

@@ -20,12 +20,18 @@ Durability model (documented in ``docs/protocol.md`` § Durability):
 The schema itself (see :data:`MIGRATIONS`):
 
 * ``sessions`` — the resumable-session journal: one row per session
-  id, exactly the fields of :class:`repro.store.state.SessionRecord`
-  (the ciphertexts of the incomplete fold block included, since v8),
-  ``touched_at`` being the time of the row's last write.
-  Rows written by v4-v7 hold digit-plane buckets instead (and, since
-  v6, the digit width they were written at), which the store closes
-  into the row's aggregate when it reads them.
+  id, the fields of :class:`repro.store.state.SessionRecord` but its
+  pending ciphertexts, ``touched_at`` being the time of the row's last
+  write.  Rows written by v4-v7 hold digit-plane buckets instead (and,
+  since v6, the digit width they were written at), which the store
+  closes into the row's aggregate when it reads them; rows written by
+  v8 hold their pending ciphertexts in the ``pending`` column.
+* ``session_pending`` (since v9) — the ciphertexts of each session's
+  incomplete fold block, append-only: each commit that folds no block
+  adds one row with the ciphertexts received since the last commit,
+  keyed by the session and its first row; a commit that folds a block
+  replaces them.  Deleting a session deletes its rows (``ON DELETE
+  CASCADE``; the connection turns foreign keys on).
 * ``databases`` — named server databases, loadable by ``repro serve
   --state-dir ... --db-name ...``.
 
@@ -166,6 +172,24 @@ MIGRATIONS: Tuple[Tuple[int, str, Tuple[str, ...]], ...] = (
             # NULL for rows written before v8: their folded chunks are
             # in `aggregate` and `buckets`, and none are pending.
             "ALTER TABLE sessions ADD COLUMN pending BLOB",
+        ),
+    ),
+    (
+        9,
+        "append-only pending journal: one row per commit's ciphertexts",
+        (
+            # A v8 row keeps its `sessions.pending` blob until the
+            # session's next write moves it here; rows written since v9
+            # leave that column NULL.
+            """
+            CREATE TABLE session_pending (
+                session_id BLOB NOT NULL
+                    REFERENCES sessions(session_id) ON DELETE CASCADE,
+                first_row  INTEGER NOT NULL,
+                blob       BLOB NOT NULL,
+                PRIMARY KEY (session_id, first_row)
+            ) WITHOUT ROWID
+            """,
         ),
     ),
 )

@@ -249,20 +249,32 @@ class StateStore:
         record process-crash durable before the server's reply leaves
         the process (RESULT in particular is journalled before it is
         sent), and a crash loses at most one read of chunks.
+
+        Pending ciphertexts are journalled append-only.  When the
+        record's pending rows start where the journalled ones do, the
+        commit inserts one row holding the ciphertexts received since
+        the last commit; otherwise (a block folded, or the row still
+        holds a v8 ``pending`` blob) it replaces the session's pending
+        rows with one row of ``record.pending``.  One transaction.
         """
         touched = record.touched_at if record.touched_at else time.time()
-        pending = encode_int_seq(
-            record.pending, _ciphertext_width(record.key_bits)
-        )
+        session_id = record.session_id
+        first = record.received - len(record.pending)
         try:
             with self._lock:
                 conn = self._require_conn()
                 with conn:
+                    journalled = conn.execute(
+                        "SELECT received, pending IS NULL, (SELECT MIN(first_row)"
+                        " FROM session_pending WHERE session_id = ?)"
+                        " FROM sessions WHERE session_id = ?",
+                        (session_id, session_id),
+                    ).fetchone()
                     conn.execute(
                         "INSERT INTO sessions (session_id, key_bits, chunk_size,"
                         " public_n, aggregate, received, chunks_received, done,"
-                        " touched_at, pending)"
-                        " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
+                        " touched_at)"
+                        " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)"
                         " ON CONFLICT(session_id) DO UPDATE SET"
                         " aggregate=excluded.aggregate,"
                         " received=excluded.received,"
@@ -270,9 +282,9 @@ class StateStore:
                         " done=excluded.done,"
                         " touched_at=excluded.touched_at,"
                         " buckets=NULL,"
-                        " pending=excluded.pending",
+                        " pending=NULL",
                         (
-                            record.session_id,
+                            session_id,
                             record.key_bits,
                             record.chunk_size,
                             _int_blob(record.public_n),
@@ -281,9 +293,37 @@ class StateStore:
                             record.chunks_received,
                             1 if record.done else 0,
                             touched,
-                            pending,
                         ),
                     )
+                    # journalled: (received, no v8 blob, first pending row)
+                    if (
+                        journalled is not None
+                        and journalled[1]
+                        and first == (
+                            journalled[0] if journalled[2] is None else journalled[2]
+                        )
+                        and journalled[0] <= record.received
+                    ):
+                        at = int(journalled[0])  # append what came since
+                    else:
+                        at = first
+                        conn.execute(
+                            "DELETE FROM session_pending WHERE session_id = ?",
+                            (session_id,),
+                        )
+                    fresh = record.pending[at - first :]
+                    if fresh:
+                        conn.execute(
+                            "INSERT INTO session_pending (session_id, first_row,"
+                            " blob) VALUES (?, ?, ?)",
+                            (
+                                session_id,
+                                at,
+                                encode_int_seq(
+                                    fresh, _ciphertext_width(record.key_bits)
+                                ),
+                            ),
+                        )
         except sqlite3.Error as exc:
             raise StoreError("session journal write failed: %s" % exc) from exc
         self._count("repro_store_journal_writes_total")
@@ -291,6 +331,10 @@ class StateStore:
     def load_session(self, session_id: bytes) -> Optional[SessionRecord]:
         """Fetch one journalled record; None when unknown/deleted.
 
+        The pending ciphertexts are the session's ``session_pending``
+        rows joined in row order, which must tile the rows
+        ``received - len(pending)`` up to ``received`` exactly; a row
+        written by v8 holds them in its own ``pending`` blob instead.
         A row an older release journalled with digit-plane buckets
         (schema v4-v7) is returned with its buckets closed into its
         aggregate and nothing pending: the fold is linear, so the
@@ -305,6 +349,11 @@ class StateStore:
                     " plane_window, pending FROM sessions WHERE session_id = ?",
                     (session_id,),
                 ).fetchone()
+                pending_rows = conn.execute(
+                    "SELECT first_row, blob FROM session_pending"
+                    " WHERE session_id = ? ORDER BY first_row",
+                    (session_id,),
+                ).fetchall()
         except sqlite3.Error as exc:
             raise StoreError("session journal read failed: %s" % exc) from exc
         if row is None:
@@ -322,21 +371,36 @@ class StateStore:
                 aggregate,
                 public_n * public_n,
             )
-        pending: Tuple[int, ...] = ()
-        if row[10] is not None:
-            try:
-                pending = decode_int_seq(row[10], width)
-            except (ValueError, struct.error) as exc:
+        if row[10] is not None:  # a v8 row: one blob, ending at received
+            if pending_rows:
                 raise StoreError(
-                    "corrupt pending blob for session %s: %s"
-                    % (session_id.hex(), exc)
-                ) from exc
-            if len(pending) > received:
-                raise StoreError(
-                    "corrupt pending blob for session %s: %d ciphertexts"
-                    " pending but %d received"
-                    % (session_id.hex(), len(pending), received)
+                    "corrupt pending rows for session %s: a v8 pending blob"
+                    " beside %d journalled rows"
+                    % (session_id.hex(), len(pending_rows))
                 )
+            legacy = self._pending_part(session_id, row[10], width)
+            parts = [(received - len(legacy), legacy)]
+        else:
+            parts = [
+                (int(first_row), self._pending_part(session_id, blob, width))
+                for first_row, blob in pending_rows
+            ]
+        pending: Tuple[int, ...] = tuple(ct for _, part in parts for ct in part)
+        if len(pending) > received:
+            raise StoreError(
+                "corrupt pending blob for session %s: %d ciphertexts"
+                " pending but %d received"
+                % (session_id.hex(), len(pending), received)
+            )
+        at = received - len(pending)
+        for first_row, part in parts:
+            if first_row != at:
+                raise StoreError(
+                    "corrupt pending rows for session %s: a row starts at"
+                    " %d, not %d; %d ciphertexts must end at row %d"
+                    % (session_id.hex(), first_row, at, len(pending), received)
+                )
+            at += len(part)
         self._count("repro_store_journal_hits_total")
         return SessionRecord(
             session_id=session_id,
@@ -350,6 +414,19 @@ class StateStore:
             touched_at=float(row[7]),
             pending=pending,
         )
+
+    @staticmethod
+    def _pending_part(
+        session_id: bytes, blob: bytes, width: int
+    ) -> Tuple[int, ...]:
+        """Decode one blob of pending ciphertexts."""
+        try:
+            return decode_int_seq(blob, width)
+        except (ValueError, struct.error) as exc:
+            raise StoreError(
+                "corrupt pending blob for session %s: %s"
+                % (session_id.hex(), exc)
+            ) from exc
 
     @staticmethod
     def _legacy_buckets(

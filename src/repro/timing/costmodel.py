@@ -27,8 +27,8 @@ which the live benches use to sanity-check the model's op-cost ratios.
 The calibration is *kernel-aware*: by default it charges the server's
 ``WEIGHTED_STEP`` at the per-ciphertext cost of the deployed server's
 fold (the steps of the database's precompiled Bos–Coster programs,
-:class:`repro.crypto.multiexp.FoldProgram`, one per block of
-:data:`~repro.crypto.multiexp.FOLD_BLOCK` rows) and ``PRECOMPUTE`` at
+:class:`repro.crypto.multiexp.FoldProgram`, one per block that
+:func:`~repro.crypto.multiexp.fold_blocks` cuts) and ``PRECOMPUTE`` at
 the fixed-base byte-digit table's per-obfuscator cost — the code paths
 the measured protocols actually take.  Pass ``use_kernels=False`` to fit
 the naive square-and-multiply costs instead (the paper-era baseline:
@@ -172,7 +172,7 @@ profiles = _ProfilePresets()
 
 
 #: database size the calibrated server step folds one query over (the
-#: paper's n): four block programs, the last one shorter
+#: paper's n): two 500-row block programs
 _FOLD_ELEMENTS = 1000
 
 
@@ -206,7 +206,7 @@ def calibrate_profile(
     the timed loops and excluded, like key generation, from the per-op
     figures.
     """
-    from repro.crypto.multiexp import FOLD_BLOCK, FixedBaseTable, fold_plan
+    from repro.crypto.multiexp import FixedBaseTable, fold_plan
     from repro.crypto.paillier import generate_keypair
     from repro.crypto.rng import DeterministicRandom
 
@@ -244,12 +244,9 @@ def calibrate_profile(
         plan = fold_plan([rng.randrange(1, 1 << 32) for _ in batch])
         aggregate = 1
         start = clock()
-        for block, program in enumerate(plan):
-            first = block * FOLD_BLOCK
+        for (first, end), program in zip(plan.bounds(), plan.programs):
             aggregate = (
-                aggregate
-                * program.run(batch[first : first + FOLD_BLOCK], pk.nsquare)
-                % pk.nsquare
+                aggregate * program.run(batch[first:end], pk.nsquare) % pk.nsquare
             )
         t_step = (clock() - start) / _FOLD_ELEMENTS
     else:

@@ -17,9 +17,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.multiexp import (
-    FOLD_BLOCK,
+    FOLD_CAP,
+    FOLD_SINGLE,
     FixedBaseTable,
     FoldProgram,
+    fold_blocks,
     fold_plan,
     multi_exponent,
     select_window,
@@ -171,10 +173,31 @@ fold_exponents = st.one_of(
 def run_plan(plan, bases, modulus):
     """The product of every block program's run, as the server folds."""
     acc = 1
-    for block, program in enumerate(plan):
-        first = block * FOLD_BLOCK
-        acc = acc * program.run(bases[first : first + FOLD_BLOCK], modulus) % modulus
+    for (first, end), program in zip(plan.bounds(), plan.programs):
+        acc = acc * program.run(bases[first:end], modulus) % modulus
     return acc
+
+
+def check_layout(plan, rows):
+    """The blocks tile ``[0, rows)``, none wider than the cap: one block
+    for a small database, else the fewest near-equal blocks but at
+    least two, so no block but the last is wider than the rows after
+    it."""
+    bounds = plan.bounds()
+    assert plan.rows == rows
+    reached = 0
+    for (first, end), program in zip(bounds, plan.programs):
+        assert first == reached and first < end <= first + FOLD_CAP
+        assert program.rows == end - first
+        assert end == rows or end - first <= rows - end
+        reached = end
+    assert reached == rows and len(plan.programs) == len(bounds)
+    widths = [end - first for first, end in bounds]
+    if rows <= FOLD_SINGLE:
+        assert widths == [rows] * bool(rows)
+    else:
+        assert len(widths) == max(2, -(-rows // FOLD_CAP))
+        assert max(widths) - min(widths) <= 1
 
 
 class TestFoldProgram:
@@ -202,9 +225,7 @@ class TestFoldProgram:
             st.lists(st.integers(0, modulus - 1), min_size=count, max_size=count)
         )
         plan = fold_plan(exponents)
-        assert [p.rows for p in plan] == [
-            min(FOLD_BLOCK, count - first) for first in range(0, count, FOLD_BLOCK)
-        ]
+        check_layout(plan, count)
         folded = run_plan(plan, bases, modulus)
         assert folded == naive_product(bases, exponents, modulus)
         assert folded == multi_exponent(bases, exponents, modulus)
@@ -255,19 +276,45 @@ class TestFoldProgram:
         )
         assert repr(program) == "FoldProgram(rows=3, steps=6)"
 
-    def test_random_32_bit_blocks_cost_about_5_2_per_element(self):
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.integers(0, 5000), seed=st.integers(0, 2**32))
+    def test_layout_tiles_the_rows_and_folds_the_product(self, rows, seed):
+        """Any database size: the blocks tile the rows under the cap,
+        and the plan folds to the multiexp product."""
+        rng = DeterministicRandom("layout-%d" % seed)
+        modulus = rng.randrange(3, 1 << 64) | 1
+        exponents = [rng.randrange(0, 1 << 32) for _ in range(rows)]
+        bases = [rng.randrange(0, modulus) for _ in range(rows)]
+        plan = fold_plan(exponents)
+        assert plan.starts == fold_blocks(rows)
+        check_layout(plan, rows)
+        assert run_plan(plan, bases, modulus) == multi_exponent(
+            bases, exponents, modulus
+        )
+
+    def test_block_lookups_by_row(self):
+        plan = fold_plan([1] * 1100)
+        assert plan.bounds() == ((0, 366), (366, 733), (733, 1100))
+        assert [plan.block_end(row) for row in (0, 365, 366, 732, 733, 1099)] == [
+            366, 366, 733, 733, 1100, 1100,
+        ]
+        assert plan.program_at(366) is plan.programs[1]
+        assert plan.program_at(0) is plan.programs[0]
+        assert plan.program_at(365) is None and plan.program_at(734) is None
+
+    def test_random_32_bit_blocks_cost_about_4_6_per_element(self):
         rng = DeterministicRandom("fold-cost")
         exponents = [rng.randrange(1, 1 << 32) for _ in range(1000)]
-        steps = sum(p.steps for p in fold_plan(exponents))
-        assert 4.8 < steps / 1000 < 5.6
+        steps = sum(p.steps for p in fold_plan(exponents).programs)
+        assert 4.45 < steps / 1000 < 4.8
 
     def test_empty_and_invalid_input(self):
-        assert fold_plan([]) == ()
+        assert fold_plan([]).programs == ()
         assert FoldProgram([]).run([], 101) == 1
         with pytest.raises(ParameterError):
             FoldProgram([2, -1])
         with pytest.raises(ParameterError):
-            FoldProgram([1] * (FOLD_BLOCK + 1))
+            FoldProgram([1] * (FOLD_CAP + 1))
         with pytest.raises(ParameterError):
             FoldProgram([2, 3]).run([5], 101)
         with pytest.raises(ParameterError):

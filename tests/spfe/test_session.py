@@ -722,17 +722,17 @@ class TestRegistryByteBudget:
         assert registry.resident_bytes == resume_state_bytes(128)
 
     def test_default_budget_holds_the_count_bound_at_max_key_bits(self):
-        """Every in-progress session may hold a fold block's worth of
-        pending ciphertexts less one; the default byte budget must
-        still not evict before the count bound does."""
-        from repro.crypto.multiexp import FOLD_BLOCK
+        """Every in-progress session may hold its widest fold block's
+        worth of pending ciphertexts less one; the default byte budget
+        must still not evict before the count bound does."""
+        from repro.crypto.multiexp import FOLD_CAP
         from repro.spfe.session import REGISTRY_CAPACITY, REGISTRY_MAX_BYTES
         from repro.spfe.validation import ServerPolicy
         from repro.store.state import resume_state_bytes
 
         policy = ServerPolicy()
         per_session = resume_state_bytes(policy.max_key_bits) + (
-            FOLD_BLOCK - 1
+            FOLD_CAP - 1
         ) * (2 * policy.max_key_bits // 8)
         assert REGISTRY_CAPACITY * per_session <= REGISTRY_MAX_BYTES
 

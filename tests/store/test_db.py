@@ -170,12 +170,12 @@ def test_v2_store_upgrades_to_latest_without_calibration(tmp_path):
     StateStore(path).close()
     conn = sqlite3.connect(path)
     try:
-        assert schema_version(conn) == SCHEMA_VERSION == 8
+        assert schema_version(conn) == SCHEMA_VERSION == 9
         assert "calibration" not in _table_names(conn)
         applied = conn.execute(
             "SELECT version FROM dbversion ORDER BY version"
         ).fetchall()
-        assert [row[0] for row in applied] == [1, 2, 3, 4, 5, 6, 7, 8]
+        assert [row[0] for row in applied] == [1, 2, 3, 4, 5, 6, 7, 8, 9]
     finally:
         conn.close()
 

@@ -533,7 +533,7 @@ def test_v6_store_drops_precomputation_caches_and_keeps_data(
     assert not {"fixed_base_tables", "zero_pools"} & _table_names(store_path)
     conn = sqlite3.connect(store_path)
     try:
-        assert schema_version(conn) == SCHEMA_VERSION == 8
+        assert schema_version(conn) == SCHEMA_VERSION == 9
     finally:
         conn.close()
 
@@ -547,9 +547,9 @@ WIDE_SELECTION = [i % 2 for i in range(300)]
 def test_v7_row_with_buckets_resumes_mid_block_under_v8(store_path):
     """A session a v7 server journalled after 100 of 300 rows holds
     5-bit buckets.  Under v8 they close into the aggregate, the rest of
-    the first fold block (rows 100-255) folds with a program compiled
-    for that range, and the RESULT is the one an uninterrupted server
-    sends: ``prod c_i^(x_i) mod n^2``."""
+    the first fold block (rows 100 up to the block's end) folds with a
+    program compiled for that range, and the RESULT is the one an
+    uninterrupted server sends: ``prod c_i^(x_i) mod n^2``."""
     client = ClientSession(
         WIDE_SELECTION, key_bits=KEY_BITS, chunk_size=CHUNK,
         rng=DeterministicRandom("v7-row"),
@@ -583,6 +583,90 @@ def test_v7_row_with_buckets_resumes_mid_block_under_v8(store_path):
     )
     client.receive_bytes(replies)
     assert client.result == WIDE_DB.select_sum(WIDE_SELECTION)
+
+
+V8_DB = ServerDatabase(
+    [(2654435761 * i + 12345) % (1 << 32) for i in range(600)]
+)
+V8_SELECTION = [(i % 5) % 2 for i in range(600)]
+
+
+def test_v8_row_with_pending_block_resumes_under_v9(store_path):
+    """A v8 server cut its database into 256-row blocks.  It journalled
+    this 600-row session after 340 rows: block 0-255 folded into the
+    aggregate, rows 256-339 in the row's pending blob.  Under v9 a block
+    boundary falls inside that pending range, so the resumed server
+    folds rows 256 up to it with a program compiled for them, moves the
+    rest into the pending table, and sends the RESULT an uninterrupted
+    server sends: ``prod c_i^(x_i) mod n^2``."""
+    boundary = V8_DB.fold_plan().starts[1]
+    assert 256 < boundary < 340
+    client = ClientSession(
+        V8_SELECTION, key_bits=KEY_BITS, chunk_size=20,
+        rng=DeterministicRandom("v8-row"),
+    )
+    hello, key, *chunks = list(client.initial_bytes())
+    cts = [ct for frame in chunks for ct in chunk_ciphertexts(frame)]
+    nsquare = client.public_key.nsquare
+    folded = 17  # received = 340
+    conn = open_store_db(store_path, migrations=MIGRATIONS[:8])
+    assert schema_version(conn) == 8
+    try:
+        with conn:
+            conn.execute(
+                "INSERT INTO sessions (session_id, key_bits, chunk_size,"
+                " public_n, aggregate, received, chunks_received, done,"
+                " touched_at, pending)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                (
+                    client.session_id,
+                    KEY_BITS,
+                    client.chunk_size,
+                    encode_int(client.public_key.n, KEY_BITS // 8),
+                    encode_int(
+                        multi_exponent(cts[:256], V8_DB.values[:256], nsquare),
+                        2 * KEY_BITS // 8,
+                    ),
+                    340,
+                    folded,
+                    0,
+                    1.0,
+                    encode_int_seq(cts[256:340], 2 * KEY_BITS // 8),
+                ),
+            )
+    finally:
+        conn.close()
+
+    with StateStore(store_path) as store:
+        row = store.load_session(client.session_id)
+        assert (row.received, row.pending) == (340, tuple(cts[256:340]))
+        server = ServerSession(V8_DB, registry=SessionRegistry(store=store))
+        reply = server.receive_bytes(client.resume_request())
+        (ack,) = decode_frames(reply)
+        assert codec.decode_ack(ack.payload) == folded
+        client.receive_bytes(reply)
+        resumed = list(client.resume_bytes())
+        assert server.receive_bytes(resumed[0]) == b""
+        # rows 256 up to the boundary folded; the rest moved to v9 rows
+        assert store.load_session(client.session_id).pending == tuple(
+            cts[boundary:360]
+        )
+        assert store._conn.execute(
+            "SELECT pending FROM sessions WHERE session_id = ?",
+            (client.session_id,),
+        ).fetchone() == (None,)
+        replies = b"".join(server.receive_bytes(f) for f in resumed[1:])
+
+    expected = 1
+    for ct, value in zip(cts, V8_DB.values):
+        expected = expected * pow(ct, value, nsquare) % nsquare
+    assert result_payload(replies) == expected.to_bytes(2 * KEY_BITS // 8, "big")
+    uncrashed = ServerSession(V8_DB, registry=SessionRegistry())
+    assert result_payload(replies) == result_payload(
+        b"".join(uncrashed.receive_bytes(f) for f in [hello, key] + chunks)
+    )
+    client.receive_bytes(replies)
+    assert client.result == V8_DB.select_sum(V8_SELECTION)
 
 
 def test_corrupt_frame_after_valid_chunks_leaves_no_trace():
@@ -642,14 +726,15 @@ def test_any_split_into_reads_gives_the_same_result(data):
     assert result_payload(replies) == SPLIT_RESULT
 
 
-BLOCK_DB = ServerDatabase([(13 * i + 5) % 251 for i in range(300)], value_bits=8)
-BLOCK_SELECTION = [i % 3 for i in range(300)]
+BLOCK_DB = ServerDatabase([(13 * i + 5) % 251 for i in range(600)], value_bits=8)
+BLOCK_SELECTION = [i % 3 for i in range(600)]
 BLOCK_KEYPAIR = generate_keypair(KEY_BITS, DeterministicRandom("block-keypair"))
 
 
 @functools.lru_cache(maxsize=None)
 def block_stream(chunk_size):
-    """A 300-row client stream (one whole fold block and a partial one)."""
+    """A 600-row client stream: two fold blocks, each wider than 256
+    rows."""
     client = ClientSession(
         BLOCK_SELECTION,
         key_bits=KEY_BITS,
@@ -669,7 +754,11 @@ def block_stream(chunk_size):
 def test_journal_holds_the_registry_record_after_every_read(data):
     """Whatever the chunk size and however the stream is split into
     reads, the journal row equals the registry's record after each read
-    (the row's write stamp aside), and the RESULT is the exact sum."""
+    (the row's write stamp aside), and the RESULT is the exact sum.  A
+    commit that folds no block appends at most one pending row and
+    leaves the earlier ones as they were; one that folds a block leaves
+    at most one."""
+    assert BLOCK_DB.fold_plan().starts[1] > 256  # the first block is wide
     chunk_size = data.draw(st.integers(min_value=1, max_value=len(BLOCK_DB)))
     session_id, stream = block_stream(chunk_size)
     cuts = sorted(
@@ -681,14 +770,27 @@ def test_journal_holds_the_registry_record_after_every_read(data):
         registry = SessionRegistry(store=store)
         server = ServerSession(BLOCK_DB, registry=registry)
         replies = b""
+        pending_first, rows = None, []
         for start, stop in zip([0] + cuts, cuts + [len(stream)]):
             replies += server.receive_bytes(stream[start:stop])
             row = store.load_session(session_id)
             record = registry.get(session_id)
             if row is None:
                 assert record is None
+                continue
+            assert dataclasses.replace(row, touched_at=0.0) == record
+            first = record.received - len(record.pending)
+            journalled = store._conn.execute(
+                "SELECT first_row, blob FROM session_pending"
+                " WHERE session_id = ? ORDER BY first_row",
+                (session_id,),
+            ).fetchall()
+            if first == pending_first:  # no block folded
+                assert journalled[: len(rows)] == rows
+                assert len(journalled) <= len(rows) + 1
             else:
-                assert dataclasses.replace(row, touched_at=0.0) == record
+                assert len(journalled) <= 1
+            pending_first, rows = first, journalled
     ciphertext = codec.decode_result(result_payload(replies), KEY_BITS)
     assert BLOCK_KEYPAIR.private.raw_decrypt(ciphertext) == BLOCK_DB.select_sum(
         BLOCK_SELECTION

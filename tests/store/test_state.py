@@ -208,15 +208,96 @@ def test_corrupt_pending_blob_raises_store_error(store, keypair, corrupt):
     )
     conn = store._conn
     (blob,) = conn.execute(
-        "SELECT pending FROM sessions WHERE session_id = ?", (b"C" * 16,)
+        "SELECT blob FROM session_pending WHERE session_id = ?", (b"C" * 16,)
     ).fetchone()
     with conn:
+        conn.execute(
+            "UPDATE session_pending SET blob = ? WHERE session_id = ?",
+            (corrupt(blob), b"C" * 16),
+        )
+    with pytest.raises(StoreError, match="corrupt pending blob"):
+        store.load_session(b"C" * 16)
+    # the same blob in a row as v8 journalled it
+    with conn:
+        conn.execute("DELETE FROM session_pending")
         conn.execute(
             "UPDATE sessions SET pending = ? WHERE session_id = ?",
             (corrupt(blob), b"C" * 16),
         )
     with pytest.raises(StoreError, match="corrupt pending blob"):
         store.load_session(b"C" * 16)
+
+
+def pending_rows(store, session_id):
+    """The session's ``session_pending`` rows, ``(first_row, blob)``."""
+    return store._conn.execute(
+        "SELECT first_row, blob FROM session_pending WHERE session_id = ?"
+        " ORDER BY first_row",
+        (session_id,),
+    ).fetchall()
+
+
+def test_pending_ciphertexts_are_journalled_append_only(store, keypair):
+    """Each save that folds no block appends one row of the ciphertexts
+    since the last save; a save after a block folded replaces them."""
+    sid = b"A" * 16
+
+    def record(received, pending):
+        return SessionRecord(
+            sid, KEY_BITS, 4, keypair.public.n, 1, received, received // 4,
+            False, pending=tuple(pending),
+        )
+
+    store.save_session(record(8, range(2, 10)))
+    store.save_session(record(12, range(2, 14)))
+    store.save_session(record(12, range(2, 14)))  # nothing new
+    first_rows = pending_rows(store, sid)
+    assert [row[0] for row in first_rows] == [0, 8]
+    assert store.load_session(sid).pending == tuple(range(2, 14))
+
+    store.save_session(record(20, range(2, 22)))
+    rows = pending_rows(store, sid)
+    assert rows[:2] == first_rows and [row[0] for row in rows] == [0, 8, 12]
+
+    store.save_session(record(24, (5, 6)))  # rows 0-21 folded
+    assert [row[0] for row in pending_rows(store, sid)] == [22]
+    assert store.load_session(sid).pending == (5, 6)
+    store.save_session(record(28, ()))  # a block folded on its last row
+    assert pending_rows(store, sid) == []
+    assert store.load_session(sid).pending == ()
+
+    store.delete_session(sid)  # the pending rows go with the session
+    store.save_session(record(8, range(2, 10)))
+    store.delete_session(sid)
+    assert pending_rows(store, sid) == []
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(0, (2, 3)), (3, (4, 5, 6))],  # a gap
+        [(0, (2, 3, 4)), (2, (5, 6))],  # an overlap
+        [(0, (2, 3)), (2, (4,))],  # ends before the received rows do
+    ],
+    ids=["gap", "overlap", "short"],
+)
+def test_pending_rows_must_tile_the_received_rows(store, keypair, rows):
+    sid = b"T" * 16
+    store.save_session(
+        SessionRecord(sid, KEY_BITS, 4, keypair.public.n, 1, 5, 1, False)
+    )
+    conn = store._conn
+    with conn:
+        conn.executemany(
+            "INSERT INTO session_pending (session_id, first_row, blob)"
+            " VALUES (?, ?, ?)",
+            [
+                (sid, first, encode_int_seq(cts, 2 * KEY_BITS // 8))
+                for first, cts in rows
+            ],
+        )
+    with pytest.raises(StoreError, match="corrupt pending rows"):
+        store.load_session(sid)
 
 
 # -- databases ------------------------------------------------------------

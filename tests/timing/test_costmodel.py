@@ -168,7 +168,7 @@ class TestCalibration:
         monkeypatch.setattr(multiexp.FoldProgram, "__init__", compiling)
         monkeypatch.setattr(multiexp.FoldProgram, "run", running)
         calibrate_profile(key_bits=64, iterations=3, clock=clock)
-        blocks = -(-_FOLD_ELEMENTS // multiexp.FOLD_BLOCK)
+        blocks = len(multiexp.fold_blocks(_FOLD_ELEMENTS))
         first = events.index("compile")
         assert events[first : first + blocks] == ["compile"] * blocks
         start = events.index("clock", first)
