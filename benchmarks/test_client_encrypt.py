@@ -4,11 +4,15 @@
 ``PaillierPrivateKey.encrypt_raw_crt``, which draws each obfuscator
 from two per-prime fixed-base tables of a certified generator instead
 of computing ``r^n mod n^2``.  At the paper's 512-bit keys and 200
-seeded encryptions this asserts two things: every ciphertext decrypts
-to its plaintext, and the sampler is at least ``MIN_SPEEDUP`` times
-faster than the textbook ``pow(r, n, n^2)`` obfuscator.  The tables
-are built before timing (a one-time per-key cost).  Exactness in
-distribution is checked exhaustively on small keys in
+seeded draws this asserts three things: every ciphertext decrypts to
+its plaintext; the sampler is at least ``MIN_SPEEDUP`` times faster
+than the textbook ``pow(r, n, n^2)`` obfuscator; and each per-prime
+:class:`~repro.crypto.multiexp.TeichmullerTable` (half-width residues
+mod ``p`` and their Fermat quotients) returns what a full-width
+:class:`~repro.crypto.multiexp.FixedBaseTable` of the same lift mod
+``p^2`` returns, at least ``MIN_HALF_WIDTH_SPEEDUP`` times faster.  The
+tables are built before timing (a one-time per-key cost).  Exactness
+in distribution is checked exhaustively on small keys in
 ``tests/crypto/test_paillier.py``; seeded bytes differ from the
 textbook path by design.
 
@@ -18,6 +22,7 @@ benchmarks/test_client_encrypt.py``.
 
 import time
 
+from repro.crypto.multiexp import FixedBaseTable
 from repro.crypto.paillier import generate_keypair
 from repro.crypto.rng import DeterministicRandom
 
@@ -25,6 +30,9 @@ KEY_BITS = 512
 DRAWS = 200
 ROUNDS = 3  # best-of-3: minimum over rounds rejects scheduler noise
 MIN_SPEEDUP = 5.0
+#: half-width rows against full-width rows of the same lift, per prime
+MIN_HALF_WIDTH_SPEEDUP = 1.4
+HALF_WIDTH_ROUNDS = 3  # of best-of-ROUNDS each, interleaved
 
 
 def _best_of(fn):
@@ -66,3 +74,29 @@ def test_sampler_decrypts_and_is_faster_than_textbook():
     assert speedup >= MIN_SPEEDUP, (
         "sampler only %.2fx faster than textbook pow" % speedup
     )
+
+
+def test_half_width_table_equals_and_beats_full_width():
+    sk = generate_keypair(KEY_BITS, "client-encrypt-bench").private
+    for prime, table in zip((sk.p, sk.q), sk.sampler_tables()):
+        full = FixedBaseTable(table.base, prime * prime, prime.bit_length())
+        rng = DeterministicRandom("half-width-draws")
+        exponents = [rng.randrange(0, prime - 1) for _ in range(DRAWS)]
+        assert [table.pow(x) for x in exponents] == [full.pow(x) for x in exponents]
+
+        # Interleaved full/half/full/half, so both see the same load.
+        t_full = t_half = float("inf")
+        for _ in range(HALF_WIDTH_ROUNDS):
+            t_full = min(t_full, _best_of(lambda: [full.pow(x) for x in exponents]))
+            t_half = min(t_half, _best_of(lambda: [table.pow(x) for x in exponents]))
+        speedup = t_full / t_half
+        print(
+            "\n%d-bit prime over %d exponents: full-width %.1f us, "
+            "half-width %.1f us, %.2fx" % (
+                prime.bit_length(), DRAWS, t_full / DRAWS * 1e6,
+                t_half / DRAWS * 1e6, speedup,
+            )
+        )
+        assert speedup >= MIN_HALF_WIDTH_SPEEDUP, (
+            "half-width table only %.2fx faster than full-width" % speedup
+        )

@@ -29,9 +29,10 @@ exponentiation, and both have algorithmic structure a per-element
   exponent byte, no squarings at all.  This is the crypto-kernel half
   of the paper's §3.3 preprocessing:
   :class:`~repro.crypto.paillier.RandomnessPool` uses it to refill
-  ~8x faster than one full ``pow()`` per obfuscator at 512-bit keys,
-  and the key owner's sampler draws every obfuscator from two
-  per-prime tables.
+  ~8x faster than one full ``pow()`` per obfuscator at 512-bit keys.
+  The key owner's sampler draws every obfuscator from two per-prime
+  :class:`TeichmullerTable` objects, whose rows hold residues mod ``p``
+  and their Fermat quotients instead of full-width powers mod ``p^2``.
 
 Both kernels are bit-for-bit compatible with the naive loops they
 replace (same residues, same modulus — modular products are order
@@ -46,6 +47,7 @@ from array import array
 from bisect import bisect_right
 from typing import List, Literal, NamedTuple, Optional, Sequence, Tuple
 
+from repro.crypto.ntheory import fermat_quotient
 from repro.exceptions import ParameterError
 
 __all__ = [
@@ -58,13 +60,14 @@ __all__ = [
     "FOLD_CAP",
     "FOLD_SINGLE",
     "FixedBaseTable",
+    "TeichmullerTable",
 ]
 
 #: Largest window the selector will consider.  2^(16+1) bucket slots is
 #: already far past the break-even point for any batch this library sees.
 _MAX_WINDOW = 16
 
-#: byte order of the exponent digits :meth:`FixedBaseTable.pow` reads,
+#: byte order of the exponent digits the fixed-base tables' ``pow`` reads,
 #: declared Literal so ``int.to_bytes`` type-checks under mypy
 _LITTLE: Literal["little"] = "little"
 
@@ -380,9 +383,10 @@ class FixedBaseTable:
     Used per public key: Paillier's obfuscator exponent ``n`` is fixed,
     so ``r^n = (h^n)^x`` for ``r = h^x`` turns every obfuscator into a
     fixed-base power of the precomputed ``g = h^n mod n^2`` (see
-    :meth:`repro.crypto.paillier.RandomnessPool`).  And per prime: the
-    key owner's sampler holds one table mod ``p^2`` and one mod ``q^2``
-    (:meth:`repro.crypto.paillier.PaillierPrivateKey.sampler_tables`).
+    :class:`repro.crypto.paillier.RandomnessPool`, which holds only the
+    public key).  The key owner's per-prime powers mod ``p^2`` are
+    Teichmüller lifts, which a :class:`TeichmullerTable` computes from
+    half-width rows.
     """
 
     __slots__ = ("base", "modulus", "exponent_bits", "entries", "_rows")
@@ -428,6 +432,99 @@ class FixedBaseTable:
 
     def __repr__(self) -> str:
         return "FixedBaseTable(exponent_bits=%d, entries=%d)" % (
+            self.exponent_bits,
+            self.entries,
+        )
+
+
+class TeichmullerTable:
+    """Half-width fixed-base table of a Teichmüller lift mod ``p^2``.
+
+    :meth:`pow` returns ``w^x mod p^2`` for ``w = base^p mod p^2``,
+    exactly what a :class:`FixedBaseTable` of ``w`` mod ``p^2`` returns,
+    but each entry is a residue mod ``p`` (half the width) beside its
+    Fermat quotient ``q(t) = (t^(p-1) - 1) / p mod p``.  It rests on
+    two facts, for any integer ``P`` prime to ``p``:
+
+    * ``w^x = (base^x)^p`` and ``P^p = P + p * (P * q(P) mod p) mod p^2``,
+      since ``P^(p-1) = 1 + p * q(P) mod p^2``;
+    * ``q(X * Y) = q(X) + q(Y) mod p`` for integers ``X`` and ``Y``.
+
+    So :meth:`pow` multiplies the selected residues ``t_i`` into an
+    accumulator ``P`` mod ``p^2`` (a full-width times half-width step,
+    about half the digit work of a :class:`FixedBaseTable` step), sums
+    their quotients into ``q(P)`` and applies the correction once.
+
+    Row ``i`` holds ``t_d = s^d mod p`` for ``s = base^(256^i) mod p``
+    and every byte digit ``d``.  The quotients follow without a
+    per-entry inverse: ``t_(d-1) * s = t_d + k_d * p`` with ``k_d`` from
+    ``divmod``, and ``q(X + k*p) = q(X) - k / X mod p``, so
+    ``q(t_d) = q(t_(d-1)) + q(s) + k_d * s^(-d) mod p``, where
+    ``s^(-d)`` is a running product of one ``pow(s, -1, p)`` per row.
+    Only ``q(base)`` costs a full exponentiation.
+
+    ``prime`` must be prime (it is not checked) and ``base`` prime to
+    it.  The key owner's sampler holds one table per prime of its key
+    (:meth:`repro.crypto.paillier.PaillierPrivateKey.sampler_tables`).
+    """
+
+    __slots__ = (
+        "base", "prime", "modulus", "exponent_bits", "capacity", "entries",
+        "_residues", "_quotients",
+    )
+
+    def __init__(self, base: int, prime: int) -> None:
+        if prime < 3:
+            raise ParameterError("prime must be an odd prime")
+        step = base % prime
+        if step == 0:
+            raise ParameterError("base must be prime to the prime")
+        self.prime = prime
+        self.modulus = prime * prime
+        self.exponent_bits = prime.bit_length()
+        #: exclusive upper bound on exponents :meth:`pow` accepts
+        self.capacity = 1 << self.exponent_bits
+        step_quotient = fermat_quotient(step, prime)
+        #: ``w = base^p mod p^2``, the lift the table raises to powers
+        self.base = step + prime * (step * step_quotient % prime)
+        self._residues: List[List[int]] = []
+        self._quotients: List[List[int]] = []
+        for _ in range(-(-self.exponent_bits // 8)):
+            step_inverse = pow(step, -1, prime)
+            residues, quotients = [1, step], [0, step_quotient]
+            residue, quotient, inverse = step, step_quotient, step_inverse
+            # 255 steps: digits 2..255, then s^256, the next row's step.
+            for _ in range(255):
+                carry, residue = divmod(residue * step, prime)
+                inverse = inverse * step_inverse % prime
+                quotient = (quotient + step_quotient + carry * inverse) % prime
+                residues.append(residue)
+                quotients.append(quotient)
+            step, step_quotient = residues.pop(), quotients.pop()
+            self._residues.append(residues)
+            self._quotients.append(quotients)
+        self.entries = len(self._residues) * 255
+
+    def pow(self, exponent: int) -> int:
+        """``self.base ** exponent % self.modulus`` from the table."""
+        if not 0 <= exponent < self.capacity:
+            raise ParameterError(
+                "exponent outside [0, 2^%d)" % self.exponent_bits
+            )
+        prime, modulus = self.prime, self.modulus
+        rows = self._residues
+        product, quotient = 1, 0
+        # Entry 0 of every row is residue 1 with quotient 0, so a zero
+        # digit needs no branch.
+        for residues, quotients, digit in zip(
+            rows, self._quotients, exponent.to_bytes(len(rows), _LITTLE)
+        ):
+            product = product * residues[digit] % modulus
+            quotient += quotients[digit]
+        return (product + prime * (product * quotient % prime)) % modulus
+
+    def __repr__(self) -> str:
+        return "TeichmullerTable(exponent_bits=%d, entries=%d)" % (
             self.exponent_bits,
             self.entries,
         )

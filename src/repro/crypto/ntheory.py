@@ -27,6 +27,7 @@ __all__ = [
     "int_bit_length",
     "bytes_for_bits",
     "product_mod",
+    "fermat_quotient",
 ]
 
 
@@ -171,3 +172,19 @@ def product_mod(values: Iterable[int], modulus: int) -> int:
     for v in values:
         acc = acc * v % modulus
     return acc
+
+
+def fermat_quotient(x: int, p: int) -> int:
+    """The Fermat quotient ``(x^(p-1) mod p^2 - 1) // p`` of ``x`` at ``p``.
+
+    For a prime ``p`` and ``x`` prime to it this lies in ``[0, p)`` and
+    is a homomorphism from multiplication to addition:
+    ``q(x*y) = q(x) + q(y) mod p``.  Paillier decryption reads the
+    plaintext through it (the ``L`` function of one prime), and the
+    key owner's sampler tables carry it beside each residue
+    (:class:`repro.crypto.multiexp.TeichmullerTable`).
+
+    >>> fermat_quotient(2, 7)  # 2^6 mod 49 = 15 = 1 + 2*7
+    2
+    """
+    return (pow(x, p - 1, p * p) - 1) // p

@@ -36,8 +36,8 @@ import math
 import threading
 from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.crypto.multiexp import FixedBaseTable, multi_exponent
-from repro.crypto.ntheory import bytes_for_bits, modinv, crt_pair
+from repro.crypto.multiexp import FixedBaseTable, TeichmullerTable, multi_exponent
+from repro.crypto.ntheory import bytes_for_bits, crt_pair, fermat_quotient, modinv
 from repro.crypto.primes import random_structured_prime_pair, smallest_generator
 from repro.crypto.rng import RandomSource, as_random_source
 from repro.crypto.scheme import AdditiveHomomorphicScheme, SchemeKeyPair
@@ -243,26 +243,23 @@ class PaillierPrivateKey:
         self.q = q
         self._psquare = p * p
         self._qsquare = q * q
-        self._hp = self._h(p, self._psquare)
-        self._hq = self._h(q, self._qsquare)
+        self._hp = self._h(p)
+        self._hq = self._h(q)
         # modinv(p^2, q^2) is hoisted here because crt_pair would
         # otherwise recompute it on every single encryption.
         self._inv_psquare = modinv(self._psquare, self._qsquare)
-        self._tables: Optional[Tuple[FixedBaseTable, FixedBaseTable]] = None
+        self._tables: Optional[Tuple[TeichmullerTable, TeichmullerTable]] = None
 
-    def _h(self, prime: int, prime_sq: int) -> int:
+    def _h(self, prime: int) -> int:
         # h = L_prime(g^{prime-1} mod prime^2)^{-1} mod prime, g = n + 1
-        g_exp = pow(1 + self.public_key.n, prime - 1, prime_sq)
-        return modinv((g_exp - 1) // prime, prime)
+        return modinv(fermat_quotient(1 + self.public_key.n, prime), prime)
 
     def raw_decrypt(self, ciphertext: int) -> int:
         """Decrypt a raw ciphertext int to its representative in [0, n)."""
         if not 0 <= ciphertext < self.public_key.nsquare:
             raise DecryptionError("ciphertext outside Z_{n^2}")
-        mp = (pow(ciphertext, self.p - 1, self._psquare) - 1) // self.p
-        mp = mp * self._hp % self.p
-        mq = (pow(ciphertext, self.q - 1, self._qsquare) - 1) // self.q
-        mq = mq * self._hq % self.q
+        mp = fermat_quotient(ciphertext, self.p) * self._hp % self.p
+        mq = fermat_quotient(ciphertext, self.q) * self._hq % self.q
         return crt_pair(mp, self.p, mq, self.q)
 
     def decrypt_signed(self, ciphertext: int) -> int:
@@ -271,32 +268,30 @@ class PaillierPrivateKey:
 
     # -- fixed-base obfuscator sampler (key-owning clients) ----------------
 
-    def sampler_tables(self) -> Tuple[FixedBaseTable, FixedBaseTable]:
+    def sampler_tables(self) -> Tuple[TeichmullerTable, TeichmullerTable]:
         """The two per-prime tables :meth:`encrypt_raw_crt` draws from.
 
         Built on first call and kept: for each prime ``p``, the smallest
-        generator ``g`` of Z_p* and a :class:`FixedBaseTable` of its
-        Teichmüller lift ``g^p mod p^2``.  Finding ``g`` needs the prime
-        factors of ``p - 1``, so a key whose ``p - 1`` or ``q - 1`` is
-        not a small-prime-smooth part times one probable prime (as
-        :func:`generate_keypair` draws them) gets a
-        :class:`KeyGenerationError` here, before anything is encrypted.
+        generator ``g`` of Z_p* and a :class:`TeichmullerTable` of its
+        Teichmüller lift ``w_p = g^p mod p^2``, whose entries are the
+        residues ``g^(d * 256^i) mod p`` and their Fermat quotients
+        (half the width of a :class:`FixedBaseTable` mod ``p^2``, same
+        powers).  Finding ``g`` needs the prime factors of ``p - 1``, so
+        a key whose ``p - 1`` or ``q - 1`` is not a small-prime-smooth
+        part times one probable prime (as :func:`generate_keypair` draws
+        them) gets a :class:`KeyGenerationError` here, before anything
+        is encrypted.
         Two threads racing the first call build equal tables, and either
         may win.
         """
         tables = self._tables
         if tables is None:
             tables = (
-                self._lift_table(self.p, self._psquare),
-                self._lift_table(self.q, self._qsquare),
+                TeichmullerTable(smallest_generator(self.p), self.p),
+                TeichmullerTable(smallest_generator(self.q), self.q),
             )
             self._tables = tables
         return tables
-
-    @staticmethod
-    def _lift_table(prime: int, prime_sq: int) -> FixedBaseTable:
-        lift = pow(smallest_generator(prime), prime, prime_sq)
-        return FixedBaseTable(lift, prime_sq, prime.bit_length())
 
     def encrypt_raw_crt(
         self, plaintext: int, rng: Optional[RandomSource] = None
@@ -307,7 +302,9 @@ class PaillierPrivateKey:
         ``[0, q-1)`` (one draw below ``phi(n)``, split by ``divmod``),
         looks up ``w_p^x mod p^2`` and ``w_q^y mod q^2`` in
         :meth:`sampler_tables` (``w_p = g_p^p mod p^2``, the lifted
-        generator) and recombines them with one Garner step.
+        generator; each lookup multiplies half-width residues mod ``p``
+        into a ``p^2`` accumulator and corrects it once through their
+        Fermat quotients) and recombines them with one Garner step.
 
         The result has exactly the distribution of ``r^n mod n^2`` for
         uniform ``r`` in Z*_n.  ``r^n mod p^2`` is the Teichmüller lift

@@ -3,8 +3,9 @@
 The kernels' whole contract is bit-for-bit agreement with the naive
 loops they replace: ``multi_exponent`` against per-element ``pow()``
 accumulation (reducing signed scalars exactly as ``ciphertext_scale``
-does), ``FixedBaseTable.pow`` against ``pow(base, x, modulus)``.  The
-hypothesis suites here drive both across random batches — including the
+does), ``FixedBaseTable.pow`` against ``pow(base, x, modulus)``, and
+``TeichmullerTable.pow`` against ``pow(g^p mod p^2, x, p^2)``.  The
+hypothesis suites here drive them across random batches — including the
 zero/one-weight fast paths, negative encoded scalars, and the
 ``initial`` accumulator argument — at tiny moduli where thousands of
 examples are cheap.  The server's fixed-exponent fold programs
@@ -21,12 +22,14 @@ from repro.crypto.multiexp import (
     FOLD_SINGLE,
     FixedBaseTable,
     FoldProgram,
+    TeichmullerTable,
     fold_blocks,
     fold_plan,
     multi_exponent,
     select_window,
 )
 from repro.crypto.paillier import generate_keypair
+from repro.crypto.primes import random_structured_prime, sieve_upto, smallest_generator
 from repro.crypto.rng import DeterministicRandom
 from repro.exceptions import ParameterError
 
@@ -406,3 +409,98 @@ class TestFixedBaseTable:
                 "FixedBaseTable(exponent_bits=%d, entries=%d)"
                 % (bits, table.entries)
             )
+
+
+def _lift(prime):
+    """``w = g^p mod p^2`` for the smallest generator ``g`` of Z_p*."""
+    return pow(smallest_generator(prime), prime, prime**2)
+
+
+#: structured primes ``2*r*q' + 1`` as key generation draws them, at the
+#: 16-bit key floor's width, a mid width and a 512-bit key's width
+STRUCTURED_PRIMES = {
+    bits: random_structured_prime(bits, DeterministicRandom("teich-%d" % bits))
+    for bits in (16, 64, 256)
+}
+
+
+class TestTeichmullerTable:
+    """Half-width rows (residues mod p and their Fermat quotients) must
+    give exactly the full-width lift's powers mod p^2."""
+
+    @pytest.mark.parametrize("bits", sorted(STRUCTURED_PRIMES))
+    def test_structured_primes_agree_with_pow(self, bits):
+        prime = STRUCTURED_PRIMES[bits]
+        assert prime.bit_length() == bits
+        lift, modulus = _lift(prime), prime**2
+        table = TeichmullerTable(smallest_generator(prime), prime)
+        assert table.base == lift
+        assert table.modulus == modulus
+        exponents = {0, 1, prime - 2}
+        # each single nonzero byte: reads every entry of every row once
+        exponents.update(
+            digit << shift
+            for shift in range(0, bits, 8)
+            for digit in range(1, 256)
+            if digit << shift < table.capacity
+        )
+        for exponent in sorted(exponents):
+            assert table.pow(exponent) == pow(lift, exponent, modulus), exponent
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(STRUCTURED_PRIMES)), st.data())
+    def test_drawn_exponents_agree_with_pow(self, bits, data):
+        prime = STRUCTURED_PRIMES[bits]
+        table = TeichmullerTable(smallest_generator(prime), prime)
+        exponent = data.draw(st.integers(0, table.capacity - 1))
+        assert table.pow(exponent) == pow(_lift(prime), exponent, prime**2)
+
+    def test_every_exponent_of_every_small_prime(self):
+        for prime in sieve_upto(500)[1:]:
+            lift, modulus = _lift(prime), prime**2
+            table = TeichmullerTable(smallest_generator(prime), prime)
+            assert [table.pow(x) for x in range(table.capacity)] == [
+                pow(lift, x, modulus) for x in range(table.capacity)
+            ], prime
+
+    def test_any_unit_base_is_lifted(self):
+        """Not only generators: the rows need ``base`` prime to ``p``."""
+        prime = 1009
+        for base in (1, 2, prime - 1, prime + 5, 3 * prime**2 + 7):
+            table = TeichmullerTable(base, prime)
+            lift = pow(base, prime, prime**2)
+            assert table.base == lift
+            for exponent in (0, 1, 2, 500, prime - 2, table.capacity - 1):
+                assert table.pow(exponent) == pow(lift, exponent, prime**2)
+
+    def test_stored_quotients_are_fermat_quotients(self):
+        prime = 65537
+        table = TeichmullerTable(smallest_generator(prime), prime)
+        assert len(table._residues) == 3  # 17-bit exponents: three rows
+        for residues, quotients in zip(table._residues, table._quotients):
+            assert len(residues) == len(quotients) == 256
+            for residue, quotient in zip(residues, quotients):
+                assert 0 < residue < prime
+                assert quotient == (pow(residue, prime - 1, prime * prime) - 1) // prime
+
+    def test_rejects_out_of_range_exponents(self):
+        table = TeichmullerTable(3, 1009)
+        assert table.capacity == 1 << 10
+        with pytest.raises(ParameterError):
+            table.pow(-1)
+        with pytest.raises(ParameterError):
+            table.pow(table.capacity)
+
+    def test_rejects_bad_parameters(self):
+        with pytest.raises(ParameterError):
+            TeichmullerTable(1, 2)
+        with pytest.raises(ParameterError):
+            TeichmullerTable(1009 * 4, 1009)
+
+    def test_repr_shows_no_prime_and_no_generator(self):
+        prime = STRUCTURED_PRIMES[256]
+        generator = smallest_generator(prime)
+        table = TeichmullerTable(generator, prime)
+        assert repr(table) == "TeichmullerTable(exponent_bits=256, entries=8160)"
+        for secret in (prime, prime**2, prime - 1, table.base):
+            assert str(secret) not in repr(table)

@@ -19,7 +19,7 @@ from repro.crypto.paillier import (
     RandomnessPool,
     generate_keypair,
 )
-from repro.crypto.primes import sieve_upto
+from repro.crypto.primes import sieve_upto, smallest_generator
 from repro.crypto.rng import DeterministicRandom, RandomSource
 from repro.exceptions import (
     DecryptionError,
@@ -561,6 +561,28 @@ class TestCrtEncryption:
         plaintext = m % pk.n
         ciphertext = sk.encrypt_raw_crt(plaintext, DeterministicRandom(seed))
         assert sk.raw_decrypt(ciphertext) == plaintext
+
+    @pytest.mark.parametrize("bits", [16, 128, 512])
+    def test_seeded_ciphertexts_equal_an_independent_reference(self, bits):
+        """The seeded bytes are pinned without a digest: one draw below
+        phi(n), split by divmod, ``pow`` of each prime's lifted generator
+        and a textbook CRT give exactly what ``encrypt_raw_crt`` gives."""
+        keypair = generate_keypair(bits, "crt-reference-%d" % bits)
+        pk, sk = keypair.public, keypair.private
+        p, q, p2, q2 = sk.p, sk.q, sk.p**2, sk.q**2
+        w_p = pow(smallest_generator(p), p, p2)
+        w_q = pow(smallest_generator(q), q, q2)
+        plaintexts = [0, 1, 2, pk.n - 1] + list(range(1000, 1030))
+        sampler = DeterministicRandom("crt-reference-draws")
+        reference = DeterministicRandom("crt-reference-draws")
+        for m in plaintexts:
+            x, y = divmod(reference.randrange(0, (p - 1) * (q - 1)), q - 1)
+            cp, cq = pow(w_p, x, p2), pow(w_q, y, q2)
+            obfuscator = (
+                cp * q2 * pow(q2, -1, p2) + cq * p2 * pow(p2, -1, q2)
+            ) % pk.nsquare
+            expected = (1 + m * pk.n) * obfuscator % pk.nsquare
+            assert sk.encrypt_raw_crt(m, sampler) == expected, m
 
 
 class TestTakeMany:

@@ -119,7 +119,7 @@ class TestCalibration:
         import repro.crypto.paillier as paillier
 
         builds = []
-        real_table = paillier.FixedBaseTable
+        real_table = paillier.TeichmullerTable
         real_encrypt = paillier.PaillierPrivateKey.encrypt_raw_crt
 
         def counting_table(*args, **kwargs):
@@ -134,7 +134,7 @@ class TestCalibration:
             during.append(len(builds) - before)
             return result
 
-        monkeypatch.setattr(paillier, "FixedBaseTable", counting_table)
+        monkeypatch.setattr(paillier, "TeichmullerTable", counting_table)
         monkeypatch.setattr(paillier.PaillierPrivateKey, "encrypt_raw_crt", encrypt)
         calibrate_profile(key_bits=64, iterations=3, use_kernels=True)
         assert len(builds) == 2
