@@ -9,7 +9,8 @@ numbers to ``BENCH_kernels.json`` at the repo root:
 * client encryption — textbook ``PaillierPublicKey.encrypt_raw``
   (``r^n mod n^2`` as one full-width ``pow``) against
   ``PaillierPrivateKey.encrypt_raw_crt`` (the per-prime fixed-base
-  sampler the deployed client runs, its tables built before timing);
+  sampler the deployed client runs, its tables built before timing,
+  best of ``TABLE_BUILDS`` builds recorded as ``sampler_tables_s``);
   every ciphertext of both must decrypt to its plaintext;
 * the encryption obfuscator ``r^n mod n^2`` — full ``pow()`` against
   the byte-digit :class:`~repro.crypto.multiexp.FixedBaseTable` that
@@ -42,6 +43,7 @@ SMOKE = os.environ.get("REPRO_KERNEL_SMOKE", "") not in ("", "0")
 GRID = [(256, 200)] if SMOKE else [(256, 200), (256, 1000), (512, 200), (512, 1000)]
 WEIGHT_BITS = 32
 ROUNDS = 3  # best-of-3: minimum over rounds rejects scheduler noise
+TABLE_BUILDS = 5  # sampler table builds per grid point, best recorded
 MIN_SPEEDUP = 1.0 if SMOKE else 2.0
 MIN_CRT_SPEEDUP = 1.0
 
@@ -98,9 +100,16 @@ def bench_encrypt(keypair, size):
     public, private = keypair.public, keypair.private
     plaintexts = list(range(size))
     seed = "kernel-bench-encrypt-%d-%d" % (public.bits, size)
-    table_start = time.perf_counter()
-    private.sampler_tables()
-    tables_s = time.perf_counter() - table_start
+    # One build cannot resolve a change below ~1.5x on a loaded host, so
+    # the figure is the best of TABLE_BUILDS, each from a key with no
+    # tables kept (the encryptions below use the last one).
+    tables_s = None
+    for _ in range(TABLE_BUILDS):
+        private._tables = None
+        table_start = time.perf_counter()
+        private.sampler_tables()
+        elapsed = time.perf_counter() - table_start
+        tables_s = elapsed if tables_s is None else min(tables_s, elapsed)
 
     def textbook():
         rng = DeterministicRandom(seed)

@@ -336,7 +336,8 @@ class SessionRegistry:
     consistent after it is released.
 
     With a :class:`~repro.store.state.StateStore` attached the registry
-    becomes a *journal*: every save is also written durably, a memory
+    becomes a *journal*: a save is also written durably (a session
+    saves with ``journal`` true when a read folds a block), a memory
     miss falls back to the journal (so a **restarted** server process
     resumes sessions its predecessor was serving), and eviction/discard
     delete the journal row too — an evicted session answers
@@ -422,23 +423,27 @@ class SessionRegistry:
         finally:
             self._journal_lock.release()
 
-    def save(self, session_id: bytes, record: SessionRecord) -> None:
+    def save(
+        self, session_id: bytes, record: SessionRecord, journal: bool = True
+    ) -> None:
         """Insert or refresh a session, evicting LRU beyond either bound.
 
         The newest session is never evicted on its own account: a record
         larger than ``max_bytes`` by itself still resumes, it just has
         the registry to itself.  With a store attached the same record
-        is journalled durably *before* this method returns — which is
-        what lets :meth:`ServerSession.receive_bytes` guarantee that a
-        RESULT is journalled before it is sent.  The journal keys the
-        row by ``record.session_id``, so it must be ``session_id``.
+        is journalled durably *before* this method returns, unless
+        ``journal`` is false — which is what lets
+        :meth:`ServerSession.receive_bytes` guarantee that a RESULT is
+        journalled before it is sent.  The journal keys the row by
+        ``record.session_id``, so it must be ``session_id``.  The rows
+        of evicted sessions are deleted either way.
         """
         with self._lock:
             evicted = self._insert_locked(session_id, record)
-            if self.store is None:
+            if self.store is None or not (journal or evicted):
                 return
             self._journal_lock.acquire()
-        self._journal_released(evicted, record)
+        self._journal_released(evicted, record if journal else None)
 
     def get(self, session_id: bytes) -> Optional[SessionRecord]:
         """Look up (and LRU-touch) a session; None when unknown/evicted.
@@ -505,8 +510,9 @@ class ServerSession:
     The resume state is one immutable
     :class:`~repro.store.state.SessionRecord`: the public key builds
     the first, each folded chunk replaces it with a new one, and RESUME
-    adopts the record the registry holds.  The registry and the journal
-    receive the session's current record as it is, once per read.
+    adopts the record the registry holds.  The registry receives the
+    session's current record as it is, once per read; the journal
+    receives it when the read folded a block.
 
     Thread safety: this class performs **no I/O** —
     :meth:`receive_bytes` maps input bytes to output bytes and touches
@@ -552,6 +558,9 @@ class ServerSession:
         #: True once this read registered the session or folded a chunk:
         #: :meth:`receive_bytes` then publishes :attr:`_record` at its end
         self._unpublished = False
+        #: True once this read folded a block: the publication then
+        #: journals :attr:`_record` too
+        self._block_folded = False
         self.bytes_received = 0
         self.bytes_sent = 0
         #: True once a protocol violation has been answered with ERROR
@@ -572,13 +581,15 @@ class ServerSession:
     def receive_bytes(self, data: bytes) -> bytes:
         """Consume client bytes; returns reply bytes (possibly empty).
 
-        Resume state is published once per call — one registry save and,
-        with a store attached, one journal commit — and only if
-        the call registered the session or folded at least one chunk.
-        The commit happens before the reply is returned, so a RESULT is
-        journalled before it can be sent; a crash loses at most the
-        chunks of one read, which the client re-sends from its cache.
-        A call that ends in a protocol violation publishes nothing: the
+        Resume state is published once per call — one registry save —
+        and only if the call registered the session or folded at least
+        one chunk; with a store attached, the save journals the record
+        too if the call folded a block.  The call that completes the
+        query folds the last block, and its commit happens before the
+        reply is returned, so a RESULT is journalled before it can be
+        sent.  A process crash loses at most the rows since the last
+        block boundary, which the client re-sends from its cache.  A
+        call that ends in a protocol violation publishes nothing: the
         session is discarded instead.
         """
         self.bytes_received += len(data)
@@ -595,7 +606,7 @@ class ServerSession:
         except ProtocolError as exc:
             self.errored = True
             self.last_error = exc
-            self._unpublished = False
+            self._unpublished = self._block_folded = False
             if self._session_id is not None:
                 # Never keep resume state for a session that violated the
                 # protocol: a rejected peer must restart, not resume.
@@ -608,8 +619,10 @@ class ServerSession:
             # this one always reads a self-consistent (pending, received)
             # pair and can never double-fold a chunk.
             assert self._session_id is not None and self._record is not None
-            self._unpublished = False
-            self.registry.save(self._session_id, self._record)
+            self.registry.save(
+                self._session_id, self._record, journal=self._block_folded
+            )
+            self._unpublished = self._block_folded = False
         self.bytes_sent += len(out)
         return bytes(out)
 
@@ -731,8 +744,7 @@ class ServerSession:
         nsquare = self._nsquare
         check_ciphertext_chunk(ciphertexts, record.public_n, nsquare)
         # Every chunk but the last is full: a short or empty one would
-        # spend a frame (and a journal commit) beyond what max_chunks
-        # budgets for.
+        # spend a frame beyond what max_chunks budgets for.
         expected = min(record.chunk_size, rows - record.received)
         if count != expected:
             raise ProtocolError(
@@ -760,6 +772,7 @@ class ServerSession:
             )
             pending = pending[end - first :]
             first = end
+            self._block_folded = True
         if self.tracer is not None:
             self.tracer.record("fold", time.perf_counter() - fold_started)
         done = received == rows

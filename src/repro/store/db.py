@@ -20,31 +20,32 @@ Durability model (documented in ``docs/protocol.md`` § Durability):
 The schema itself (see :data:`MIGRATIONS`):
 
 * ``sessions`` — the resumable-session journal: one row per session
-  id, the fields of :class:`repro.store.state.SessionRecord` but its
-  pending ciphertexts, ``touched_at`` being the time of the row's last
-  write.  Rows written by v4-v7 hold digit-plane buckets instead (and,
-  since v6, the digit width they were written at), which the store
-  closes into the row's aggregate when it reads them; rows written by
-  v8 hold their pending ciphertexts in the ``pending`` column.
-* ``session_pending`` (since v9) — the ciphertexts of each session's
-  incomplete fold block, append-only: each commit that folds no block
-  adds one row with the ciphertexts received since the last commit,
-  keyed by the session and its first row; a commit that folds a block
-  replaces them.  Deleting a session deletes its rows (``ON DELETE
-  CASCADE``; the connection turns foreign keys on).
+  id, the fields of :class:`repro.store.state.SessionRecord`,
+  ``touched_at`` being the time of the row's last write and ``pending``
+  the ciphertexts of the session's incomplete fold block.  The server
+  writes a row when a read folds a block, so ``pending`` holds at most
+  the rows of one read.  Rows written by v4-v7 hold digit-plane buckets
+  instead (and, since v6, the digit width they were written at), which
+  the store closes into the row's aggregate when it reads them.
 * ``databases`` — named server databases, loadable by ``repro serve
   --state-dir ... --db-name ...``.
 
 Nothing else: v1 also created two precomputation caches for the
 client's offline phase, which no command ever wrote, and v7 drops them.
+v9 journalled pending ciphertexts append-only in a ``session_pending``
+table; v10 moves them back into the session rows and drops it.
 """
 
 from __future__ import annotations
 
 import sqlite3
+import struct
 import time
-from typing import List, Optional, Sequence, Tuple
+from itertools import groupby
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
+from repro.crypto.ntheory import bytes_for_bits
+from repro.crypto.serialization import decode_int_seq, encode_int_seq
 from repro.exceptions import StoreError
 
 __all__ = [
@@ -55,10 +56,55 @@ __all__ = [
     "schema_version",
 ]
 
+#: One step of a migration: a SQL statement, or a function that moves
+#: data the old schema holds in a shape SQL cannot rewrite.
+Step = Union[str, Callable[[sqlite3.Connection], None]]
+Migration = Tuple[int, str, Tuple[Step, ...]]
+
+
+def _adopt_v9_pending(conn: sqlite3.Connection) -> None:
+    """Move each session's v9 ``session_pending`` rows into its row's
+    ``pending`` blob.
+
+    The rows of one session, in row order, must tile the last rows it
+    received: a gap, an overlap or a short tail is a corrupt journal,
+    and the migration fails rather than resume a wrong product.
+    """
+    rows = conn.execute(
+        "SELECT p.session_id, s.key_bits, s.received, p.first_row, p.blob"
+        " FROM session_pending p JOIN sessions s USING (session_id)"
+        " ORDER BY p.session_id, p.first_row"
+    ).fetchall()
+    for session_id, group in groupby(rows, key=lambda row: row[0]):
+        parts = list(group)
+        _, key_bits, received, _, _ = parts[0]
+        width = bytes_for_bits(2 * key_bits)
+        try:
+            decoded = [(row[3], decode_int_seq(row[4], width)) for row in parts]
+        except (ValueError, struct.error) as exc:
+            raise StoreError(
+                "corrupt pending blob for session %s: %s" % (session_id.hex(), exc)
+            ) from exc
+        pending = tuple(ct for _, part in decoded for ct in part)
+        at = received - len(pending)
+        for first_row, part in decoded:
+            if first_row != at:
+                raise StoreError(
+                    "corrupt pending rows for session %s: a row starts at"
+                    " %d, not %d; %d ciphertexts must end at row %d"
+                    % (session_id.hex(), first_row, at, len(pending), received)
+                )
+            at += len(part)
+        conn.execute(
+            "UPDATE sessions SET pending = ? WHERE session_id = ?",
+            (encode_int_seq(pending, width), session_id),
+        )
+
+
 #: Ordered migration history.  Append-only: released versions are never
-#: edited, new releases append a new ``(version, description, [ddl])``
+#: edited, new releases append a new ``(version, description, [steps])``
 #: entry and :func:`migrate` carries any existing store forward.
-MIGRATIONS: Tuple[Tuple[int, str, Tuple[str, ...]], ...] = (
+MIGRATIONS: Tuple[Migration, ...] = (
     (
         1,
         "initial schema: session journal, precomputation caches, databases",
@@ -192,6 +238,11 @@ MIGRATIONS: Tuple[Tuple[int, str, Tuple[str, ...]], ...] = (
             """,
         ),
     ),
+    (
+        10,
+        "pending ciphertexts back in the session row, written per fold block",
+        (_adopt_v9_pending, "DROP TABLE session_pending"),
+    ),
 )
 
 #: The schema version this code reads and writes.
@@ -217,11 +268,11 @@ def schema_version(conn: sqlite3.Connection) -> int:
 
 def migrate(
     conn: sqlite3.Connection,
-    migrations: Sequence[Tuple[int, str, Tuple[str, ...]]] = MIGRATIONS,
+    migrations: Sequence[Migration] = MIGRATIONS,
 ) -> List[int]:
     """Apply every pending migration in order; returns applied versions.
 
-    Each step runs in its own transaction: the DDL plus its
+    Each migration runs in its own transaction: its steps plus its
     ``dbversion`` row commit atomically, so a crash mid-upgrade leaves
     the store at a well-defined older version that the next open
     finishes upgrading.  A store *newer* than this code is refused —
@@ -236,19 +287,24 @@ def migrate(
             % (current, newest)
         )
     applied: List[int] = []
-    for version, description, statements in migrations:
+    for version, description, steps in migrations:
         if version <= current:
             continue
         try:
-            with conn:  # one transaction per migration step
-                for statement in statements:
-                    conn.execute(statement)
+            with conn:  # one transaction per migration
+                # Explicitly: the sqlite3 module opens none before DDL.
+                conn.execute("BEGIN")
+                for step in steps:
+                    if callable(step):
+                        step(conn)
+                    else:
+                        conn.execute(step)
                 conn.execute(
                     "INSERT INTO dbversion (version, release_ts, description) "
                     "VALUES (?, ?, ?)",
                     (version, time.time(), description),
                 )
-        except sqlite3.Error as exc:
+        except (sqlite3.Error, StoreError) as exc:
             raise StoreError(
                 "migration to schema v%d failed: %s" % (version, exc)
             ) from exc
@@ -259,7 +315,7 @@ def migrate(
 def open_store_db(
     path: str,
     timeout_s: float = 10.0,
-    migrations: Optional[Sequence[Tuple[int, str, Tuple[str, ...]]]] = None,
+    migrations: Optional[Sequence[Migration]] = None,
 ) -> sqlite3.Connection:
     """Open (creating/upgrading as needed) the store database at ``path``.
 
@@ -280,7 +336,6 @@ def open_store_db(
         # journal write (see module docstring / docs/protocol.md).
         conn.execute("PRAGMA journal_mode=WAL")
         conn.execute("PRAGMA synchronous=NORMAL")
-        conn.execute("PRAGMA foreign_keys=ON")
         migrate(conn, migrations if migrations is not None else MIGRATIONS)
     except StoreError:
         conn.close()

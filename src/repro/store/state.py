@@ -5,11 +5,12 @@ schema and durability model):
 
 * **Session journal** — one immutable :class:`SessionRecord` per
   resumable session, written by
-  :class:`~repro.spfe.session.SessionRegistry` on every save (once per
-  socket read that made progress).  A client
-  whose server was SIGKILLed reconnects, sends RESUME, and the restarted
-  process answers from the journal: same ACK semantics, zero
-  re-encryption of already-acknowledged chunks.
+  :class:`~repro.spfe.session.SessionRegistry` when a socket read folds
+  a fold block (the read that completes the query always does).  A
+  client whose server was SIGKILLed reconnects, sends RESUME, and the
+  restarted process answers from the journal: the ACK names the chunk
+  after the last journalled one, and the client re-sends the rest from
+  its cache, with zero re-encryption.
 * **Named databases** — server databases loadable by name, so ``repro
   serve --state-dir DIR --db-name NAME`` serves the same data across
   restarts without re-parsing input files.
@@ -243,38 +244,31 @@ class StateStore:
     def save_session(self, record: SessionRecord) -> None:
         """Journal one session record (upsert by session id).
 
-        Called once per socket read that registered a session or
-        received at least one chunk (``ServerSession.receive_bytes``
-        publishes at the end of each read); the WAL commit makes the
-        record process-crash durable before the server's reply leaves
-        the process (RESULT in particular is journalled before it is
-        sent), and a crash loses at most one read of chunks.
-
-        Pending ciphertexts are journalled append-only.  When the
-        record's pending rows start where the journalled ones do, the
-        commit inserts one row holding the ciphertexts received since
-        the last commit; otherwise (a block folded, or the row still
-        holds a v8 ``pending`` blob) it replaces the session's pending
-        rows with one row of ``record.pending``.  One transaction.
+        The server calls this when a socket read folded a fold block
+        (``ServerSession.receive_bytes`` publishes at the end of each
+        read): two commits for a 1000-row query, the last of them
+        holding the RESULT before it leaves the process.  A process
+        crash loses at most the rows received since the last block
+        boundary, which the client re-sends from its cache.  The record
+        goes into the session row whole, its pending ciphertexts (at
+        most the rows of one read) in the row's ``pending`` blob: one
+        statement, with nothing read first.
         """
         touched = record.touched_at if record.touched_at else time.time()
-        session_id = record.session_id
-        first = record.received - len(record.pending)
+        pending = (
+            encode_int_seq(record.pending, _ciphertext_width(record.key_bits))
+            if record.pending
+            else None
+        )
         try:
             with self._lock:
                 conn = self._require_conn()
                 with conn:
-                    journalled = conn.execute(
-                        "SELECT received, pending IS NULL, (SELECT MIN(first_row)"
-                        " FROM session_pending WHERE session_id = ?)"
-                        " FROM sessions WHERE session_id = ?",
-                        (session_id, session_id),
-                    ).fetchone()
                     conn.execute(
                         "INSERT INTO sessions (session_id, key_bits, chunk_size,"
                         " public_n, aggregate, received, chunks_received, done,"
-                        " touched_at)"
-                        " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)"
+                        " touched_at, pending)"
+                        " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
                         " ON CONFLICT(session_id) DO UPDATE SET"
                         " aggregate=excluded.aggregate,"
                         " received=excluded.received,"
@@ -282,9 +276,9 @@ class StateStore:
                         " done=excluded.done,"
                         " touched_at=excluded.touched_at,"
                         " buckets=NULL,"
-                        " pending=NULL",
+                        " pending=excluded.pending",
                         (
-                            session_id,
+                            record.session_id,
                             record.key_bits,
                             record.chunk_size,
                             _int_blob(record.public_n),
@@ -293,37 +287,9 @@ class StateStore:
                             record.chunks_received,
                             1 if record.done else 0,
                             touched,
+                            pending,
                         ),
                     )
-                    # journalled: (received, no v8 blob, first pending row)
-                    if (
-                        journalled is not None
-                        and journalled[1]
-                        and first == (
-                            journalled[0] if journalled[2] is None else journalled[2]
-                        )
-                        and journalled[0] <= record.received
-                    ):
-                        at = int(journalled[0])  # append what came since
-                    else:
-                        at = first
-                        conn.execute(
-                            "DELETE FROM session_pending WHERE session_id = ?",
-                            (session_id,),
-                        )
-                    fresh = record.pending[at - first :]
-                    if fresh:
-                        conn.execute(
-                            "INSERT INTO session_pending (session_id, first_row,"
-                            " blob) VALUES (?, ?, ?)",
-                            (
-                                session_id,
-                                at,
-                                encode_int_seq(
-                                    fresh, _ciphertext_width(record.key_bits)
-                                ),
-                            ),
-                        )
         except sqlite3.Error as exc:
             raise StoreError("session journal write failed: %s" % exc) from exc
         self._count("repro_store_journal_writes_total")
@@ -331,14 +297,12 @@ class StateStore:
     def load_session(self, session_id: bytes) -> Optional[SessionRecord]:
         """Fetch one journalled record; None when unknown/deleted.
 
-        The pending ciphertexts are the session's ``session_pending``
-        rows joined in row order, which must tile the rows
-        ``received - len(pending)`` up to ``received`` exactly; a row
-        written by v8 holds them in its own ``pending`` blob instead.
-        A row an older release journalled with digit-plane buckets
-        (schema v4-v7) is returned with its buckets closed into its
-        aggregate and nothing pending: the fold is linear, so the
-        session resumes with the same product.
+        The pending ciphertexts are those of the rows
+        ``received - len(pending)`` up to ``received``.  A row an older
+        release journalled with digit-plane buckets (schema v4-v7) is
+        returned with its buckets closed into its aggregate and nothing
+        pending: the fold is linear, so the session resumes with the
+        same product.
         """
         try:
             with self._lock:
@@ -349,11 +313,6 @@ class StateStore:
                     " plane_window, pending FROM sessions WHERE session_id = ?",
                     (session_id,),
                 ).fetchone()
-                pending_rows = conn.execute(
-                    "SELECT first_row, blob FROM session_pending"
-                    " WHERE session_id = ? ORDER BY first_row",
-                    (session_id,),
-                ).fetchall()
         except sqlite3.Error as exc:
             raise StoreError("session journal read failed: %s" % exc) from exc
         if row is None:
@@ -371,36 +330,21 @@ class StateStore:
                 aggregate,
                 public_n * public_n,
             )
-        if row[10] is not None:  # a v8 row: one blob, ending at received
-            if pending_rows:
+        pending: Tuple[int, ...] = ()
+        if row[10] is not None:
+            try:
+                pending = decode_int_seq(row[10], width)
+            except (ValueError, struct.error) as exc:
                 raise StoreError(
-                    "corrupt pending rows for session %s: a v8 pending blob"
-                    " beside %d journalled rows"
-                    % (session_id.hex(), len(pending_rows))
-                )
-            legacy = self._pending_part(session_id, row[10], width)
-            parts = [(received - len(legacy), legacy)]
-        else:
-            parts = [
-                (int(first_row), self._pending_part(session_id, blob, width))
-                for first_row, blob in pending_rows
-            ]
-        pending: Tuple[int, ...] = tuple(ct for _, part in parts for ct in part)
+                    "corrupt pending blob for session %s: %s"
+                    % (session_id.hex(), exc)
+                ) from exc
         if len(pending) > received:
             raise StoreError(
                 "corrupt pending blob for session %s: %d ciphertexts"
                 " pending but %d received"
                 % (session_id.hex(), len(pending), received)
             )
-        at = received - len(pending)
-        for first_row, part in parts:
-            if first_row != at:
-                raise StoreError(
-                    "corrupt pending rows for session %s: a row starts at"
-                    " %d, not %d; %d ciphertexts must end at row %d"
-                    % (session_id.hex(), first_row, at, len(pending), received)
-                )
-            at += len(part)
         self._count("repro_store_journal_hits_total")
         return SessionRecord(
             session_id=session_id,
@@ -414,19 +358,6 @@ class StateStore:
             touched_at=float(row[7]),
             pending=pending,
         )
-
-    @staticmethod
-    def _pending_part(
-        session_id: bytes, blob: bytes, width: int
-    ) -> Tuple[int, ...]:
-        """Decode one blob of pending ciphertexts."""
-        try:
-            return decode_int_seq(blob, width)
-        except (ValueError, struct.error) as exc:
-            raise StoreError(
-                "corrupt pending blob for session %s: %s"
-                % (session_id.hex(), exc)
-            ) from exc
 
     @staticmethod
     def _legacy_buckets(

@@ -45,9 +45,11 @@ from repro.store.supervisor import ServerSupervisor, SupervisorPolicy
 pytestmark = pytest.mark.chaos
 
 KEY_BITS = 128
-CHUNK = 2
-DB = ServerDatabase([5, 0, 7, 1, 9, 2, 0, 3], value_bits=8)
-SELECTION = [1, 0, 1, 1, 0, 0, 1, 1]
+CHUNK = 50
+# Two fold blocks of 300 rows: the journal commits when chunk 5
+# completes the first, and with the RESULT.
+DB = ServerDatabase([(7 * i + 3) % 251 for i in range(600)], value_bits=8)
+SELECTION = [1 if i % 3 else 0 for i in range(600)]
 EXPECTED = sum(w * v for w, v in zip(SELECTION, DB.values))
 
 
@@ -126,21 +128,22 @@ class TestRecoveryMatrix:
         frames = list(client.initial_bytes())
         total = client.total_chunks
         server = world.boot()
-        feed(server, client, frames[:4])  # HELLO, KEY, chunks 0 and 1
-        assert world.store.load_session(client.session_id).chunks_received == 2
+        feed(server, client, frames[:10])  # HELLO, KEY, chunks 0-7
+        # journalled when chunk 5 completed block 0; chunks 6-7 are lost
+        assert world.store.load_session(client.session_id).chunks_received == 6
         world.crash()
 
         server = world.boot()
         raw = server.receive_bytes(client.resume_request())
         reply = decode_frames(raw)
         assert [f.frame_type for f in reply] == [FrameType.ACK]
-        assert codec.decode_ack(reply[0].payload) == 2
+        assert codec.decode_ack(reply[0].payload) == 6
         client.receive_bytes(raw)
         feed(server, client, client.resume_bytes())
         assert client.result == EXPECTED
         assert client.encryptions == len(SELECTION)
         # only the missing chunks were folded — never the ACKed ones
-        assert server.chunk_frames_processed == total - 2
+        assert server.chunk_frames_processed == total - 6
         assert world.registry.recoveries == 1
         state = world.registry.get(client.session_id)
         assert state.received == len(DB) and state.done
@@ -176,24 +179,26 @@ class TestRecoveryMatrix:
         client = make_client("double-crash")
         frames = list(client.initial_bytes())
         server = world.boot()
-        feed(server, client, frames[:3])  # HELLO, KEY, chunk 0
+        feed(server, client, frames[:9])  # HELLO, KEY, chunks 0-6
         world.crash()
 
-        # first recovery: resume, land exactly one more chunk, die again
+        # first recovery: resume at chunk 6, land exactly one more
+        # chunk, which no block boundary journals, and die again
         server = world.boot()
         client.receive_bytes(server.receive_bytes(client.resume_request()))
         resumed = iter(client.resume_bytes())
         server.receive_bytes(next(resumed))
-        assert world.store.load_session(client.session_id).chunks_received == 2
+        assert world.registry.get(client.session_id).chunks_received == 7
+        assert world.store.load_session(client.session_id).chunks_received == 6
         world.crash()
 
-        # second recovery completes from chunk 2
+        # second recovery completes from chunk 6 again
         server = world.boot()
         client.receive_bytes(server.receive_bytes(client.resume_request()))
         feed(server, client, client.resume_bytes())
         assert client.result == EXPECTED
         assert client.encryptions == len(SELECTION)
-        assert server.chunk_frames_processed == client.total_chunks - 2
+        assert server.chunk_frames_processed == client.total_chunks - 6
         world.crash()
 
 
@@ -255,8 +260,10 @@ def free_port():
 def test_sigkill_fleet_survives_three_crashes(tmp_path):
     """`repro serve --state-dir` under the supervisor, SIGKILLed at
     three journal-verified fault points; the resilient client finishes
-    with the exact sum and zero re-encryption."""
-    n = 96
+    with the exact sum and zero re-encryption.  The journal commits when
+    a fold block completes, so the kills land at the first three of the
+    four 400-row blocks' boundaries."""
+    n = 1600
     values = [(7 * i + 3) % 251 for i in range(n)]
     selection = [1 if i % 3 else 0 for i in range(n)]
     expected = sum(w * v for w, v in zip(selection, values))
@@ -282,7 +289,7 @@ def test_sigkill_fleet_survives_three_crashes(tmp_path):
     client = ClientSession(
         selection,
         key_bits=KEY_BITS,
-        chunk_size=4,  # 24 chunks at ~25 ms each: a wide kill window
+        chunk_size=20,  # 80 chunks at ~25 ms each: a wide kill window
         rng=DeterministicRandom("sigkill-fleet"),
     )
     outcome = {}
@@ -311,7 +318,7 @@ def test_sigkill_fleet_survives_three_crashes(tmp_path):
     try:
         runner.start()
         # kill as soon as the journal proves the marked progress exists
-        for target in (3, 9, 16):
+        for target in (20, 40, 60):
             deadline = time.monotonic() + 30.0
             while time.monotonic() < deadline:
                 row = journal_progress(store_path, client.session_id)

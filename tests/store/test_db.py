@@ -152,6 +152,23 @@ def test_migration_failure_leaves_resumable_prefix(tmp_path):
         conn.close()
 
 
+def test_a_failed_migration_rolls_back_its_ddl(tmp_path):
+    """DDL runs inside the migration's transaction: a later step's
+    failure undoes a table an earlier step of the same migration made."""
+    path = str(tmp_path / "s.sqlite")
+    broken = MIGRATIONS[:1] + (
+        (2, "broken step", ("CREATE TABLE half_done (x)", "THIS IS NOT SQL")),
+    )
+    with pytest.raises(StoreError, match="migration to schema v2"):
+        open_store_db(path, migrations=broken)
+    conn = sqlite3.connect(path)
+    try:
+        assert schema_version(conn) == 1
+        assert "half_done" not in _table_names(conn)
+    finally:
+        conn.close()
+
+
 def _table_names(conn):
     return {
         row[0]
@@ -170,12 +187,12 @@ def test_v2_store_upgrades_to_latest_without_calibration(tmp_path):
     StateStore(path).close()
     conn = sqlite3.connect(path)
     try:
-        assert schema_version(conn) == SCHEMA_VERSION == 9
+        assert schema_version(conn) == SCHEMA_VERSION == 10
         assert "calibration" not in _table_names(conn)
         applied = conn.execute(
             "SELECT version FROM dbversion ORDER BY version"
         ).fetchall()
-        assert [row[0] for row in applied] == [1, 2, 3, 4, 5, 6, 7, 8, 9]
+        assert [row[0] for row in applied] == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
     finally:
         conn.close()
 

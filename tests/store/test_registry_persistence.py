@@ -2,17 +2,21 @@
 eviction survives them too.
 
 The invariants under test: after a process restart, a journalled
-session resumes exactly where it stopped, and an *evicted* session
-answers ``RESUME_UNKNOWN`` — never a stale snapshot from before the
-eviction.  The journal commits once per ``ServerSession.receive_bytes``
-call that made progress (group commit at the read boundary), so a crash
-loses at most one read of chunks and never changes the RESULT.
+session resumes exactly where its last commit left it, and an *evicted*
+session answers ``RESUME_UNKNOWN`` — never a stale snapshot from before
+the eviction.  The journal commits once per
+``ServerSession.receive_bytes`` call that folded a block (the call that
+completes the query always does), so a crash loses at most the rows
+since the last block boundary, which the client re-sends from its
+cache, and never changes the RESULT.
 """
 
 import dataclasses
 import functools
+import random
 import sqlite3
 import sys
+import tempfile
 import threading
 
 import pytest
@@ -34,6 +38,25 @@ from repro.store.state import SessionRecord, StateStore
 KEY_BITS = 128
 CHUNK = 4
 DB = ServerDatabase([5, 0, 7, 1, 9, 2, 0, 3], value_bits=8)
+
+
+# A 600-row database folds in two blocks of 300 rows, so its queries
+# commit to the journal twice: when row 299 arrives, and with the RESULT.
+BLOCK_DB = ServerDatabase([(13 * i + 5) % 251 for i in range(600)], value_bits=8)
+BLOCK_SELECTION = [i % 3 for i in range(600)]
+BLOCK_KEYPAIR = generate_keypair(KEY_BITS, DeterministicRandom("block-keypair"))
+
+
+def block_client(seed, chunk_size=100):
+    """A client of :data:`BLOCK_DB`; at 100 rows a chunk, its third
+    chunk completes the first block."""
+    return ClientSession(
+        BLOCK_SELECTION,
+        key_bits=KEY_BITS,
+        chunk_size=chunk_size,
+        rng=DeterministicRandom(seed),
+        keypair=BLOCK_KEYPAIR,
+    )
 
 
 def make_client(seed):
@@ -76,10 +99,10 @@ def test_eviction_deletes_the_journal_row(store_path):
         frames_a = list(a.initial_bytes())
         frames_b = list(b.initial_bytes())
 
-        # A registers (HELLO + KEY), then B's registration evicts A.
-        feed(ServerSession(DB, registry=registry), a, frames_a[:2])
+        # A's query completes (journalled), then B's evicts A.
+        feed(ServerSession(DB, registry=registry), a, frames_a)
         assert store.session_count() == 1
-        feed(ServerSession(DB, registry=registry), b, frames_b[:2])
+        feed(ServerSession(DB, registry=registry), b, frames_b)
         assert registry.evictions == 1
         assert store.session_count() == 1
         assert store.load_session(a.session_id) is None
@@ -89,10 +112,11 @@ def test_eviction_deletes_the_journal_row(store_path):
 def test_restarted_registry_recovers_from_journal(store_path):
     with StateStore(store_path) as store:
         registry = SessionRegistry(capacity=4, store=store)
-        client = make_client("recover")
+        client = block_client("recover")
         frames = list(client.initial_bytes())
-        # HELLO + KEY + first chunk: mid-protocol state in the journal
-        feed(ServerSession(DB, registry=registry), client, frames[:3])
+        # HELLO + KEY + the first block's three chunks: mid-protocol
+        # state in the journal
+        feed(ServerSession(BLOCK_DB, registry=registry), client, frames[:5])
 
     # the process "restarts": nothing survives but the file
     with StateStore(store_path) as store:
@@ -100,8 +124,8 @@ def test_restarted_registry_recovers_from_journal(store_path):
         assert len(registry) == 0
         state = registry.get(client.session_id)
         assert state is not None
-        assert state.chunks_received == 1
-        assert state.received == CHUNK
+        assert state.chunks_received == 3
+        assert state.received == 300
         assert not state.done
         assert registry.recoveries == 1
         # the rehydrated entry is now resident: no second recovery
@@ -165,11 +189,11 @@ def test_evicted_session_resumes_unknown_after_restart(store_path):
 def test_discard_deletes_the_journal_row(store_path):
     with StateStore(store_path) as store:
         registry = SessionRegistry(capacity=4, store=store)
-        client = make_client("discard")
+        client = block_client("discard")
         feed(
-            ServerSession(DB, registry=registry),
+            ServerSession(BLOCK_DB, registry=registry),
             client,
-            list(client.initial_bytes())[:2],
+            list(client.initial_bytes())[:5],
         )
         assert store.load_session(client.session_id) is not None
         registry.discard(client.session_id)
@@ -181,10 +205,10 @@ def test_protocol_violation_clears_the_journal(store_path):
     """A rejected peer must restart, not resume — even across restarts."""
     with StateStore(store_path) as store:
         registry = SessionRegistry(capacity=4, store=store)
-        client = make_client("violator")
+        client = block_client("violator")
         frames = list(client.initial_bytes())
-        server = ServerSession(DB, registry=registry)
-        feed(server, client, frames[:2])
+        server = ServerSession(BLOCK_DB, registry=registry)
+        feed(server, client, frames[:5])
         assert store.load_session(client.session_id) is not None
         # replaying the PUBLIC_KEY frame is a protocol violation
         error = server.receive_bytes(frames[1])
@@ -255,7 +279,7 @@ def test_v3_row_without_buckets_resumes_to_the_exact_sum(store_path):
         conn.close()
 
 
-# -- the journal commit boundary: one commit per read that made progress ----
+# -- the journal commit boundary: one commit per read that folds a block ----
 
 LONG_DB = ServerDatabase([(7 * i + 3) % 251 for i in range(40)], value_bits=8)
 LONG_SELECTION = [i % 3 for i in range(40)]  # ten chunks of CHUNK
@@ -291,12 +315,13 @@ def uncrashed_result(frames):
     return result_payload(b"".join(server.receive_bytes(f) for f in frames))
 
 
-def test_one_journal_write_per_read_that_made_progress():
+def test_one_journal_write_per_read_that_folds_a_block():
     metrics = MetricsRegistry()
-    client = long_client("commits")
+    client = block_client("commits")
     hello, key, *chunks = list(client.initial_bytes())
     with StateStore(":memory:", metrics=metrics) as store:
-        server = ServerSession(LONG_DB, registry=SessionRegistry(store=store))
+        registry = SessionRegistry(store=store)
+        server = ServerSession(BLOCK_DB, registry=registry)
 
         def writes_for(data):
             before = journal_writes(metrics)
@@ -304,13 +329,20 @@ def test_one_journal_write_per_read_that_made_progress():
             return journal_writes(metrics) - before
 
         assert writes_for(hello) == 0  # nothing worth resuming yet
-        assert writes_for(key) == 1  # registration
+        assert writes_for(key) == 0  # registered in memory only
+        assert client.session_id in registry
         assert writes_for(chunks[0][:7]) == 0  # part of a frame
-        assert writes_for(chunks[0][7:]) == 1
+        assert writes_for(chunks[0][7:]) == 0  # rows 0-99: no block
         assert writes_for(chunks[0]) == 0  # duplicate: nothing folded
-        assert writes_for(b"".join(chunks[1:5])) == 1  # four chunks, one commit
-        assert store.load_session(client.session_id).chunks_received == 5
-        assert writes_for(b"".join(chunks[5:])) == 1  # ...and the RESULT
+        assert store.load_session(client.session_id) is None
+        assert writes_for(chunks[1] + chunks[2] + chunks[3]) == 1  # block 0
+        row = store.load_session(client.session_id)
+        assert (row.received, row.chunks_received) == (400, 4)
+        assert len(row.pending) == 100  # rows 300-399, of this read
+        assert writes_for(chunks[4]) == 0
+        assert store.load_session(client.session_id).received == 400
+        assert registry.get(client.session_id).received == 500
+        assert writes_for(chunks[5]) == 1  # block 1, and the RESULT
         assert server.finished
         assert store.load_session(client.session_id).done
 
@@ -328,30 +360,77 @@ def test_whole_query_in_one_read_commits_once():
 
 
 def test_crash_at_a_read_boundary_resumes_from_the_last_commit(store_path):
-    client = long_client("read-crash")
+    """Reads of three 40-row chunks: the third read completes block 0
+    (rows 0-299) and commits, the fourth does not.  A crash after the
+    fourth loses its rows; the restarted server ACKs the chunk after
+    the third read's, and the client re-sends the rest from its cache."""
+    client = block_client("read-crash", chunk_size=40)
     hello, key, *chunks = list(client.initial_bytes())
     reads = [hello + key] + [
         b"".join(chunks[i : i + 3]) for i in range(0, len(chunks), 3)
     ]
     with StateStore(store_path) as store:
-        server = ServerSession(LONG_DB, registry=SessionRegistry(store=store))
-        for data in reads[:3]:  # registration, then two reads of 3 chunks
+        server = ServerSession(BLOCK_DB, registry=SessionRegistry(store=store))
+        for data in reads[:5]:  # registration, then four reads of 3 chunks
             assert server.receive_bytes(data) == b""
     # the crash: every in-memory object is gone, only the file remains
     del server
 
     with StateStore(store_path) as store:
-        server = ServerSession(LONG_DB, registry=SessionRegistry(store=store))
+        server = ServerSession(BLOCK_DB, registry=SessionRegistry(store=store))
         reply = server.receive_bytes(client.resume_request())
         (ack,) = decode_frames(reply)
         assert ack.frame_type == FrameType.ACK
-        assert codec.decode_ack(ack.payload) == 6
+        assert codec.decode_ack(ack.payload) == 9
         client.receive_bytes(reply)
         replies = server.receive_bytes(b"".join(client.resume_bytes()))
-    assert result_payload(replies) == uncrashed_result([hello, key] + chunks)
+    uncrashed = ServerSession(BLOCK_DB, registry=SessionRegistry())
+    assert result_payload(replies) == result_payload(
+        b"".join(uncrashed.receive_bytes(f) for f in [hello, key] + chunks)
+    )
     client.receive_bytes(replies)
-    assert client.result == LONG_DB.select_sum(LONG_SELECTION)
-    assert client.encryptions == len(LONG_SELECTION)
+    assert client.result == BLOCK_DB.select_sum(BLOCK_SELECTION)
+    assert client.encryptions == len(BLOCK_SELECTION)
+    assert client.chunk_frames_sent == len(chunks) + 6  # chunks 9-14 again
+
+
+THOUSAND_DB = ServerDatabase([(31 * i + 7) % 65521 for i in range(1000)])
+THOUSAND_CLIENT = ClientSession(
+    [i % 2 for i in range(1000)],
+    key_bits=KEY_BITS,
+    chunk_size=8,
+    rng=DeterministicRandom("thousand"),
+    keypair=BLOCK_KEYPAIR,
+)
+THOUSAND_FRAMES = list(THOUSAND_CLIENT.initial_bytes())
+
+
+def journal_writes_of(reads):
+    """The journal commits a server makes over ``reads``, and the
+    RESULT payload it sends."""
+    metrics = MetricsRegistry()
+    with StateStore(":memory:", metrics=metrics) as store:
+        server = ServerSession(THOUSAND_DB, registry=SessionRegistry(store=store))
+        replies = b"".join(server.receive_bytes(data) for data in reads)
+        assert server.finished
+        return journal_writes(metrics), result_payload(replies)
+
+
+def test_a_thousand_row_query_commits_once_per_block():
+    """n = 1000 at chunk 8 is 125 chunk frames over two 500-row blocks:
+    two commits, however the stream is cut into reads."""
+    assert len(THOUSAND_DB.fold_plan().starts) == 2
+    writes, result = journal_writes_of(THOUSAND_FRAMES)  # a frame per read
+    assert writes == 2
+    stream = b"".join(THOUSAND_FRAMES)
+    rng = random.Random(1000)
+    for _ in range(3):
+        cuts = sorted(rng.sample(range(1, len(stream)), rng.randrange(1, 200)))
+        reads = [
+            stream[start:stop]
+            for start, stop in zip([0] + cuts, cuts + [len(stream)])
+        ]
+        assert journal_writes_of(reads) == (2, result)
 
 
 def plane_buckets(bases, exponents, modulus, window):
@@ -533,7 +612,7 @@ def test_v6_store_drops_precomputation_caches_and_keeps_data(
     assert not {"fixed_base_tables", "zero_pools"} & _table_names(store_path)
     conn = sqlite3.connect(store_path)
     try:
-        assert schema_version(conn) == SCHEMA_VERSION == 9
+        assert schema_version(conn) == SCHEMA_VERSION == 10
     finally:
         conn.close()
 
@@ -594,11 +673,11 @@ V8_SELECTION = [(i % 5) % 2 for i in range(600)]
 def test_v8_row_with_pending_block_resumes_under_v9(store_path):
     """A v8 server cut its database into 256-row blocks.  It journalled
     this 600-row session after 340 rows: block 0-255 folded into the
-    aggregate, rows 256-339 in the row's pending blob.  Under v9 a block
+    aggregate, rows 256-339 in the row's pending blob.  Today a block
     boundary falls inside that pending range, so the resumed server
-    folds rows 256 up to it with a program compiled for them, moves the
-    rest into the pending table, and sends the RESULT an uninterrupted
-    server sends: ``prod c_i^(x_i) mod n^2``."""
+    folds rows 256 up to it with a program compiled for them, journals
+    the rest in the row's pending blob, and sends the RESULT an
+    uninterrupted server sends: ``prod c_i^(x_i) mod n^2``."""
     boundary = V8_DB.fold_plan().starts[1]
     assert 256 < boundary < 340
     client = ClientSession(
@@ -647,14 +726,14 @@ def test_v8_row_with_pending_block_resumes_under_v9(store_path):
         client.receive_bytes(reply)
         resumed = list(client.resume_bytes())
         assert server.receive_bytes(resumed[0]) == b""
-        # rows 256 up to the boundary folded; the rest moved to v9 rows
+        # rows 256 up to the boundary folded; the rest are pending
         assert store.load_session(client.session_id).pending == tuple(
             cts[boundary:360]
         )
         assert store._conn.execute(
             "SELECT pending FROM sessions WHERE session_id = ?",
             (client.session_id,),
-        ).fetchone() == (None,)
+        ).fetchone() == (encode_int_seq(cts[boundary:360], 2 * KEY_BITS // 8),)
         replies = b"".join(server.receive_bytes(f) for f in resumed[1:])
 
     expected = 1
@@ -669,19 +748,99 @@ def test_v8_row_with_pending_block_resumes_under_v9(store_path):
     assert client.result == V8_DB.select_sum(V8_SELECTION)
 
 
+def test_v9_row_with_pending_rows_resumes_under_v10(store_path):
+    """A v9 server journalled this 600-row session after 360 rows at
+    chunk 20: block 0-299 folded into the aggregate, then one
+    append-only ``session_pending`` row per commit for rows 300-319,
+    320-339 and 340-359.  Opening the store under v10 moves them into
+    the session row and drops the table; the session resumes from chunk
+    18 to the RESULT an uninterrupted server sends, and its first v10
+    commit writes the session row alone."""
+    client = ClientSession(
+        V8_SELECTION, key_bits=KEY_BITS, chunk_size=20,
+        rng=DeterministicRandom("v9-row"),
+    )
+    hello, key, *chunks = list(client.initial_bytes())
+    cts = [ct for frame in chunks for ct in chunk_ciphertexts(frame)]
+    nsquare = client.public_key.nsquare
+    width = 2 * KEY_BITS // 8
+    assert V8_DB.fold_plan().starts[1] == 300
+    conn = open_store_db(store_path, migrations=MIGRATIONS[:9])
+    assert schema_version(conn) == 9
+    try:
+        with conn:
+            conn.execute(
+                "INSERT INTO sessions (session_id, key_bits, chunk_size,"
+                " public_n, aggregate, received, chunks_received, done,"
+                " touched_at) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                (
+                    client.session_id,
+                    KEY_BITS,
+                    client.chunk_size,
+                    encode_int(client.public_key.n, KEY_BITS // 8),
+                    encode_int(
+                        multi_exponent(cts[:300], V8_DB.values[:300], nsquare),
+                        width,
+                    ),
+                    360,
+                    18,
+                    0,
+                    1.0,
+                ),
+            )
+            conn.executemany(
+                "INSERT INTO session_pending (session_id, first_row, blob)"
+                " VALUES (?, ?, ?)",
+                [
+                    (client.session_id, first, encode_int_seq(cts[first : first + 20], width))
+                    for first in (300, 320, 340)
+                ],
+            )
+    finally:
+        conn.close()
+
+    with StateStore(store_path) as store:
+        assert "session_pending" not in _table_names(store_path)
+        row = store.load_session(client.session_id)
+        assert (row.received, row.pending) == (360, tuple(cts[300:360]))
+        server = ServerSession(V8_DB, registry=SessionRegistry(store=store))
+        reply = server.receive_bytes(client.resume_request())
+        (ack,) = decode_frames(reply)
+        assert codec.decode_ack(ack.payload) == 18
+        client.receive_bytes(reply)
+        replies = b"".join(server.receive_bytes(f) for f in client.resume_bytes())
+        assert store.load_session(client.session_id).done
+        assert store._conn.execute(
+            "SELECT pending FROM sessions WHERE session_id = ?",
+            (client.session_id,),
+        ).fetchone() == (None,)
+    uncrashed = ServerSession(V8_DB, registry=SessionRegistry())
+    assert result_payload(replies) == result_payload(
+        b"".join(uncrashed.receive_bytes(f) for f in [hello, key] + chunks)
+    )
+    client.receive_bytes(replies)
+    assert client.result == V8_DB.select_sum(V8_SELECTION)
+    assert client.encryptions == len(V8_SELECTION)
+    conn = sqlite3.connect(store_path)
+    try:
+        assert schema_version(conn) == SCHEMA_VERSION == 10
+    finally:
+        conn.close()
+
+
 def test_corrupt_frame_after_valid_chunks_leaves_no_trace():
     metrics = MetricsRegistry()
-    client = long_client("corrupt")
+    client = block_client("corrupt")
     hello, key, *chunks = list(client.initial_bytes())
-    corrupt = bytearray(chunks[2])
+    corrupt = bytearray(chunks[5])
     corrupt[-1] ^= 0xFF  # payload no longer matches the frame CRC
     with StateStore(":memory:", metrics=metrics) as store:
         registry = SessionRegistry(store=store)
-        server = ServerSession(LONG_DB, registry=registry)
-        server.receive_bytes(hello + key)
+        server = ServerSession(BLOCK_DB, registry=registry)
+        server.receive_bytes(hello + key + b"".join(chunks[:3]))  # block 0
         assert store.load_session(client.session_id) is not None
         before = journal_writes(metrics)
-        reply = server.receive_bytes(chunks[0] + chunks[1] + bytes(corrupt))
+        reply = server.receive_bytes(chunks[3] + chunks[4] + bytes(corrupt))
         assert server.errored
         assert [f.frame_type for f in decode_frames(reply)] == [FrameType.ERROR]
         assert journal_writes(metrics) == before
@@ -708,27 +867,18 @@ def test_any_split_into_reads_gives_the_same_result(data):
             st.sets(st.integers(min_value=1, max_value=len(stream) - 1), max_size=12)
         )
     )
-    ends = []  # stream offset at which each frame is complete
-    for frame in SPLIT_FRAMES:
-        ends.append((ends[-1] if ends else 0) + len(frame))
-    key_end, chunk_ends = ends[1], ends[2:]
-
     with StateStore(":memory:") as store:
         server = ServerSession(LONG_DB, registry=SessionRegistry(store=store))
         replies = b""
         for start, stop in zip([0] + cuts, cuts + [len(stream)]):
             replies += server.receive_bytes(stream[start:stop])
             row = store.load_session(SPLIT_CLIENT.session_id)
-            if stop < key_end:
+            # one block: the only commit is the read with the RESULT
+            if stop < len(stream):
                 assert row is None
             else:
-                assert row.chunks_received == sum(e <= stop for e in chunk_ends)
+                assert row.done
     assert result_payload(replies) == SPLIT_RESULT
-
-
-BLOCK_DB = ServerDatabase([(13 * i + 5) % 251 for i in range(600)], value_bits=8)
-BLOCK_SELECTION = [i % 3 for i in range(600)]
-BLOCK_KEYPAIR = generate_keypair(KEY_BITS, DeterministicRandom("block-keypair"))
 
 
 @functools.lru_cache(maxsize=None)
@@ -751,13 +901,12 @@ def block_stream(chunk_size):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(st.data())
-def test_journal_holds_the_registry_record_after_every_read(data):
+def test_journal_holds_the_last_block_boundary_record_after_every_read(data):
     """Whatever the chunk size and however the stream is split into
-    reads, the journal row equals the registry's record after each read
-    (the row's write stamp aside), and the RESULT is the exact sum.  A
-    commit that folds no block appends at most one pending row and
-    leaves the earlier ones as they were; one that folds a block leaves
-    at most one."""
+    reads, after each read the journal row equals the registry's record
+    as of the last read that folded a block (the row's write stamp
+    aside), or there is no row before the first such read; and the
+    RESULT is the exact sum."""
     assert BLOCK_DB.fold_plan().starts[1] > 256  # the first block is wide
     chunk_size = data.draw(st.integers(min_value=1, max_value=len(BLOCK_DB)))
     session_id, stream = block_stream(chunk_size)
@@ -770,31 +919,108 @@ def test_journal_holds_the_registry_record_after_every_read(data):
         registry = SessionRegistry(store=store)
         server = ServerSession(BLOCK_DB, registry=registry)
         replies = b""
-        pending_first, rows = None, []
+        journalled, folded_rows, received = None, 0, 0
         for start, stop in zip([0] + cuts, cuts + [len(stream)]):
             replies += server.receive_bytes(stream[start:stop])
-            row = store.load_session(session_id)
             record = registry.get(session_id)
-            if row is None:
-                assert record is None
-                continue
-            assert dataclasses.replace(row, touched_at=0.0) == record
-            first = record.received - len(record.pending)
-            journalled = store._conn.execute(
-                "SELECT first_row, blob FROM session_pending"
-                " WHERE session_id = ? ORDER BY first_row",
-                (session_id,),
-            ).fetchall()
-            if first == pending_first:  # no block folded
-                assert journalled[: len(rows)] == rows
-                assert len(journalled) <= len(rows) + 1
+            if record is not None:
+                first = record.received - len(record.pending)
+                if first > folded_rows:  # this read folded a block
+                    journalled, folded_rows = record, first
+                    # its pending rows are all rows of this read
+                    assert len(record.pending) <= record.received - received
+                received = record.received
+            row = store.load_session(session_id)
+            if journalled is None:
+                assert row is None
             else:
-                assert len(journalled) <= 1
-            pending_first, rows = first, journalled
+                assert dataclasses.replace(row, touched_at=0.0) == journalled
+    assert journalled.done
     ciphertext = codec.decode_result(result_payload(replies), KEY_BITS)
     assert BLOCK_KEYPAIR.private.raw_decrypt(ciphertext) == BLOCK_DB.select_sum(
         BLOCK_SELECTION
     )
+
+
+@functools.lru_cache(maxsize=None)
+def crash_client_frames(chunk_size):
+    """The frames of the seeded :data:`BLOCK_DB` client at
+    ``chunk_size``, and the RESULT payload an uninterrupted storeless
+    server sends for them."""
+    frames = list(block_client("crash-%d" % chunk_size, chunk_size).initial_bytes())
+    server = ServerSession(BLOCK_DB, registry=SessionRegistry())
+    uncrashed = result_payload(b"".join(server.receive_bytes(f) for f in frames))
+    return frames, uncrashed
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.data())
+def test_a_crash_after_any_read_resumes_to_the_uncrashed_result(data):
+    """Any chunk size, any split into reads, a process crash after any
+    read (the last included, whose RESULT then never leaves): a restarted
+    server over the same file ACKs the chunk after its last journalled
+    one, or RESUME_UNKNOWN when no read folded a block yet.  The client
+    re-sends the rest from its cache, and the RESULT bytes are those of
+    an uninterrupted run, with one encryption per row."""
+    chunk_size = data.draw(st.sampled_from([1, 7, 64, 100, 299, 300, 600]))
+    frames, uncrashed = crash_client_frames(chunk_size)
+    client = block_client("crash-%d" % chunk_size, chunk_size)
+    assert list(client.initial_bytes()) == frames  # the same, re-drawn
+    stream = b"".join(frames)
+    cuts = sorted(
+        data.draw(
+            st.sets(st.integers(min_value=1, max_value=len(stream) - 1), max_size=10)
+        )
+    )
+    reads = [
+        stream[start:stop] for start, stop in zip([0] + cuts, cuts + [len(stream)])
+    ]
+    crash_after = data.draw(st.integers(min_value=0, max_value=len(reads) - 1))
+    chunk_ends = []  # stream offset at which each chunk frame is complete
+    offset = len(frames[0]) + len(frames[1])
+    for frame in frames[2:]:
+        offset += len(frame)
+        chunk_ends.append(offset)
+    block_ends = [end for _, end in BLOCK_DB.fold_plan().bounds()]
+
+    # the ACK the policy predicts: the chunks complete at the last read
+    # whose complete rows crossed a block end
+    expected_ack, folded, stop = codec.RESUME_UNKNOWN, 0, 0
+    for data_read in reads[: crash_after + 1]:
+        stop += len(data_read)
+        complete = sum(end <= stop for end in chunk_ends)
+        rows = min(complete * chunk_size, len(BLOCK_DB))
+        blocks = sum(end <= rows for end in block_ends)
+        if blocks > folded:
+            expected_ack, folded = complete, blocks
+
+    with tempfile.TemporaryDirectory() as state_dir:
+        with StateStore.open(state_dir) as store:
+            server = ServerSession(BLOCK_DB, registry=SessionRegistry(store=store))
+            for data_read in reads[: crash_after + 1]:
+                reply = server.receive_bytes(data_read)
+        # the crash: the reply in hand is never sent, and nothing but
+        # the file survives
+        del server, reply
+
+        with StateStore.open(state_dir) as store:
+            server = ServerSession(BLOCK_DB, registry=SessionRegistry(store=store))
+            replies = server.receive_bytes(client.resume_request())
+            ack = decode_frames(replies)[0]
+            assert codec.decode_ack(ack.payload) == expected_ack
+            client.receive_bytes(replies)
+            if client.result is None:
+                resent = server.receive_bytes(b"".join(client.resume_bytes()))
+                replies += resent
+                client.receive_bytes(resent)
+    (result,) = [f for f in decode_frames(replies) if f.frame_type == FrameType.RESULT]
+    assert result.payload == uncrashed
+    assert client.result == BLOCK_DB.select_sum(BLOCK_SELECTION)
+    assert client.encryptions == len(BLOCK_SELECTION)
 
 
 class HeldStore(StateStore):
@@ -828,9 +1054,9 @@ def test_delayed_journal_write_cannot_revive_an_evicted_session():
         registry = SessionRegistry(capacity=1, store=store)
 
         def save(client):
+            # the whole query in one read: one commit, with the RESULT
             server = ServerSession(DB, registry=registry)
-            hello, key = list(client.initial_bytes())[:2]
-            server.receive_bytes(hello + key)
+            server.receive_bytes(b"".join(client.initial_bytes()))
 
         saving_b = threading.Thread(target=save, args=(b,))
         saving_b.start()

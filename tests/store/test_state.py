@@ -1,6 +1,8 @@
 """`StateStore` facade: journal and database round trips, metrics."""
 
+import sqlite3
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +13,7 @@ from repro.crypto.serialization import encode_int, encode_int_seq
 from repro.datastore.database import ServerDatabase
 from repro.exceptions import StoreError
 from repro.obs.registry import MetricsRegistry
+from repro.store.db import MIGRATIONS, open_store_db, schema_version
 from repro.store.state import SessionRecord, StateStore
 
 KEY_BITS = 128
@@ -208,18 +211,10 @@ def test_corrupt_pending_blob_raises_store_error(store, keypair, corrupt):
     )
     conn = store._conn
     (blob,) = conn.execute(
-        "SELECT blob FROM session_pending WHERE session_id = ?", (b"C" * 16,)
+        "SELECT pending FROM sessions WHERE session_id = ?", (b"C" * 16,)
     ).fetchone()
+    assert blob == encode_int_seq((2, 3, 4), 2 * KEY_BITS // 8)
     with conn:
-        conn.execute(
-            "UPDATE session_pending SET blob = ? WHERE session_id = ?",
-            (corrupt(blob), b"C" * 16),
-        )
-    with pytest.raises(StoreError, match="corrupt pending blob"):
-        store.load_session(b"C" * 16)
-    # the same blob in a row as v8 journalled it
-    with conn:
-        conn.execute("DELETE FROM session_pending")
         conn.execute(
             "UPDATE sessions SET pending = ? WHERE session_id = ?",
             (corrupt(blob), b"C" * 16),
@@ -228,48 +223,63 @@ def test_corrupt_pending_blob_raises_store_error(store, keypair, corrupt):
         store.load_session(b"C" * 16)
 
 
-def pending_rows(store, session_id):
-    """The session's ``session_pending`` rows, ``(first_row, blob)``."""
-    return store._conn.execute(
-        "SELECT first_row, blob FROM session_pending WHERE session_id = ?"
-        " ORDER BY first_row",
-        (session_id,),
-    ).fetchall()
+def v9_store(path, public_n, received, rows, sid=b"A" * 16):
+    """A store at schema v9 holding one session that has ``received``
+    rows, with ``rows`` as its append-only ``session_pending`` rows
+    ``(first_row, ciphertexts)``."""
+    conn = open_store_db(path, migrations=MIGRATIONS[:9])
+    try:
+        with conn:
+            conn.execute(
+                "INSERT INTO sessions (session_id, key_bits, chunk_size,"
+                " public_n, aggregate, received, chunks_received, done,"
+                " touched_at) VALUES (?, ?, 4, ?, x'01', ?, ?, 0, 1.0)",
+                (
+                    sid, KEY_BITS, encode_int(public_n, KEY_BITS // 8),
+                    received, received // 4,
+                ),
+            )
+            conn.executemany(
+                "INSERT INTO session_pending (session_id, first_row, blob)"
+                " VALUES (?, ?, ?)",
+                [
+                    (sid, first, encode_int_seq(cts, 2 * KEY_BITS // 8))
+                    for first, cts in rows
+                ],
+            )
+    finally:
+        conn.close()
 
 
-def test_pending_ciphertexts_are_journalled_append_only(store, keypair):
-    """Each save that folds no block appends one row of the ciphertexts
-    since the last save; a save after a block folded replaces them."""
+def test_v9_append_only_pending_rows_move_into_the_session_row(
+    tmp_path, keypair
+):
+    """A v9 server appended one ``session_pending`` row per commit that
+    folded no block.  Opening the store under v10 joins each session's
+    rows into its row's ``pending`` blob and drops the table; from then
+    on each save replaces that blob whole."""
+    path = str(tmp_path / "v9.sqlite")
     sid = b"A" * 16
+    v9_store(
+        path, keypair.public.n, 20,
+        [(0, range(2, 10)), (8, range(10, 14)), (12, range(14, 22))],
+    )
+    with StateStore(path) as store:
+        assert "session_pending" not in {
+            row[0]
+            for row in store._conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            )
+        }
+        loaded = store.load_session(sid)
+        assert (loaded.received, loaded.pending) == (20, tuple(range(2, 22)))
 
-    def record(received, pending):
-        return SessionRecord(
-            sid, KEY_BITS, 4, keypair.public.n, 1, received, received // 4,
-            False, pending=tuple(pending),
-        )
-
-    store.save_session(record(8, range(2, 10)))
-    store.save_session(record(12, range(2, 14)))
-    store.save_session(record(12, range(2, 14)))  # nothing new
-    first_rows = pending_rows(store, sid)
-    assert [row[0] for row in first_rows] == [0, 8]
-    assert store.load_session(sid).pending == tuple(range(2, 14))
-
-    store.save_session(record(20, range(2, 22)))
-    rows = pending_rows(store, sid)
-    assert rows[:2] == first_rows and [row[0] for row in rows] == [0, 8, 12]
-
-    store.save_session(record(24, (5, 6)))  # rows 0-21 folded
-    assert [row[0] for row in pending_rows(store, sid)] == [22]
-    assert store.load_session(sid).pending == (5, 6)
-    store.save_session(record(28, ()))  # a block folded on its last row
-    assert pending_rows(store, sid) == []
-    assert store.load_session(sid).pending == ()
-
-    store.delete_session(sid)  # the pending rows go with the session
-    store.save_session(record(8, range(2, 10)))
-    store.delete_session(sid)
-    assert pending_rows(store, sid) == []
+        store.save_session(replace(loaded, received=24, pending=(5, 6)))
+        assert store.load_session(sid).pending == (5, 6)
+        store.save_session(replace(loaded, received=28, pending=()))
+        assert store._conn.execute(
+            "SELECT pending FROM sessions WHERE session_id = ?", (sid,)
+        ).fetchone() == (None,)
 
 
 @pytest.mark.parametrize(
@@ -281,23 +291,33 @@ def test_pending_ciphertexts_are_journalled_append_only(store, keypair):
     ],
     ids=["gap", "overlap", "short"],
 )
-def test_pending_rows_must_tile_the_received_rows(store, keypair, rows):
-    sid = b"T" * 16
-    store.save_session(
-        SessionRecord(sid, KEY_BITS, 4, keypair.public.n, 1, 5, 1, False)
-    )
-    conn = store._conn
-    with conn:
-        conn.executemany(
-            "INSERT INTO session_pending (session_id, first_row, blob)"
-            " VALUES (?, ?, ?)",
-            [
-                (sid, first, encode_int_seq(cts, 2 * KEY_BITS // 8))
-                for first, cts in rows
-            ],
-        )
+def test_pending_rows_must_tile_the_received_rows(tmp_path, keypair, rows):
+    """v9 rows that do not tile the session's last received rows are a
+    corrupt journal: the v10 migration fails and leaves the store at
+    v9, as it was."""
+    path = str(tmp_path / "v9.sqlite")
+    v9_store(path, keypair.public.n, 5, rows)
     with pytest.raises(StoreError, match="corrupt pending rows"):
-        store.load_session(sid)
+        StateStore(path)
+    conn = sqlite3.connect(path)
+    try:
+        assert schema_version(conn) == 9
+        assert conn.execute("SELECT COUNT(*) FROM session_pending").fetchone() == (
+            len(rows),
+        )
+    finally:
+        conn.close()
+
+
+def test_corrupt_v9_pending_blob_fails_the_migration(tmp_path, keypair):
+    path = str(tmp_path / "v9.sqlite")
+    v9_store(path, keypair.public.n, 5, [(3, (2, 3))])
+    conn = sqlite3.connect(path)
+    with conn:
+        conn.execute("UPDATE session_pending SET blob = substr(blob, 1, 9)")
+    conn.close()
+    with pytest.raises(StoreError, match="corrupt pending blob"):
+        StateStore(path)
 
 
 # -- databases ------------------------------------------------------------
