@@ -4,8 +4,12 @@ Measures the crypto kernels over a (key_bits, n) grid and writes the
 numbers to ``BENCH_kernels.json`` at the repo root:
 
 * the server aggregate ``prod_i c_i^{w_i} mod n^2`` — the naive
-  per-element ``pow()`` fold against the
-  :func:`~repro.crypto.multiexp.multi_exponent` bucket kernel;
+  per-element ``pow()`` fold against
+  :func:`~repro.crypto.multiexp.multi_exponent`, which compiles a
+  Bos–Coster :func:`~repro.crypto.multiexp.fold_plan` of the weights
+  and runs it (``multiexp_s``), and against the run alone of a plan
+  compiled beforehand (``fold_run_s``), which is what the deployed
+  server pays per query;
 * client encryption — textbook ``PaillierPublicKey.encrypt_raw``
   (``r^n mod n^2`` as one full-width ``pow``) against
   ``PaillierPrivateKey.encrypt_raw_crt`` (the per-prime fixed-base
@@ -16,11 +20,11 @@ numbers to ``BENCH_kernels.json`` at the repo root:
   the byte-digit :class:`~repro.crypto.multiexp.FixedBaseTable` that
   :class:`~repro.crypto.paillier.RandomnessPool` refills through.
 
-Each pair runs interleaved A/B/A/B, best of ``ROUNDS``, so both sides
-see the same machine load.  The fold and table kernels must return
-exactly what their textbook loops return; the encryption sampler
-draws different (equally distributed) obfuscators, so it is checked
-by decryption.
+The sides of each comparison run interleaved A/B/A/B, best of
+``ROUNDS``, so they see the same machine load.  The fold and table
+kernels must return exactly what their textbook loops return; the
+encryption sampler draws different (equally distributed) obfuscators,
+so it is checked by decryption.
 
 The full run uses the paper's 512-bit keys (plus 256-bit) with n in
 {200, 1000}.  Set ``REPRO_KERNEL_SMOKE=1`` for the CI smoke variant:
@@ -35,7 +39,7 @@ import os
 import time
 from pathlib import Path
 
-from repro.crypto.multiexp import FixedBaseTable, multi_exponent
+from repro.crypto.multiexp import FixedBaseTable, fold_plan, multi_exponent
 from repro.crypto.paillier import generate_keypair
 from repro.crypto.rng import DeterministicRandom
 
@@ -50,27 +54,24 @@ MIN_CRT_SPEEDUP = 1.0
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
 
 
-def best_of_interleaved(fn_a, fn_b, rounds=ROUNDS):
-    """Best-of for two functions with rounds interleaved A/B/A/B.
+def best_of_interleaved(*fns, rounds=ROUNDS):
+    """Best-of for each function with rounds interleaved A/B/A/B.
 
-    Comparing two separately-taken best-of minima conflates the code
-    under test with whatever else the machine was doing during each
-    window; interleaving gives both sides the same load profile.
+    Comparing separately-taken best-of minima conflates the code under
+    test with whatever else the machine was doing during each window;
+    interleaving gives every side the same load profile.  Returns one
+    ``(best seconds, last result)`` pair per function.
     """
-    best_a = best_b = None
-    result_a = result_b = None
+    best = [None] * len(fns)
+    results = [None] * len(fns)
     for _ in range(rounds):
-        start = time.perf_counter()
-        result_a = fn_a()
-        elapsed = time.perf_counter() - start
-        if best_a is None or elapsed < best_a:
-            best_a = elapsed
-        start = time.perf_counter()
-        result_b = fn_b()
-        elapsed = time.perf_counter() - start
-        if best_b is None or elapsed < best_b:
-            best_b = elapsed
-    return (best_a, result_a), (best_b, result_b)
+        for i, fn in enumerate(fns):
+            start = time.perf_counter()
+            results[i] = fn()
+            elapsed = time.perf_counter() - start
+            if best[i] is None or elapsed < best[i]:
+                best[i] = elapsed
+    return list(zip(best, results))
 
 
 def naive_weighted_product(ciphertexts, weights, modulus, n):
@@ -81,16 +82,22 @@ def naive_weighted_product(ciphertexts, weights, modulus, n):
 
 
 def bench_weighted(public, ciphertexts, weights):
-    """Naive fold vs the multiexp bucket kernel at one grid point."""
+    """Naive fold vs ``multi_exponent`` (compile and run) vs the run of a
+    precompiled fold plan, at one grid point."""
     n, nsquare = public.n, public.nsquare
-    (naive_s, expected), (multiexp_s, result) = best_of_interleaved(
-        lambda: naive_weighted_product(ciphertexts, weights, nsquare, n),
-        lambda: multi_exponent(ciphertexts, [w % n for w in weights], nsquare),
+    plan = fold_plan([w % n for w in weights])
+    (naive_s, expected), (multiexp_s, result), (fold_run_s, folded) = (
+        best_of_interleaved(
+            lambda: naive_weighted_product(ciphertexts, weights, nsquare, n),
+            lambda: multi_exponent(ciphertexts, [w % n for w in weights], nsquare),
+            lambda: plan.run(ciphertexts, nsquare),
+        )
     )
-    assert result == expected
+    assert result == expected and folded == expected
     return {
         "naive_s": naive_s,
         "multiexp_s": multiexp_s,
+        "fold_run_s": fold_run_s,
         "speedup_multiexp_vs_naive": naive_s / multiexp_s,
     }
 
@@ -188,10 +195,10 @@ def test_kernel_benchmarks():
         wp, enc = point["weighted"], point["encrypt"]
         print(
             "\nkernel bench (%d-bit, n=%d): naive=%.3fs multiexp=%.3fs (%.2fx) "
-            "encrypt textbook=%.3fs crt=%.3fs (%.2fx)"
+            "fold run=%.3fs encrypt textbook=%.3fs crt=%.3fs (%.2fx)"
             % (key_bits, size, wp["naive_s"], wp["multiexp_s"],
-               wp["speedup_multiexp_vs_naive"], enc["textbook_s"],
-               enc["crt_s"], enc["speedup_crt_vs_textbook"])
+               wp["speedup_multiexp_vs_naive"], wp["fold_run_s"],
+               enc["textbook_s"], enc["crt_s"], enc["speedup_crt_vs_textbook"])
         )
 
         if fb_report is None:  # one representative point

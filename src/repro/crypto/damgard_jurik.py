@@ -240,7 +240,12 @@ class DamgardJurikScheme(AdditiveHomomorphicScheme):
         weights: Sequence[int],
         initial: Optional[int] = None,
     ) -> int:
-        """The server aggregate ``prod_i c_i^{w_i} mod n^{s+1}``, batched."""
+        """The server aggregate ``prod_i c_i^{w_i} mod n^{s+1}``, batched.
+
+        Compiles a :func:`~repro.crypto.multiexp.fold_plan` of the
+        weights, reduced into Z_{n^s}, and runs it on the ciphertexts:
+        bit-for-bit the naive loop's result.
+        """
         if len(ciphertexts) != len(weights):
             raise ValueError("ciphertext/weight length mismatch")
         return multi_exponent(

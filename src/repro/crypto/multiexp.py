@@ -6,19 +6,15 @@ exponentiation, and both have algorithmic structure a per-element
 
 * **The server aggregate** ``prod_i c_i^{w_i} mod n^2`` multiplies many
   independent bases, each raised to a *small* exponent (the 32-bit
-  database values).  :func:`multi_exponent` computes the whole product
-  with one shared squaring chain using the Pippenger/Straus *bucket
-  method*: exponents are scanned window by window, bases with the same
-  window digit are multiplied into a shared bucket, and each window
-  costs one bucket sweep instead of a fresh exponentiation per element.
-  At 512-bit keys and 32-bit weights this is ~5-8x faster than the
-  naive loop in pure Python (see ``benchmarks/test_kernels.py``).
+  database values).  One algorithm computes it: :func:`fold_plan` cuts
+  the exponents into blocks of up to :data:`FOLD_CAP` rows and compiles
+  a Bos–Coster addition program (:class:`FoldProgram`) for each, and
+  :meth:`FoldPlan.run` runs those programs on the bases, ~4.6
+  multiplications per element at n = 1000 on random 32-bit values.
   The deployed server's exponents are its own database, fixed for its
-  whole life, so it does better still: :func:`fold_plan` cuts the
-  database into blocks of up to :data:`FOLD_CAP` rows and compiles a
-  Bos–Coster addition program (:class:`FoldProgram`) for each, and
-  each query runs those programs on its ciphertexts, ~4.6
-  multiplications per element at n = 1000.
+  whole life, so it compiles its plan once and runs one block's
+  program as each block of a query arrives; :func:`multi_exponent`
+  compiles a plan per call, for products whose exponents change.
 
 * **The encryption obfuscator** ``r^n mod n^2`` raises a *varying* base
   to the *fixed* per-key exponent ``n``.  Written as ``r = h^x mod n``
@@ -34,8 +30,8 @@ exponentiation, and both have algorithmic structure a per-element
   :class:`TeichmullerTable` objects, whose rows hold residues mod ``p``
   and their Fermat quotients instead of full-width powers mod ``p^2``.
 
-Both kernels are bit-for-bit compatible with the naive loops they
-replace (same residues, same modulus — modular products are order
+Every kernel is bit-for-bit compatible with the naive loop it
+replaces (same residues, same modulus — modular products are order
 independent), which the property tests in
 ``tests/crypto/test_multiexp.py`` assert exhaustively.
 """
@@ -52,7 +48,6 @@ from repro.exceptions import ParameterError
 
 __all__ = [
     "multi_exponent",
-    "select_window",
     "FoldProgram",
     "FoldPlan",
     "fold_plan",
@@ -63,102 +58,9 @@ __all__ = [
     "TeichmullerTable",
 ]
 
-#: Largest window the selector will consider.  2^(16+1) bucket slots is
-#: already far past the break-even point for any batch this library sees.
-_MAX_WINDOW = 16
-
 #: byte order of the exponent digits the fixed-base tables' ``pow`` reads,
 #: declared Literal so ``int.to_bytes`` type-checks under mypy
 _LITTLE: Literal["little"] = "little"
-
-
-def select_window(count: int, max_exponent_bits: int) -> int:
-    """Pick the bucket-window width for a batch of ``count`` exponents.
-
-    Minimises the modular-multiplication count of the bucket method:
-    each of the ``ceil(bits / c)`` windows costs one bucket insertion
-    per element plus a ``2^(c+1)``-multiplication bucket sweep, and the
-    whole run costs ``bits`` squarings.  The optimum grows roughly with
-    ``log2(count)`` — larger batches amortise larger bucket sweeps.
-    """
-    if count < 1 or max_exponent_bits < 1:
-        return 1
-    best_window, best_cost = 1, None
-    for window in range(1, _MAX_WINDOW + 1):
-        windows = -(-max_exponent_bits // window)  # ceil
-        cost = windows * (count + (2 << window)) + max_exponent_bits
-        if best_cost is None or cost < best_cost:
-            best_window, best_cost = window, cost
-        if window >= max_exponent_bits:
-            break  # wider windows only grow the sweep
-    return best_window
-
-
-def multi_exponent(
-    bases: Sequence[int],
-    exponents: Sequence[int],
-    modulus: int,
-    initial: Optional[int] = None,
-    window: Optional[int] = None,
-) -> int:
-    """``initial * prod_i bases[i]^exponents[i] mod modulus``, batched.
-
-    Simultaneous multi-exponentiation via the Pippenger bucket method:
-    one shared squaring chain for the whole batch instead of one full
-    ``pow()`` per element.  Exponents must be non-negative (reduce
-    signed scalars into the exponent group first, exactly as the naive
-    ``ciphertext_scale`` loop does); zero exponents are skipped and
-    exponent 1 is a plain multiplication, matching the naive loop's
-    fast paths so results agree bit for bit.
-
-    Args:
-        bases: batch of bases (ciphertexts), each in ``[0, modulus)``.
-        exponents: matching non-negative exponents (weights).
-        modulus: the ciphertext modulus (``n^2`` for Paillier).
-        initial: running partial product to fold the batch into.
-        window: bucket window width in bits; default adapts to the
-            batch via :func:`select_window`.
-
-    Returns:
-        The product as a plain int in ``[0, modulus)``.
-    """
-    if len(bases) != len(exponents):
-        raise ParameterError(
-            "base/exponent length mismatch: %d vs %d"
-            % (len(bases), len(exponents))
-        )
-    if modulus < 2:
-        raise ParameterError("modulus must be at least 2")
-    acc = 1 if initial is None else initial % modulus
-
-    # Split off the trivial exponents: 0 contributes nothing, 1 is one
-    # multiplication — neither should pay for a bucket pass.
-    pairs: List = []
-    max_bits = 0
-    for base, exponent in zip(bases, exponents):
-        if exponent < 0:
-            raise ParameterError(
-                "exponents must be non-negative (got %d); reduce into "
-                "the exponent group first" % exponent
-            )
-        if exponent == 0:
-            continue
-        if exponent == 1:
-            acc = acc * base % modulus
-            continue
-        pairs.append((base, exponent))
-        bits = exponent.bit_length()
-        if bits > max_bits:
-            max_bits = bits
-    if not pairs:
-        return acc
-
-    if window is None:
-        window = select_window(len(pairs), max_bits)
-    elif window < 1:
-        raise ParameterError("window must be positive")
-
-    return acc * _bucket_fold(pairs, modulus, max_bits, window) % modulus
 
 
 #: Widest fold block.  A Bos–Coster program folds cheaper per element
@@ -321,6 +223,23 @@ class FoldPlan(NamedTuple):
         """``(first, end)`` rows of every block, in order."""
         return tuple(zip(self.starts, self.starts[1:] + (self.rows,)))
 
+    def run(
+        self, bases: Sequence[int], modulus: int, initial: Optional[int] = None
+    ) -> int:
+        """``initial * prod_i bases[i]^exponents[i] mod modulus`` for the
+        plan's exponents: each block's program runs on its bases and its
+        product is multiplied into the accumulator."""
+        if len(bases) != self.rows:
+            raise ParameterError(
+                "plan folds %d rows, got %d bases" % (self.rows, len(bases))
+            )
+        if modulus < 2:
+            raise ParameterError("modulus must be at least 2")
+        acc = 1 if initial is None else initial % modulus
+        for (first, end), program in zip(self.bounds(), self.programs):
+            acc = acc * program.run(bases[first:end], modulus) % modulus
+        return acc
+
 
 def fold_plan(exponents: Sequence[int]) -> FoldPlan:
     """One :class:`FoldProgram` per block of :func:`fold_blocks`, with
@@ -335,37 +254,44 @@ def fold_plan(exponents: Sequence[int]) -> FoldPlan:
     )
 
 
-def _bucket_fold(
-    pairs: Sequence[Tuple[int, int]], modulus: int, max_bits: int, window: int
+def multi_exponent(
+    bases: Sequence[int],
+    exponents: Sequence[int],
+    modulus: int,
+    initial: Optional[int] = None,
 ) -> int:
-    """The Pippenger bucket fold of ``prod base^exponent mod modulus``."""
-    mask = (1 << window) - 1
-    num_windows = -(-max_bits // window)  # ceil
-    result = 1
-    for win in range(num_windows - 1, -1, -1):
-        shift = win * window
-        # Bucket pass: bases sharing a window digit share one slot.
-        buckets = [1] * (mask + 1)
-        for base, exponent in pairs:
-            digit = (exponent >> shift) & mask
-            if digit:
-                buckets[digit] = buckets[digit] * base % modulus
-        # Sweep: sum_d d * B_d via running suffix products, so the whole
-        # window costs at most 2 * 2^window multiplications.
-        running = 1
-        window_product = 1
-        for digit in range(mask, 0, -1):
-            bucket = buckets[digit]
-            if bucket != 1:
-                running = running * bucket % modulus
-            if running != 1:
-                window_product = window_product * running % modulus
-        if win != num_windows - 1:
-            for _ in range(window):
-                result = result * result % modulus
-        if window_product != 1:
-            result = result * window_product % modulus
-    return result
+    """``initial * prod_i bases[i]^exponents[i] mod modulus``, batched.
+
+    Compiles a :func:`fold_plan` of the exponents and runs it on the
+    bases: the same Bos–Coster programs the deployed server runs, here
+    compiled per call.  Exponents must be non-negative (reduce signed
+    scalars into the exponent group first, exactly as the naive
+    ``ciphertext_scale`` loop does).  A modular product has one value,
+    so the result is bit for bit the naive per-element ``pow()`` loop's.
+
+    Args:
+        bases: batch of bases (ciphertexts), each in ``[0, modulus)``.
+        exponents: matching non-negative exponents (weights).
+        modulus: the ciphertext modulus (``n^2`` for Paillier).
+        initial: running partial product to fold the batch into.
+
+    Returns:
+        The product as a plain int in ``[0, modulus)``.
+    """
+    if len(bases) != len(exponents):
+        raise ParameterError(
+            "base/exponent length mismatch: %d vs %d"
+            % (len(bases), len(exponents))
+        )
+    if modulus < 2:
+        raise ParameterError("modulus must be at least 2")
+    lowest = min(exponents, default=0)
+    if lowest < 0:
+        raise ParameterError(
+            "exponents must be non-negative (got %d); reduce into "
+            "the exponent group first" % lowest
+        )
+    return fold_plan(exponents).run(bases, modulus, initial)
 
 
 class FixedBaseTable:

@@ -636,9 +636,9 @@ class PaillierScheme(AdditiveHomomorphicScheme):
     this interface so it can also run against
     :class:`repro.crypto.simulated.SimulatedPaillier`.
 
-    :meth:`weighted_product` runs the
-    :func:`~repro.crypto.multiexp.multi_exponent` bucket kernel (one
-    shared squaring chain for the whole batch).
+    :meth:`weighted_product` runs
+    :func:`~repro.crypto.multiexp.multi_exponent`, which compiles the
+    weights into the Bos–Coster block programs the deployed server runs.
     """
 
     name = "paillier"
@@ -730,9 +730,10 @@ class PaillierScheme(AdditiveHomomorphicScheme):
     ) -> int:
         """The server aggregate ``prod_i c_i^{w_i} mod n^2``, batched.
 
-        Runs the simultaneous-multiexp bucket kernel (weights reduced
-        into Z_n exactly as ``ciphertext_scale`` does, so the result is
-        bit-for-bit the naive loop's).
+        Compiles a :func:`~repro.crypto.multiexp.fold_plan` of the
+        weights, reduced into Z_n exactly as ``ciphertext_scale`` does,
+        and runs it on the ciphertexts, so the result is bit-for-bit the
+        naive loop's.
         """
         if len(ciphertexts) != len(weights):
             raise ValueError("ciphertext/weight length mismatch")

@@ -125,8 +125,8 @@ def _close_buckets(
     Slot ``p * (2^w - 1) + d - 1`` of a row written at digit width
     ``w`` holds the product of every ciphertext whose weight has digit
     ``d`` in plane ``p``, so the buckets stand for
-    ``prod bucket^(d * 2^(w p))``; the aligned window puts each bucket
-    in exactly one bucket of the multiexp.
+    ``prod bucket^(d * 2^(w p))``, one multi-exponentiation of the
+    non-unit buckets.
     """
     digits = (1 << window) - 1
     bases: List[int] = []
@@ -136,9 +136,7 @@ def _close_buckets(
             plane, digit = divmod(slot, digits)
             bases.append(bucket)
             exponents.append((digit + 1) << (plane * window))
-    return multi_exponent(
-        bases, exponents, nsquare, initial=aggregate, window=window
-    )
+    return multi_exponent(bases, exponents, nsquare, initial=aggregate)
 
 
 @dataclass(frozen=True)

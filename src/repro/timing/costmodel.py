@@ -242,12 +242,8 @@ def calibrate_profile(
         # so a full query's worth of random 32-bit weights is folded.
         batch = [ciphertexts[i % iterations] for i in range(_FOLD_ELEMENTS)]
         plan = fold_plan([rng.randrange(1, 1 << 32) for _ in batch])
-        aggregate = 1
         start = clock()
-        for (first, end), program in zip(plan.bounds(), plan.programs):
-            aggregate = (
-                aggregate * program.run(batch[first:end], pk.nsquare) % pk.nsquare
-            )
+        plan.run(batch, pk.nsquare)
         t_step = (clock() - start) / _FOLD_ELEMENTS
     else:
         t_encrypt = measure(lambda i: pk.encrypt_raw(i, rng))

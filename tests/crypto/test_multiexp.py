@@ -1,15 +1,16 @@
 """Property tests for the batch exponentiation kernels.
 
 The kernels' whole contract is bit-for-bit agreement with the naive
-loops they replace: ``multi_exponent`` against per-element ``pow()``
-accumulation (reducing signed scalars exactly as ``ciphertext_scale``
-does), ``FixedBaseTable.pow`` against ``pow(base, x, modulus)``, and
-``TeichmullerTable.pow`` against ``pow(g^p mod p^2, x, p^2)``.  The
-hypothesis suites here drive them across random batches — including the
-zero/one-weight fast paths, negative encoded scalars, and the
-``initial`` accumulator argument — at tiny moduli where thousands of
-examples are cheap.  The server's fixed-exponent fold programs
-(``FoldProgram`` / ``fold_plan``) must match both, on any exponents.
+loops they replace: the Bos–Coster fold (``FoldProgram``, ``fold_plan``
+and ``multi_exponent``, which compiles a plan per call) against
+per-element ``pow()`` accumulation (reducing signed scalars exactly as
+``ciphertext_scale`` does), ``FixedBaseTable.pow`` against
+``pow(base, x, modulus)``, and ``TeichmullerTable.pow`` against
+``pow(g^p mod p^2, x, p^2)``.  The hypothesis suites here drive them
+across random batches — including zero and one weights, negative
+encoded scalars, the ``initial`` accumulator argument and row counts
+around the fold's block boundaries — at small moduli where thousands
+of examples are cheap.
 """
 
 import math
@@ -26,7 +27,6 @@ from repro.crypto.multiexp import (
     fold_blocks,
     fold_plan,
     multi_exponent,
-    select_window,
 )
 from repro.crypto.paillier import generate_keypair
 from repro.crypto.primes import random_structured_prime, sieve_upto, smallest_generator
@@ -46,6 +46,19 @@ def naive_product(bases, exponents, modulus, initial=None):
 # modulus structure, so agreement at small sizes implies it at 512 bits
 # (the benchmark suite re-checks agreement there anyway).
 moduli = st.integers(3, 1 << 64).map(lambda v: v | 1)
+
+
+#: row counts below, on and above the fold's block boundaries
+BOUNDARY_ROWS = [255, 256, 257, 511, 512, 513, 1100]
+
+#: exponent draws ``(rng, n) -> exponent``: 32-bit database values,
+#: selection bits, and signed 32-bit weights reduced mod ``n``, as
+#: ``ciphertext_scale`` reduces them
+BOUNDARY_EXPONENTS = {
+    "32-bit": lambda rng, n: rng.randrange(0, 1 << 32),
+    "bits": lambda rng, n: rng.randrange(0, 2),
+    "signed-mod-n": lambda rng, n: rng.randrange(-(1 << 31), 1 << 31) % n,
+}
 
 
 class TestMultiExponent:
@@ -68,8 +81,8 @@ class TestMultiExponent:
     @given(st.data())
     def test_initial_accumulator_folds_once(self, data):
         # A regression guard for the subtle bug class: folding `initial`
-        # into the bucket accumulator before the squaring chain would
-        # square it along with the partial products.
+        # into a register of the program instead of the accumulator
+        # would raise it to that row's exponent.
         modulus = data.draw(moduli)
         initial = data.draw(st.integers(0, modulus - 1))
         bases = data.draw(st.lists(st.integers(0, modulus - 1), max_size=12))
@@ -91,7 +104,8 @@ class TestMultiExponent:
         bases = data.draw(
             st.lists(st.integers(0, modulus - 1), min_size=1, max_size=16)
         )
-        # Force the trivial-exponent paths to dominate the batch.
+        # Zero and one weights dominate the batch: zero rows never enter
+        # a program, and ones tie with each other.
         exponents = data.draw(
             st.lists(
                 st.sampled_from([0, 0, 0, 1, 1, 2, 7]),
@@ -103,21 +117,24 @@ class TestMultiExponent:
             bases, exponents, modulus
         )
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 10), st.data())
-    def test_window_override_is_result_invariant(self, window, data):
-        modulus = data.draw(moduli)
-        bases = data.draw(st.lists(st.integers(0, modulus - 1), max_size=10))
-        exponents = data.draw(
-            st.lists(
-                st.integers(0, 1 << 24),
-                min_size=len(bases),
-                max_size=len(bases),
-            )
-        )
+    @pytest.mark.parametrize("with_initial", [False, True], ids=["plain", "initial"])
+    @pytest.mark.parametrize("kind", sorted(BOUNDARY_EXPONENTS))
+    @pytest.mark.parametrize("rows", BOUNDARY_ROWS)
+    def test_agrees_with_naive_loop_across_block_boundaries(
+        self, rows, kind, with_initial
+    ):
+        """Row counts on and around the fold's block boundaries (one
+        block up to 256 rows, two up to 1024, then three), on random
+        bases, exponents and modulus drawn per case."""
+        rng = DeterministicRandom("multiexp-blocks-%d-%s-%s" % (rows, kind, with_initial))
+        n = rng.randrange(1 << 127, 1 << 128) | 1
+        modulus = n * n
+        exponents = [BOUNDARY_EXPONENTS[kind](rng, n) for _ in range(rows)]
+        bases = [rng.randrange(0, modulus) for _ in range(rows)]
+        initial = rng.randrange(0, modulus) if with_initial else None
         assert multi_exponent(
-            bases, exponents, modulus, window=window
-        ) == naive_product(bases, exponents, modulus)
+            bases, exponents, modulus, initial=initial
+        ) == naive_product(bases, exponents, modulus, initial=initial)
 
     def test_negative_encoded_scalars_reduce_like_ciphertext_scale(self):
         # Signed weights enter the kernel after `% n` reduction — exactly
@@ -147,10 +164,6 @@ class TestMultiExponent:
         with pytest.raises(ParameterError):
             multi_exponent([2], [1], 1)
 
-    def test_rejects_nonpositive_window(self):
-        with pytest.raises(ParameterError):
-            multi_exponent([2, 3], [5, 6], 101, window=0)
-
     def test_empty_batch_returns_initial(self):
         assert multi_exponent([], [], 101) == 1
         assert multi_exponent([], [], 101, initial=42) == 42
@@ -171,14 +184,6 @@ fold_exponents = st.one_of(
     weights,
     st.integers(0, (1 << 64) - 1),
 )
-
-
-def run_plan(plan, bases, modulus):
-    """The product of every block program's run, as the server folds."""
-    acc = 1
-    for (first, end), program in zip(plan.bounds(), plan.programs):
-        acc = acc * program.run(bases[first:end], modulus) % modulus
-    return acc
 
 
 def check_layout(plan, rows):
@@ -229,9 +234,7 @@ class TestFoldProgram:
         )
         plan = fold_plan(exponents)
         check_layout(plan, count)
-        folded = run_plan(plan, bases, modulus)
-        assert folded == naive_product(bases, exponents, modulus)
-        assert folded == multi_exponent(bases, exponents, modulus)
+        assert plan.run(bases, modulus) == naive_product(bases, exponents, modulus)
 
     @pytest.mark.parametrize(
         "exponents",
@@ -283,7 +286,7 @@ class TestFoldProgram:
     @given(rows=st.integers(0, 5000), seed=st.integers(0, 2**32))
     def test_layout_tiles_the_rows_and_folds_the_product(self, rows, seed):
         """Any database size: the blocks tile the rows under the cap,
-        and the plan folds to the multiexp product."""
+        and the plan folds to the naive loop's product."""
         rng = DeterministicRandom("layout-%d" % seed)
         modulus = rng.randrange(3, 1 << 64) | 1
         exponents = [rng.randrange(0, 1 << 32) for _ in range(rows)]
@@ -291,9 +294,7 @@ class TestFoldProgram:
         plan = fold_plan(exponents)
         assert plan.starts == fold_blocks(rows)
         check_layout(plan, rows)
-        assert run_plan(plan, bases, modulus) == multi_exponent(
-            bases, exponents, modulus
-        )
+        assert plan.run(bases, modulus) == naive_product(bases, exponents, modulus)
 
     def test_block_lookups_by_row(self):
         plan = fold_plan([1] * 1100)
@@ -322,17 +323,11 @@ class TestFoldProgram:
             FoldProgram([2, 3]).run([5], 101)
         with pytest.raises(ParameterError):
             FoldProgram([2, 3]).run([5, 7], 1)
-
-
-class TestSelectWindow:
-    def test_grows_with_batch_size(self):
-        small = select_window(4, 32)
-        large = select_window(100_000, 32)
-        assert 1 <= small <= large <= 16
-
-    def test_degenerate_inputs(self):
-        assert select_window(0, 32) == 1
-        assert select_window(10, 0) == 1
+        assert fold_plan([]).run([], 101, initial=142) == 41
+        with pytest.raises(ParameterError):
+            fold_plan([2, 3]).run([5], 101)
+        with pytest.raises(ParameterError):
+            fold_plan([]).run([], 1)
 
 
 #: exponent widths on and around the byte boundaries the table's rows

@@ -204,19 +204,20 @@ def test_v4_store_drops_calibration_and_keeps_data(tmp_path, monkeypatch):
     import repro.store.state as state_module
 
     path = str(tmp_path / "v4.sqlite")
-    from repro.crypto.multiexp import multi_exponent
-
     public_n = 0xABCDEF
     nsquare = public_n * public_n
     buckets = tuple(range(1, 2 * 15 + 1))  # two 4-bit planes
     # slot p * 15 + d - 1 stands for bucket^(d * 16^p)
     exponents = [(slot % 15 + 1) << (4 * (slot // 15)) for slot in range(30)]
+    aggregate = 12345
+    for bucket, exponent in zip(buckets, exponents):
+        aggregate = aggregate * pow(bucket, exponent, nsquare) % nsquare
     record = SessionRecord(
         session_id=b"J" * 16,
         key_bits=128,
         chunk_size=8,
         public_n=public_n,
-        aggregate=12345 * multi_exponent(buckets, exponents, nsquare) % nsquare,
+        aggregate=aggregate,
         received=16,
         chunks_received=2,
         done=False,

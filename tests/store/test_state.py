@@ -6,7 +6,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.crypto.multiexp import multi_exponent
 from repro.crypto.paillier import generate_keypair
 from repro.crypto.rng import DeterministicRandom
 from repro.crypto.serialization import encode_int, encode_int_seq
@@ -131,8 +130,9 @@ def closed(aggregate, slots, window, nsquare):
     exponents = [
         (slot % digits + 1) << (window * (slot // digits)) for slot in range(slots)
     ]
-    bases = list(range(2, 2 + slots))
-    return aggregate * multi_exponent(bases, exponents, nsquare) % nsquare
+    for base, exponent in zip(range(2, 2 + slots), exponents):
+        aggregate = aggregate * pow(base, exponent, nsquare) % nsquare
+    return aggregate
 
 
 def test_session_buckets_round_trip(store, keypair):
