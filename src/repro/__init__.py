@@ -22,30 +22,33 @@ See ``examples/quickstart.py`` for the tour, ``DESIGN.md`` for the
 architecture, and ``EXPERIMENTS.md`` for paper-vs-measured numbers.
 """
 
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 from repro._version import __version__
-from repro.crypto import (
-    EncryptedNumber,
-    PaillierPrivateKey,
-    PaillierPublicKey,
-    PaillierScheme,
-    RandomnessPool,
-    SimulatedPaillier,
-    generate_keypair,
-)
-from repro.datastore import ServerDatabase, WorkloadGenerator
-from repro.net import LinkModel, links
-from repro.spfe import (
-    BatchedSelectedSumProtocol,
-    CombinedSelectedSumProtocol,
-    ExecutionContext,
-    MultiClientSelectedSumProtocol,
-    PreprocessedSelectedSumProtocol,
-    PrivateStatisticsClient,
-    SelectedSumProtocol,
-    SumRunResult,
-    private_selected_sum,
-)
-from repro.timing import HardwareProfile, profiles
+
+if TYPE_CHECKING:
+    from repro.crypto.paillier import (
+        EncryptedNumber,
+        PaillierPrivateKey,
+        PaillierPublicKey,
+        PaillierScheme,
+        RandomnessPool,
+        generate_keypair,
+    )
+    from repro.crypto.simulated import SimulatedPaillier
+    from repro.datastore.database import ServerDatabase
+    from repro.datastore.workload import WorkloadGenerator
+    from repro.net.link import LinkModel, links
+    from repro.spfe.batching import BatchedSelectedSumProtocol
+    from repro.spfe.combined import CombinedSelectedSumProtocol
+    from repro.spfe.context import ExecutionContext
+    from repro.spfe.multiclient import MultiClientSelectedSumProtocol
+    from repro.spfe.preprocessing import PreprocessedSelectedSumProtocol
+    from repro.spfe.result import SumRunResult
+    from repro.spfe.selected_sum import SelectedSumProtocol, private_selected_sum
+    from repro.spfe.statistics import PrivateStatisticsClient
+    from repro.timing.costmodel import HardwareProfile, profiles
 
 __all__ = [
     "BatchedSelectedSumProtocol",
@@ -72,3 +75,27 @@ __all__ = [
     "private_selected_sum",
     "profiles",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.crypto.paillier": (
+        "EncryptedNumber",
+        "PaillierPrivateKey",
+        "PaillierPublicKey",
+        "PaillierScheme",
+        "RandomnessPool",
+        "generate_keypair",
+    ),
+    "repro.crypto.simulated": ("SimulatedPaillier",),
+    "repro.datastore.database": ("ServerDatabase",),
+    "repro.datastore.workload": ("WorkloadGenerator",),
+    "repro.net.link": ("LinkModel", "links"),
+    "repro.spfe.batching": ("BatchedSelectedSumProtocol",),
+    "repro.spfe.combined": ("CombinedSelectedSumProtocol",),
+    "repro.spfe.context": ("ExecutionContext",),
+    "repro.spfe.multiclient": ("MultiClientSelectedSumProtocol",),
+    "repro.spfe.preprocessing": ("PreprocessedSelectedSumProtocol",),
+    "repro.spfe.result": ("SumRunResult",),
+    "repro.spfe.selected_sum": ("SelectedSumProtocol", "private_selected_sum"),
+    "repro.spfe.statistics": ("PrivateStatisticsClient",),
+    "repro.timing.costmodel": ("HardwareProfile", "profiles"),
+})

@@ -477,7 +477,7 @@ def cmd_serve(args, out) -> int:
     registry = MetricsRegistry()
     store = None
     if args.state_dir:
-        from repro.store import StateStore
+        from repro.store.state import StateStore
 
         store = StateStore.open(args.state_dir, metrics=registry)
     try:
@@ -584,7 +584,8 @@ def cmd_supervise(args, out) -> int:
 
 
 def cmd_store(args, out) -> int:
-    from repro.store import SCHEMA_VERSION, StateStore
+    from repro.store.db import SCHEMA_VERSION
+    from repro.store.state import StateStore
 
     store = StateStore.open(args.state_dir)
     try:

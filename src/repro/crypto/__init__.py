@@ -13,19 +13,24 @@ The package is self-contained — pure Python on built-in big integers, no
   (simultaneous multiexp, fixed-base byte-digit tables).
 """
 
-from repro.crypto.damgard_jurik import DamgardJurikScheme, generate_dj_keypair
-from repro.crypto.multiexp import FixedBaseTable, multi_exponent
-from repro.crypto.paillier import (
-    EncryptedNumber,
-    PaillierPrivateKey,
-    PaillierPublicKey,
-    PaillierScheme,
-    RandomnessPool,
-    generate_keypair,
-)
-from repro.crypto.rng import DeterministicRandom, RandomSource, SecureRandom
-from repro.crypto.scheme import AdditiveHomomorphicScheme, SchemeKeyPair
-from repro.crypto.simulated import SimulatedPaillier
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.crypto.damgard_jurik import DamgardJurikScheme, generate_dj_keypair
+    from repro.crypto.multiexp import FixedBaseTable, multi_exponent
+    from repro.crypto.paillier import (
+        EncryptedNumber,
+        PaillierPrivateKey,
+        PaillierPublicKey,
+        PaillierScheme,
+        RandomnessPool,
+        generate_keypair,
+    )
+    from repro.crypto.rng import DeterministicRandom, RandomSource, SecureRandom
+    from repro.crypto.scheme import AdditiveHomomorphicScheme, SchemeKeyPair
+    from repro.crypto.simulated import SimulatedPaillier
 
 __all__ = [
     "AdditiveHomomorphicScheme",
@@ -45,3 +50,19 @@ __all__ = [
     "generate_keypair",
     "multi_exponent",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.crypto.damgard_jurik": ("DamgardJurikScheme", "generate_dj_keypair"),
+    "repro.crypto.multiexp": ("FixedBaseTable", "multi_exponent"),
+    "repro.crypto.paillier": (
+        "EncryptedNumber",
+        "PaillierPrivateKey",
+        "PaillierPublicKey",
+        "PaillierScheme",
+        "RandomnessPool",
+        "generate_keypair",
+    ),
+    "repro.crypto.rng": ("DeterministicRandom", "RandomSource", "SecureRandom"),
+    "repro.crypto.scheme": ("AdditiveHomomorphicScheme", "SchemeKeyPair"),
+    "repro.crypto.simulated": ("SimulatedPaillier",),
+})

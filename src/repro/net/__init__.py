@@ -8,21 +8,23 @@ seed-replayable fault injector for chaos testing
 (:mod:`repro.net.faults`).
 """
 
-from repro.net.channel import Channel, Pipe
-from repro.net.faults import FaultEvent, FaultKind, FaultPlan, FaultyTransport
-from repro.net.link import LinkModel, links
-from repro.net.transport import (
-    MemoryTransport,
-    RetryPolicy,
-    SocketTransport,
-    Transport,
-    memory_pair,
-)
-from repro.net.wire import Message, MessageLog, vector_wire_bytes
+from typing import TYPE_CHECKING
 
-# Imported last: the server runtime sits above the session layer, which
-# itself imports the submodules above.
-from repro.net.server import ServerAccounting, ServerStats, SpfeServer  # noqa: E402
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.net.channel import Channel, Pipe
+    from repro.net.faults import FaultEvent, FaultKind, FaultPlan, FaultyTransport
+    from repro.net.link import LinkModel, links
+    from repro.net.transport import (
+        MemoryTransport,
+        RetryPolicy,
+        SocketTransport,
+        Transport,
+        memory_pair,
+    )
+    from repro.net.wire import Message, MessageLog, vector_wire_bytes
+    from repro.net.server import ServerAccounting, ServerStats, SpfeServer
 
 __all__ = [
     "Channel",
@@ -45,3 +47,18 @@ __all__ = [
     "memory_pair",
     "vector_wire_bytes",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.net.channel": ("Channel", "Pipe"),
+    "repro.net.faults": ("FaultEvent", "FaultKind", "FaultPlan", "FaultyTransport"),
+    "repro.net.link": ("LinkModel", "links"),
+    "repro.net.transport": (
+        "MemoryTransport",
+        "RetryPolicy",
+        "SocketTransport",
+        "Transport",
+        "memory_pair",
+    ),
+    "repro.net.wire": ("Message", "MessageLog", "vector_wire_bytes"),
+    "repro.net.server": ("ServerAccounting", "ServerStats", "SpfeServer"),
+})

@@ -57,7 +57,7 @@ import signal
 import socket
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.datastore.database import ServerDatabase
 from repro.exceptions import (
@@ -68,12 +68,14 @@ from repro.exceptions import (
 )
 from repro.net import codec
 from repro.net.transport import DEFAULT_RECV_BYTES, SocketTransport
-from repro.obs.http import StatsEndpoint
 from repro.obs.registry import Counter, MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.spfe.session import ServerSession, SessionRegistry
 from repro.spfe.validation import ServerPolicy
-from repro.store.state import StateStore
+
+if TYPE_CHECKING:
+    from repro.obs.http import StatsEndpoint
+    from repro.store.state import StateStore
 
 __all__ = [
     "DEFAULT_DRAIN_DEADLINE_S",
@@ -540,6 +542,10 @@ class SpfeServer:
             )
             self._listener.settimeout(_POLL_S)
             if self.stats_port is not None:
+                # Imported here so that only a server with a stats
+                # port loads http.server (and ssl with it).
+                from repro.obs.http import StatsEndpoint
+
                 self._stats_endpoint = StatsEndpoint(
                     self.metrics,
                     host=self.host,

@@ -22,23 +22,28 @@ See ``docs/observability.md`` for the metric catalogue and how spans
 map onto the paper's Figure 2/3 phase decomposition.
 """
 
-from repro.obs.exposition import (
-    JSON_CONTENT_TYPE,
-    PROMETHEUS_CONTENT_TYPE,
-    render_json,
-    render_json_text,
-    render_prometheus,
-)
-from repro.obs.http import StatsEndpoint
-from repro.obs.registry import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricSnapshot,
-    MetricsRegistry,
-)
-from repro.obs.tracing import PHASE_FIELDS, Span, Tracer
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.obs.exposition import (
+        JSON_CONTENT_TYPE,
+        PROMETHEUS_CONTENT_TYPE,
+        render_json,
+        render_json_text,
+        render_prometheus,
+    )
+    from repro.obs.http import StatsEndpoint
+    from repro.obs.registry import (
+        DEFAULT_LATENCY_BUCKETS,
+        Counter,
+        Gauge,
+        Histogram,
+        MetricSnapshot,
+        MetricsRegistry,
+    )
+    from repro.obs.tracing import PHASE_FIELDS, Span, Tracer
 
 __all__ = [
     "Counter",
@@ -57,3 +62,23 @@ __all__ = [
     "render_json_text",
     "render_prometheus",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.exposition": (
+        "JSON_CONTENT_TYPE",
+        "PROMETHEUS_CONTENT_TYPE",
+        "render_json",
+        "render_json_text",
+        "render_prometheus",
+    ),
+    "repro.obs.http": ("StatsEndpoint",),
+    "repro.obs.registry": (
+        "DEFAULT_LATENCY_BUCKETS",
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricSnapshot",
+        "MetricsRegistry",
+    ),
+    "repro.obs.tracing": ("PHASE_FIELDS", "Span", "Tracer"),
+})

@@ -45,7 +45,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.crypto.multiexp import (
     FOLD_CAP,
@@ -80,7 +80,6 @@ from repro.net.transport import (
     Transport,
 )
 from repro.obs.registry import MetricsRegistry
-from repro.store.state import SessionRecord, StateStore
 from repro.obs.tracing import Tracer
 from repro.spfe.validation import (
     ServerPolicy,
@@ -89,6 +88,10 @@ from repro.spfe.validation import (
     check_hello,
     check_public_key,
 )
+from repro.store.record import SessionRecord
+
+if TYPE_CHECKING:
+    from repro.store.state import StateStore
 
 __all__ = [
     "ClientSession",
@@ -110,7 +113,7 @@ REGISTRY_CAPACITY = 64
 
 #: :class:`SessionRegistry`'s default residency bound in bytes.  Session
 #: count alone does not bound memory when key sizes vary, see
-#: :func:`~repro.store.state.resume_state_bytes`.  An in-progress
+#: :func:`~repro.store.record.resume_state_bytes`.  An in-progress
 #: session also holds the ciphertexts of its incomplete fold block, at
 #: most ``FOLD_CAP - 1`` (the widest block less one), so
 #: ``FOLD_CAP + 2`` ciphertexts in all: ~64 KiB at 512-bit keys, 257
@@ -329,7 +332,7 @@ class SessionRegistry:
     of a concurrent :class:`~repro.net.server.SpfeServer`, so all access
     to the LRU map and the byte accounting happens under an internal
     lock.  Each entry is an immutable
-    :class:`~repro.store.state.SessionRecord`: a session folds each
+    :class:`~repro.store.record.SessionRecord`: a session folds each
     chunk into a new record and saves that, and a resuming session
     adopts the stored record itself.  Sharing one between connections
     therefore needs no copies, and an entry read under the lock stays
@@ -342,7 +345,10 @@ class SessionRegistry:
     resumes sessions its predecessor was serving), and eviction/discard
     delete the journal row too — an evicted session answers
     ``RESUME_UNKNOWN`` after a restart exactly as it does before one,
-    never a stale record.  Store writes happen outside the registry
+    never a stale record.  Opening over a store keeps only its
+    ``capacity`` most recently touched rows, so rows a previous process
+    left do not pile up across restarts: the journal holds at most
+    ``2 * capacity`` rows.  Store writes happen outside the registry
     lock but under a journal-order lock taken *before* the registry lock
     is released (lock order: registry, journal order, store, never
     back), so the store sees deletes and upserts in the same order as
@@ -363,6 +369,10 @@ class SessionRegistry:
         self.capacity = capacity
         self.max_bytes = max_bytes
         self.store = store
+        if store is not None:
+            # No eviction here will delete the rows a previous process
+            # journalled; keep only as many as this registry can hold.
+            store.trim_sessions(capacity)
         self._lock = threading.Lock()
         #: serialises journal writes in registry order; see the class
         #: docstring for the lock order
@@ -508,7 +518,7 @@ class ServerSession:
     to make sessions resumable.
 
     The resume state is one immutable
-    :class:`~repro.store.state.SessionRecord`: the public key builds
+    :class:`~repro.store.record.SessionRecord`: the public key builds
     the first, each folded chunk replaces it with a new one, and RESUME
     adopts the record the registry holds.  The registry receives the
     session's current record as it is, once per read; the journal

@@ -7,8 +7,11 @@ database itself.  Both belong to the database owner; the client's §3.3
 offline material (its obfuscators and pre-encrypted index bits) stays
 in the client's process and is never written here.
 
-Three modules:
+Four modules:
 
+* :mod:`repro.store.record` — :class:`~repro.store.record.SessionRecord`,
+  one session's resume state as plain data, kept apart from SQLite so
+  that a server without ``--state-dir`` never imports ``sqlite3``.
 * :mod:`repro.store.db` — the SQLite layer: WAL-mode connections and a
   versioned schema with ordered migration machinery (in the style of
   ``swh.core.db``: a ``dbversion`` table records every applied step, and
@@ -24,9 +27,14 @@ Three modules:
 No third-party dependencies: ``sqlite3`` is in the standard library.
 """
 
-from repro.store.db import SCHEMA_VERSION, open_store_db, schema_version
-from repro.store.state import StateStore
-from repro.store.supervisor import ServerSupervisor, SupervisorPolicy
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.store.db import SCHEMA_VERSION, open_store_db, schema_version
+    from repro.store.state import StateStore
+    from repro.store.supervisor import ServerSupervisor, SupervisorPolicy
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -36,3 +44,9 @@ __all__ = [
     "ServerSupervisor",
     "SupervisorPolicy",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.store.db": ("SCHEMA_VERSION", "open_store_db", "schema_version"),
+    "repro.store.state": ("StateStore",),
+    "repro.store.supervisor": ("ServerSupervisor", "SupervisorPolicy"),
+})

@@ -20,7 +20,7 @@ Durability model (documented in ``docs/protocol.md`` § Durability):
 The schema itself (see :data:`MIGRATIONS`):
 
 * ``sessions`` — the resumable-session journal: one row per session
-  id, the fields of :class:`repro.store.state.SessionRecord`,
+  id, the fields of :class:`repro.store.record.SessionRecord`,
   ``touched_at`` being the time of the row's last write and ``pending``
   the ciphertexts of the session's incomplete fold block.  The server
   writes a row when a read folds a block, so ``pending`` holds at most

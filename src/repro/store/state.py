@@ -38,7 +38,6 @@ import sqlite3
 import struct
 import threading
 import time
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.crypto.multiexp import multi_exponent
@@ -53,6 +52,7 @@ from repro.datastore.database import ServerDatabase
 from repro.exceptions import StoreError
 from repro.obs.registry import Counter, MetricsRegistry
 from repro.store.db import open_store_db
+from repro.store.record import SessionRecord, _ciphertext_width, resume_state_bytes
 
 __all__ = [
     "StateStore",
@@ -100,23 +100,6 @@ def _int_blob(value: int) -> bytes:
     return encode_int(value, bytes_for_bits(max(1, value.bit_length())))
 
 
-def _ciphertext_width(key_bits: int) -> int:
-    """Bytes per journalled ciphertext (mod ``n^2``)."""
-    return bytes_for_bits(2 * key_bits)
-
-
-def resume_state_bytes(key_bits: int) -> int:
-    """Resident bytes one session record costs the registry, before any
-    pending ciphertexts.
-
-    Budgeted as three big integers of ciphertext width — the modulus,
-    the running aggregate and the record around them — so the registry
-    can bound memory in bytes rather than pretending all sessions are
-    the same size.
-    """
-    return 3 * _ciphertext_width(key_bits)
-
-
 def _close_buckets(
     buckets: Tuple[int, ...], window: int, aggregate: int, nsquare: int
 ) -> int:
@@ -137,41 +120,6 @@ def _close_buckets(
             bases.append(bucket)
             exponents.append((digit + 1) << (plane * window))
     return multi_exponent(bases, exponents, nsquare, initial=aggregate)
-
-
-@dataclass(frozen=True)
-class SessionRecord:
-    """Everything the server keeps to resume one session, as plain data.
-
-    The one representation of resume state: a
-    :class:`~repro.spfe.session.ServerSession` folds each chunk into a
-    new record, and the registry and the journal hold that same object.
-    Being immutable, a record can be shared between connections without
-    copies.  The store neither imports nor understands protocol objects.
-    """
-
-    session_id: bytes
-    key_bits: int
-    chunk_size: int
-    public_n: int
-    aggregate: int
-    received: int
-    chunks_received: int
-    done: bool
-    #: when the journal row was written; 0.0 on a record built in
-    #: memory, which :meth:`StateStore.save_session` stamps on writing
-    touched_at: float = 0.0
-    #: ciphertexts of the rows ``received - len(pending)`` up to
-    #: ``received``, not yet folded into ``aggregate``; empty once done
-    #: and for rows journalled before schema v8
-    pending: Tuple[int, ...] = ()
-
-    @property
-    def resident_bytes(self) -> int:
-        """What this record costs the registry's byte budget."""
-        return resume_state_bytes(self.key_bits) + len(
-            self.pending
-        ) * _ciphertext_width(self.key_bits)
 
 
 class StateStore:
@@ -396,6 +344,28 @@ class StateStore:
             raise StoreError("session journal delete failed: %s" % exc) from exc
         if cursor.rowcount:
             self._count("repro_store_journal_deletes_total")
+
+    def trim_sessions(self, keep: int) -> None:
+        """Delete all but the ``keep`` most recently touched journal rows.
+
+        A registry deletes only the rows of sessions it holds, so the
+        rows a previous process left are trimmed here, when a registry
+        opens over the store.
+        """
+        try:
+            with self._lock:
+                conn = self._require_conn()
+                with conn:
+                    cursor = conn.execute(
+                        "DELETE FROM sessions WHERE session_id NOT IN"
+                        " (SELECT session_id FROM sessions"
+                        " ORDER BY touched_at DESC LIMIT ?)",
+                        (keep,),
+                    )
+        except sqlite3.Error as exc:
+            raise StoreError("session journal trim failed: %s" % exc) from exc
+        if cursor.rowcount:
+            self._count("repro_store_journal_deletes_total", cursor.rowcount)
 
     def session_count(self) -> int:
         """Number of journalled sessions."""

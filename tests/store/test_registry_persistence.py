@@ -186,6 +186,37 @@ def test_evicted_session_resumes_unknown_after_restart(store_path):
         assert a.encryptions == encryptions_before
 
 
+def test_journal_stays_bounded_across_restarts(store_path):
+    """Each life serves three queries and leaves one query mid-stream;
+    the next life resumes that one.  Rows the previous process left
+    are trimmed when a registry opens, so the journal never holds more
+    than twice the registry's capacity (without the trim: 4, 8, 12...)."""
+    capacity = 4
+    half = None
+    for life in range(5):
+        with StateStore(store_path) as store:
+            registry = SessionRegistry(capacity=capacity, store=store)
+            if half is not None:
+                server = ServerSession(BLOCK_DB, registry=registry)
+                reply = server.receive_bytes(half.resume_request())
+                assert codec.decode_ack(decode_frames(reply)[0].payload) == 3
+                half.receive_bytes(reply)
+                feed(server, half, half.resume_bytes())
+                assert half.result == sum(
+                    w * v for w, v in zip(BLOCK_SELECTION, BLOCK_DB.values)
+                )
+            for query in range(3):
+                client = make_client("life-%d-%d" % (life, query))
+                feed(ServerSession(DB, registry=registry), client, client.initial_bytes())
+                assert client.result == expected_sum(client)
+                assert store.session_count() <= 2 * capacity
+            # HELLO + KEY + the first block's three chunks: journalled
+            half = block_client("life-%d-half" % life)
+            frames = list(half.initial_bytes())
+            feed(ServerSession(BLOCK_DB, registry=registry), half, frames[:5])
+            assert store.session_count() <= 2 * capacity
+
+
 def test_discard_deletes_the_journal_row(store_path):
     with StateStore(store_path) as store:
         registry = SessionRegistry(capacity=4, store=store)

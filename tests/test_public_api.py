@@ -1,8 +1,11 @@
 """Public-API integrity: exports resolve, and everything is documented.
 
-Three repository-wide invariants:
+Four repository-wide invariants:
 
 * every name in every ``__all__`` actually exists in its module;
+* every package exports lazily (:mod:`repro._lazy`): each name
+  resolves to its home module's object on first read, and
+  ``repro serve`` loads only the modules it runs;
 * every public module, class, and function in :mod:`repro` carries a
   docstring (documentation is a deliverable, so its absence is a test
   failure, not a style nit);
@@ -14,7 +17,10 @@ Three repository-wide invariants:
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,6 +47,100 @@ def test_all_exports_resolve(module_name):
         assert hasattr(module, name), (
             "%s.__all__ lists %r, which does not exist" % (module_name, name)
         )
+
+
+#: packages whose ``__init__`` exports lazily through :mod:`repro._lazy`
+LAZY_PACKAGES = (
+    "repro",
+    "repro.crypto",
+    "repro.datastore",
+    "repro.net",
+    "repro.obs",
+    "repro.spfe",
+    "repro.store",
+    "repro.timing",
+)
+
+
+def _type_checking_homes(package):
+    """Export name -> home module, from the package's ``if TYPE_CHECKING:``
+    import block (what mypy and ruff read in place of ``__getattr__``)."""
+    path = Path(importlib.import_module(package).__file__)
+    homes = {}
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            for statement in node.body:
+                for alias in statement.names:
+                    homes[alias.name] = statement.module
+    return homes
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_lazy_exports_resolve_to_their_home_objects(package):
+    module = importlib.import_module(package)
+    homes = _type_checking_homes(package)
+    # ``repro.__version__`` is the one export bound eagerly
+    assert set(homes) == set(module.__all__) - {"__version__"}
+    for name, home in homes.items():
+        assert getattr(module, name) is getattr(importlib.import_module(home), name), (
+            "%s.%s is not %s.%s" % (package, name, home, name)
+        )
+    assert set(module.__all__) <= set(dir(module))
+    with pytest.raises(AttributeError, match="no_such_export"):
+        getattr(module, "no_such_export")
+
+
+def _run_fresh(code):
+    """Run ``code`` in a new interpreter (nothing imported yet); its stdout."""
+    completed = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(_PACKAGE_DIR.parent)),
+    )
+    assert completed.returncode == 0, completed.stderr
+    return completed.stdout
+
+
+def test_serve_path_import_budget():
+    """``repro serve`` without ``--stats-port`` or ``--state-dir`` loads
+    no HTTP, TLS or SQLite module and none of the in-process protocols,
+    the cost model, the fault injector or the experiments."""
+    loaded = set(
+        _run_fresh(
+            "import sys, repro.cli, repro.net.server; print(*sys.modules)"
+        ).split()
+    )
+    assert "repro.spfe.session" in loaded
+    forbidden = {
+        "ssl",
+        "http.server",
+        "sqlite3",
+        "repro.spfe.estimator",
+        "repro.spfe.selected_sum",
+        "repro.net.faults",
+        "repro.timing.costmodel",
+        "repro.experiments",
+        "repro.yao",
+    }
+    assert not forbidden & loaded, sorted(forbidden & loaded)
+
+
+def test_lazy_packages_in_a_fresh_interpreter():
+    """An unknown name raises AttributeError, so ``from package import
+    submodule`` still imports the submodule; and the README quickstart
+    runs against the lazy root package."""
+    _run_fresh(
+        "import sys\n"
+        "import repro.net\n"
+        "assert 'repro.net.codec' not in sys.modules\n"
+        "from repro.net import codec\n"
+        "assert codec is sys.modules['repro.net.codec']\n"
+    )
+    readme = (_REPO / "README.md").read_text(encoding="utf-8")
+    quickstart = readme.split("## Quickstart", 1)[1].split("```python\n", 1)[1]
+    _run_fresh(quickstart.split("```", 1)[0])
 
 
 @pytest.mark.parametrize("module_name", MODULES)
