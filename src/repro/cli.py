@@ -42,6 +42,12 @@ __all__ = ["main", "build_parser"]
 _PROTOCOLS = ("plain", "batched", "preprocessed", "combined", "multiclient")
 _ENVIRONMENTS = ("short", "long", "wireless")
 
+#: GIL switch interval, in seconds, that ``serve`` runs at.  At CPython's
+#: default 5 ms, each accept, hand-off and read of one connection waits
+#: out a whole interval behind another's ~10 ms block fold, and a loaded
+#: server idles ~15% of the time (docs/performance.md, § GIL timeslices).
+SERVE_SWITCH_INTERVAL_S = 0.001
+
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse parser for all subcommands."""
@@ -460,6 +466,17 @@ def cmd_keygen(args, out) -> int:
 
 
 def cmd_serve(args, out) -> int:
+    # The interval is interpreter-wide: set it only while serving, and
+    # hand the caller back its own value however the command ends.
+    caller_interval = sys.getswitchinterval()
+    sys.setswitchinterval(SERVE_SWITCH_INTERVAL_S)
+    try:
+        return _serve(args, out)
+    finally:
+        sys.setswitchinterval(caller_interval)
+
+
+def _serve(args, out) -> int:
     import threading
 
     from repro.net.server import SpfeServer

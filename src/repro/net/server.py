@@ -408,6 +408,15 @@ class ServerAccounting:
 class SpfeServer:
     """Concurrent selected-sum server with admission control and drain.
 
+    The server leaves the interpreter-wide GIL switch interval alone.
+    At CPython's default 5 ms, one session's ~10 ms block fold makes
+    every other connection's accept, hand-off and reads wait out a
+    whole interval, so a loaded server idles.  ``repro serve`` runs at
+    :data:`repro.cli.SERVE_SWITCH_INTERVAL_S` (1 ms); an embedder
+    serving several connections should likewise save
+    ``sys.getswitchinterval()``, call ``sys.setswitchinterval(0.001)``
+    and restore the saved value in a ``finally``.
+
     Args:
         database: the server-side data; shared read-only by all workers.
         host/port: bind address (port 0 = ephemeral; see :attr:`port`).

@@ -764,8 +764,8 @@ class ServerSession:
         # each block runs the program compiled from its database values
         # (~4.6 multiplications per element at n = 1000).  The product is
         # a function of the frames alone, whatever the chunk size or
-        # read split.
-        fold_started = time.perf_counter()
+        # read split.  One ``fold`` span per block folded: its program
+        # plus the multiplication into the aggregate.
         plan = self.database.fold_plan()
         aggregate = record.aggregate
         pending = record.pending + tuple(ciphertexts)
@@ -775,16 +775,17 @@ class ServerSession:
             end = plan.block_end(first)
             if end > received:
                 break
+            fold_started = time.perf_counter()
             aggregate = (
                 aggregate
                 * self._fold_program(first, end).run(pending[: end - first], nsquare)
                 % nsquare
             )
+            if self.tracer is not None:
+                self.tracer.record("fold", time.perf_counter() - fold_started)
             pending = pending[end - first :]
             first = end
             self._block_folded = True
-        if self.tracer is not None:
-            self.tracer.record("fold", time.perf_counter() - fold_started)
         done = received == rows
         # touched_at stays at its default, so the journal stamps the
         # write time rather than that of a record read back from it.

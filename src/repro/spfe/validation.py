@@ -161,12 +161,15 @@ def check_ciphertext_chunk(
     the chunk's product mod n.  The two are equivalent: a prime factor
     of n divides the product exactly when it divides some element (an
     element that is 0 mod n makes the product 0, whose gcd with n is n).
-    One big-int product per element costs about half a ``gcd``.
+    One big-int product per element costs about half a ``gcd``.  Each
+    element is reduced mod n before the multiplication, so the product
+    is of two n-sized numbers rather than one n-sized and one n²-sized;
+    the product mod n, and so the verdict, is the same.
     """
     product = 1
     for ciphertext in ciphertexts:
         if not 0 < ciphertext < nsquare:
             raise ValidationError("ciphertext outside Z*_{n^2}")
-        product = product * ciphertext % n
+        product = product * (ciphertext % n) % n
     if math.gcd(product, n) != 1:
         raise ValidationError("ciphertext shares a factor with the modulus")

@@ -217,6 +217,23 @@ class TestBlockFold:
             replies = b"".join(server.receive_bytes(f) for f in frames)
             assert result_of(replies) == expected, chunk_size
 
+    @pytest.mark.parametrize("chunk_size", [8, 64, 1000])
+    def test_one_fold_span_per_block_folded(self, fold_keypair, chunk_size):
+        """The ``fold`` phase counts blocks, not chunk frames, whether a
+        chunk is narrower or wider than a block."""
+        from repro.crypto.multiexp import fold_blocks
+        from repro.obs.tracing import Tracer
+
+        database, ciphertexts, expected = fold_case(fold_keypair, 1000)
+        tracer = Tracer()
+        server = ServerSession(database, tracer=tracer)
+        replies = b"".join(
+            server.receive_bytes(frame)
+            for frame in fold_frames(fold_keypair, ciphertexts, chunk_size)
+        )
+        assert result_of(replies) == expected
+        assert tracer.counts()["fold"] == len(fold_blocks(1000)) == 2
+
     @settings(max_examples=25, deadline=None)
     @given(st.data())
     def test_any_split_into_reads_gives_the_naive_product(

@@ -206,6 +206,68 @@ class TestServeQuery:
         assert "private sum of 3 elements: %d" % expected in output
         assert "served" in server_out.getvalue()
 
+    def test_serve_runs_at_its_switch_interval_and_restores_the_callers(
+        self, tmp_path
+    ):
+        """``serve`` sets the GIL switch interval for as long as it
+        serves and hands back the caller's value when it returns, after
+        a served query and after an early error alike."""
+        import socket
+        import sys
+        import threading
+        import time
+
+        from repro.cli import SERVE_SWITCH_INTERVAL_S
+
+        path = tmp_path / "db.txt"
+        path.write_text("\n".join(str(i) for i in range(10)))
+        listener_probe = socket.socket()
+        listener_probe.bind(("127.0.0.1", 0))
+        port = listener_probe.getsockname()[1]
+        listener_probe.close()
+
+        original = sys.getswitchinterval()
+        caller = 0.004  # neither CPython's default nor the serve value
+        assert caller not in (original, SERVE_SWITCH_INTERVAL_S)
+        sys.setswitchinterval(caller)
+        try:
+            code, output = run_cli(
+                "serve", "--db", str(path), "--port", str(port),
+                "--db-name", "orphan",
+            )
+            assert code == 2 and "--db-name requires --state-dir" in output
+            assert sys.getswitchinterval() == caller
+
+            server_out = io.StringIO()
+            results = []
+            server_thread = threading.Thread(
+                target=lambda: results.append(main(
+                    ["serve", "--db", str(path), "--port", str(port),
+                     "--queries", "1"],
+                    server_out,
+                )),
+                daemon=True,
+            )
+            server_thread.start()
+            for _ in range(250):
+                if "serving" in server_out.getvalue():
+                    break
+                time.sleep(0.02)
+            assert "serving" in server_out.getvalue()
+            assert sys.getswitchinterval() == SERVE_SWITCH_INTERVAL_S
+
+            code, output = run_cli(
+                "query", "--port", str(port), "--n", "10",
+                "--select", "2,5", "--key-bits", "128",
+            )
+            assert code == 0 and "private sum of 2 elements: 7" in output
+            server_thread.join(timeout=10)
+            assert not server_thread.is_alive()
+            assert results == [0]
+            assert sys.getswitchinterval() == caller
+        finally:
+            sys.setswitchinterval(original)
+
     def test_serve_drops_silent_peer_without_spending_budget(self, tmp_path):
         """A client that connects and says nothing hits the read
         deadline and is dropped — and the drop does NOT consume the
