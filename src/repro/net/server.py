@@ -123,14 +123,13 @@ _FIELD_HELP: Dict[str, str] = {
 class ServerStats:
     """Named per-server counters, backed by a metrics registry.
 
-    Historically this class kept its own closed dict of counters; it is
-    now a thin view over :class:`~repro.obs.registry.MetricsRegistry`
-    :class:`~repro.obs.registry.Counter` instruments (one
+    Each field is a :class:`~repro.obs.registry.MetricsRegistry`
+    :class:`~repro.obs.registry.Counter` (one
     ``repro_server_<field>_total`` each), so the same numbers that
     :meth:`snapshot` reports in-process are scraped from ``/metrics``
     without a second bookkeeping path that could drift.  ``add``/``get``
-    still reject unknown names — accounting typos stay loud — but the
-    field set is open: :meth:`register` adds new counters.
+    reject names outside the fixed field set, so accounting typos stay
+    loud.
 
     ``sessions_admitted`` counts connections that passed admission
     control; ``sessions_served`` counts completed protocol runs;
@@ -144,19 +143,10 @@ class ServerStats:
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._counters: Dict[str, Counter] = {}
-        for name, help_text in _FIELD_HELP.items():
-            self.register(name, help_text)
-
-    def register(self, name: str, help_text: str = "") -> Counter:
-        """Add (or fetch) the counter for ``name``; returns the instrument.
-
-        Call during setup, before concurrent ``add``/``get`` traffic:
-        the name->instrument map itself is not lock-guarded.
-        """
-        counter = self.metrics.counter(_METRIC_PREFIX + name + "_total", help_text)
-        self._counters[name] = counter
-        return counter
+        self._counters: Dict[str, Counter] = {
+            name: self.metrics.counter(_METRIC_PREFIX + name + "_total", help_text)
+            for name, help_text in _FIELD_HELP.items()
+        }
 
     def add(self, name: str, amount: int = 1) -> int:
         """Bump a counter; returns its new value."""

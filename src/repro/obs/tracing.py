@@ -4,7 +4,7 @@ The paper's evaluation (Figures 2, 3, 5, 6) decomposes every run into
 the same four online phases — client encryption, server computation,
 communication, client decryption — and the repo already has two
 mechanisms that produce those numbers:
-:class:`~repro.timing.clock.Stopwatch`/``ComputeBlock`` for measured
+:class:`~repro.spfe.context.ComputeBlock` wall-clock timing for measured
 runs and :class:`~repro.timing.costmodel.HardwareProfile` charges for
 modelled ones, both accumulating into a
 :class:`~repro.timing.report.TimingBreakdown`.  A :class:`Tracer`

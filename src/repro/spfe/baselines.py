@@ -94,7 +94,7 @@ class NonPrivateIndexProtocol(SelectedSumBase):
             m=m,
             breakdown=breakdown,
             makespan_s=client_clock.now,
-            channel=channel,
+            channels=[channel],
             metadata={"leaks": ["client-selection"], "channel": channel},
         )
 
@@ -144,7 +144,7 @@ class DownloadDatabaseProtocol(SelectedSumBase):
             m=m,
             breakdown=breakdown,
             makespan_s=client_clock.now,
-            channel=channel,
+            channels=[channel],
             metadata={"leaks": ["entire-database"], "channel": channel},
         )
 

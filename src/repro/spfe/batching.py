@@ -25,10 +25,9 @@ from typing import Optional, Sequence
 from repro.crypto.scheme import SchemeKeyPair
 from repro.datastore.database import ServerDatabase
 from repro.exceptions import ParameterError
-from repro.spfe.base import MSG_ENC_INDEX, MSG_RESULT, SelectedSumBase
+from repro.spfe.base import MSG_ENC_INDEX, SelectedSumBase
 from repro.spfe.context import CLIENT, SERVER
 from repro.spfe.result import SumRunResult
-from repro.timing.clock import VirtualClock
 from repro.timing.costmodel import Op
 from repro.timing.report import TimingBreakdown
 
@@ -38,7 +37,12 @@ PAPER_BATCH_SIZE = 100  # "we took a batch size of 100 elements" (§3.2)
 
 
 class BatchedSelectedSumProtocol(SelectedSumBase):
-    """The pipelined chunked variant of the selected-sum protocol."""
+    """The pipelined chunked variant of the selected-sum protocol.
+
+    Its :meth:`run` is the pipelined round for any ciphertext source:
+    :class:`~repro.spfe.combined.CombinedSelectedSumProtocol` runs it
+    with pooled ciphertexts.
+    """
 
     protocol_name = "batched"
 
@@ -58,81 +62,58 @@ class BatchedSelectedSumProtocol(SelectedSumBase):
         ctx = self.ctx
         scheme = ctx.scheme
         m = self.validate_inputs(database, selection)
+        keypair, keygen_s = self.setup_keys(database, selection, keypair)
+        public = keypair.public
+        prepared, offline_s = self.prepare_client(database, public)
+        rnd = self.open_round(keypair)
+        comm_s = rnd.key_arrival  # pk transfer time (sender started at 0)
 
-        keygen_s = 0.0
-        if keypair is None:
-            keypair, keygen_s = ctx.generate_keypair(CLIENT)
-        public, private = keypair.public, keypair.private
-        self.check_capacity(database, selection, public)
-
-        channel = ctx.new_channel()
-        client_clock = VirtualClock()
-        server_clock = VirtualClock()
-
-        t_pk = channel.client_send(self.public_key_message(public), client_clock.now)
-        server_clock.wait_until(t_pk)
-        channel.server_recv()
-        comm_s = t_pk  # pk transfer time (sender started at 0)
-
-        encrypt_s = 0.0
+        client_s = 0.0
         server_s = 0.0
         aggregate = scheme.identity(public)
 
-        # The pipeline: encrypt chunk -> ship chunk -> fold chunk.
+        # The pipeline: produce chunk -> ship chunk -> fold chunk.
         for offset, values in database.chunks(self.batch_size):
             weights = selection[offset : offset + len(values)]
-
-            with ctx.compute(CLIENT, Op.ENCRYPT, len(weights)) as enc_block:
-                chunk_cts = scheme.encrypt_vector(public, weights, ctx.rng)
-            client_clock.advance(enc_block.seconds)
-            encrypt_s += enc_block.seconds
+            chunk_cts, chunk_s = self.client_ciphertexts(prepared, public, weights)
+            rnd.client.advance(chunk_s)
+            client_s += chunk_s
 
             message = self.vector_message(MSG_ENC_INDEX, chunk_cts, public, CLIENT)
-            sent_at = client_clock.now
-            arrival = channel.client_send(message, sent_at)
-            comm_s += self._marginal_transfer(message.wire_bytes)
+            arrival = rnd.channel.client_send(message, rnd.client.now)
+            # the link's busy time for this chunk (sends overlap the pipeline)
+            comm_s += ctx.link.seconds_per_message(message.wire_bytes)
 
-            server_clock.wait_until(arrival)
-            received = channel.server_recv()[0].payload
+            rnd.server.wait_until(arrival)
+            received = rnd.channel.server_recv()[0].payload
             with ctx.compute(SERVER, Op.WEIGHTED_STEP, len(values)) as srv_block:
                 aggregate = scheme.weighted_product(
                     public, received, values, initial=aggregate
                 )
-            server_clock.advance(srv_block.seconds)
+            rnd.server.advance(srv_block.seconds)
             server_s += srv_block.seconds
 
-        # Result return + decryption (as in the plain protocol).
-        result_message = self.ciphertext_message(MSG_RESULT, aggregate, public, SERVER)
-        reply_started = server_clock.now
-        arrival = channel.server_send(result_message, server_clock.now)
-        comm_s += arrival - reply_started
-        client_clock.wait_until(arrival)
-        payload = channel.client_recv()[0].payload
-
-        with ctx.compute(CLIENT, Op.DECRYPT, 1) as dec_block:
-            value = scheme.decrypt(private, payload)
-        client_clock.advance(dec_block.seconds)
+        value, comm_down_s, decrypt_s = self.reply_and_decrypt(rnd, aggregate)
+        comm_s += comm_down_s
 
         breakdown = TimingBreakdown(
-            client_encrypt_s=encrypt_s,
+            client_encrypt_s=client_s,
             server_compute_s=server_s,
             communication_s=comm_s,
-            client_decrypt_s=dec_block.seconds,
+            client_decrypt_s=decrypt_s,
+            offline_precompute_s=offline_s,
         )
         return self.build_result(
             value=value,
             database=database,
             m=m,
             breakdown=breakdown,
-            makespan_s=client_clock.now,
-            channel=channel,
+            makespan_s=rnd.client.now,
+            channels=[rnd.channel],
             metadata={
                 "keygen_s": keygen_s,
                 "batch_size": self.batch_size,
-                "channel": channel,
+                **self.client_metadata(database, prepared),
+                "channel": rnd.channel,
             },
         )
-
-    def _marginal_transfer(self, wire_bytes: int) -> float:
-        """Link busy time contributed by one message (for the component)."""
-        return self.ctx.link.seconds_per_message(wire_bytes)

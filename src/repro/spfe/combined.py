@@ -14,25 +14,20 @@ unoptimized one.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.crypto.scheme import SchemeKeyPair
-from repro.datastore.database import ServerDatabase
-from repro.exceptions import ParameterError, ProtocolError
-from repro.spfe.base import MSG_ENC_INDEX, MSG_RESULT, SelectedSumBase
-from repro.spfe.batching import PAPER_BATCH_SIZE
-from repro.spfe.context import CLIENT, SERVER
-from repro.spfe.preprocessing import EncryptionPool
-from repro.spfe.result import SumRunResult
-from repro.timing.clock import VirtualClock
-from repro.timing.costmodel import Op
-from repro.timing.report import TimingBreakdown
+from repro.spfe.batching import PAPER_BATCH_SIZE, BatchedSelectedSumProtocol
+from repro.spfe.preprocessing import PooledClient
 
 __all__ = ["CombinedSelectedSumProtocol"]
 
 
-class CombinedSelectedSumProtocol(SelectedSumBase):
-    """Preprocessed pool + chunked pipeline in one protocol."""
+class CombinedSelectedSumProtocol(PooledClient, BatchedSelectedSumProtocol):
+    """Preprocessed pool + chunked pipeline in one protocol: the
+    pipelined round of
+    :class:`~repro.spfe.batching.BatchedSelectedSumProtocol` over a
+    :class:`~repro.spfe.preprocessing.PooledClient` ciphertext source.
+    """
 
     protocol_name = "combined"
 
@@ -43,111 +38,6 @@ class CombinedSelectedSumProtocol(SelectedSumBase):
         pool_zeros: Optional[int] = None,
         pool_ones: Optional[int] = None,
     ) -> None:
-        super().__init__(context)
-        if batch_size < 1:
-            raise ParameterError("batch size must be positive")
-        self.batch_size = batch_size
+        super().__init__(context, batch_size)
         self.pool_zeros = pool_zeros
         self.pool_ones = pool_ones
-
-    def run(
-        self,
-        database: ServerDatabase,
-        selection: Sequence[int],
-        keypair: Optional[SchemeKeyPair] = None,
-    ) -> SumRunResult:
-        """Execute pool-fetch + pipelined chunks (see class docstring)."""
-        ctx = self.ctx
-        scheme = ctx.scheme
-        m = self.validate_inputs(database, selection)
-        if any(w not in (0, 1) for w in selection):
-            raise ProtocolError("combined protocol requires a 0/1 selection")
-
-        keygen_s = 0.0
-        if keypair is None:
-            keypair, keygen_s = ctx.generate_keypair(CLIENT)
-        public, private = keypair.public, keypair.private
-        self.check_capacity(database, selection, public)
-
-        # Offline: fill the pool (§3.3).
-        zeros = self.pool_zeros if self.pool_zeros is not None else len(database)
-        ones = self.pool_ones if self.pool_ones is not None else len(database)
-        pool = EncryptionPool(scheme, public, ctx.rng)
-        with ctx.compute(CLIENT, Op.ENCRYPT, zeros + ones) as off_block:
-            pool.fill(zeros, ones)
-
-        # Online: pipelined chunks of pool fetches (§3.2 + §3.3).
-        channel = ctx.new_channel()
-        client_clock = VirtualClock()
-        server_clock = VirtualClock()
-
-        t_pk = channel.client_send(self.public_key_message(public), client_clock.now)
-        server_clock.wait_until(t_pk)
-        channel.server_recv()
-        comm_s = t_pk
-
-        fetch_s = 0.0
-        server_s = 0.0
-        misses_so_far = 0
-        aggregate = scheme.identity(public)
-
-        for offset, values in database.chunks(self.batch_size):
-            bits = selection[offset : offset + len(values)]
-
-            with ctx.compute(CLIENT, Op.POOL_FETCH, len(bits)) as fetch_block:
-                chunk_cts = [pool.take(bit) for bit in bits]
-            chunk_seconds = fetch_block.seconds
-            new_misses = pool.misses - misses_so_far
-            if new_misses:
-                with ctx.compute(CLIENT, Op.ENCRYPT, new_misses) as miss_block:
-                    pass
-                chunk_seconds += miss_block.seconds
-                misses_so_far = pool.misses
-            client_clock.advance(chunk_seconds)
-            fetch_s += chunk_seconds
-
-            message = self.vector_message(MSG_ENC_INDEX, chunk_cts, public, CLIENT)
-            arrival = channel.client_send(message, client_clock.now)
-            comm_s += ctx.link.seconds_per_message(message.wire_bytes)
-
-            server_clock.wait_until(arrival)
-            received = channel.server_recv()[0].payload
-            with ctx.compute(SERVER, Op.WEIGHTED_STEP, len(values)) as srv_block:
-                aggregate = scheme.weighted_product(
-                    public, received, values, initial=aggregate
-                )
-            server_clock.advance(srv_block.seconds)
-            server_s += srv_block.seconds
-
-        result_message = self.ciphertext_message(MSG_RESULT, aggregate, public, SERVER)
-        reply_started = server_clock.now
-        arrival = channel.server_send(result_message, server_clock.now)
-        comm_s += arrival - reply_started
-        client_clock.wait_until(arrival)
-        payload = channel.client_recv()[0].payload
-
-        with ctx.compute(CLIENT, Op.DECRYPT, 1) as dec_block:
-            value = scheme.decrypt(private, payload)
-        client_clock.advance(dec_block.seconds)
-
-        breakdown = TimingBreakdown(
-            client_encrypt_s=fetch_s,
-            server_compute_s=server_s,
-            communication_s=comm_s,
-            client_decrypt_s=dec_block.seconds,
-            offline_precompute_s=off_block.seconds,
-        )
-        return self.build_result(
-            value=value,
-            database=database,
-            m=m,
-            breakdown=breakdown,
-            makespan_s=client_clock.now,
-            channel=channel,
-            metadata={
-                "keygen_s": keygen_s,
-                "batch_size": self.batch_size,
-                "pool_misses": pool.misses,
-                "channel": channel,
-            },
-        )

@@ -32,17 +32,16 @@ paper measured this optimization only in Java, hence Figure 9's Java
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.crypto.ntheory import bytes_for_bits
 from repro.crypto.serialization import FRAME_HEADER_BYTES
 from repro.datastore.database import ServerDatabase
 from repro.exceptions import ParameterError, ProtocolError
 from repro.net.wire import Message
-from repro.spfe.base import MSG_ENC_INDEX, SelectedSumBase
+from repro.spfe.base import SelectedSumBase
 from repro.spfe.context import SERVER
 from repro.spfe.result import SumRunResult
-from repro.timing.clock import VirtualClock
 from repro.timing.costmodel import Op
 from repro.timing.report import TimingBreakdown
 
@@ -118,9 +117,8 @@ class MultiClientSelectedSumProtocol(SelectedSumBase):
         blinds.append(-sum(blinds) % blind_modulus)
 
         # ---- phase 1: k independent client/server interactions -------------
-        channels = []
-        client_clocks = [VirtualClock() for _ in range(k)]
-        server_clocks = [VirtualClock() for _ in range(k)]  # one worker each
+        # one server worker per client, so each round has its own clocks
+        rounds = []
         blinded_values: List[int] = []
         encrypt_s = server_s = comm_s = decrypt_s = 0.0
         keygen_total = 0.0
@@ -129,7 +127,7 @@ class MultiClientSelectedSumProtocol(SelectedSumBase):
             party = "client-%d" % i
             keypair, keygen_s = ctx.generate_keypair(party)
             keygen_total += keygen_s
-            public, private = keypair.public, keypair.private
+            public = keypair.public
 
             # The blinded partial sum must fit the client's plaintext space.
             worst = sum(selection) * (2**database.value_bits - 1) + blind_modulus
@@ -139,31 +137,18 @@ class MultiClientSelectedSumProtocol(SelectedSumBase):
                     "use larger keys or smaller sigma" % i
                 )
 
-            channel = ctx.new_channel()
-            channels.append(channel)
-            clock = client_clocks[i]
-            srv_clock = server_clocks[i]
-
-            t_pk = channel.client_send(self.public_key_message(public), clock.now)
-            srv_clock.wait_until(t_pk)
-            channel.server_recv()
+            rnd = self.open_round(keypair)
+            rounds.append(rnd)
 
             weights = [selection[j] for j in sl]
             values = [database[j] for j in sl]
 
-            with ctx.compute(party, Op.ENCRYPT, len(weights)) as enc_block:
-                cts = scheme.encrypt_vector(public, weights, ctx.rng)
-            clock.advance(enc_block.seconds)
-            encrypt_s += enc_block.seconds
+            cts, slice_encrypt_s = self.encrypt(public, weights, party)
+            rnd.client.advance(slice_encrypt_s)
+            encrypt_s += slice_encrypt_s
 
-            send_started = clock.now
-            last_arrival = send_started
-            for ct in cts:
-                msg = self.ciphertext_message(MSG_ENC_INDEX, ct, public, party)
-                last_arrival = channel.client_send(msg, clock.now)
-            comm_s += last_arrival - send_started
-            srv_clock.wait_until(last_arrival)
-            received = [channel.server_recv()[0].payload for _ in cts]
+            received, comm_up_s = self.upload(rnd, cts, sender=party)
+            comm_s += comm_up_s
 
             # Server worker i: partial product, then blinding.
             with ctx.compute(SERVER, Op.WEIGHTED_STEP, len(values)) as srv_block:
@@ -173,21 +158,18 @@ class MultiClientSelectedSumProtocol(SelectedSumBase):
             with ctx.compute(SERVER, Op.CIPHER_ADD, 1) as blind_add:
                 blinded = scheme.ciphertext_add(public, partial, enc_blind)
             srv_step = srv_block.seconds + blind_enc.seconds + blind_add.seconds
-            srv_clock.advance(srv_step)
+            rnd.server.advance(srv_step)
             server_s += srv_step
 
-            reply = self.ciphertext_message(MSG_BLINDED_PARTIAL, blinded, public, SERVER)
-            reply_started = srv_clock.now
-            arrival = channel.server_send(reply, srv_clock.now)
-            comm_s += arrival - reply_started
-            clock.wait_until(arrival)
-            payload = channel.client_recv()[0].payload
+            value, comm_down_s, partial_decrypt_s = self.reply_and_decrypt(
+                rnd, blinded, kind=MSG_BLINDED_PARTIAL, party=party
+            )
+            comm_s += comm_down_s
+            blinded_values.append(value)
+            decrypt_s += partial_decrypt_s
 
-            with ctx.compute(party, Op.DECRYPT, 1) as dec_block:
-                blinded_values.append(scheme.decrypt(private, payload))
-            clock.advance(dec_block.seconds)
-            decrypt_s += dec_block.seconds
-
+        channels = [rnd.channel for rnd in rounds]
+        client_clocks = [rnd.client for rnd in rounds]
         phase1_end = max(clock.now for clock in client_clocks)
 
         # ---- phase 2: ring combination and broadcast -------------------------
@@ -222,15 +204,6 @@ class MultiClientSelectedSumProtocol(SelectedSumBase):
         makespan = max(clock.now for clock in client_clocks)
         combine_s = makespan - phase1_end
 
-        bytes_up = sum(c.bytes_up for c in channels) + sum(
-            c.bytes_up for c in ring_channels
-        )
-        bytes_down = sum(c.bytes_down for c in channels)
-        messages = sum(
-            c.uplink.messages_sent + c.downlink.messages_sent
-            for c in channels + ring_channels
-        )
-
         breakdown = TimingBreakdown(
             client_encrypt_s=encrypt_s,
             server_compute_s=server_s,
@@ -238,27 +211,19 @@ class MultiClientSelectedSumProtocol(SelectedSumBase):
             client_decrypt_s=decrypt_s,
             combine_s=combine_s,
         )
-        metadata: Dict[str, Any] = {
-            "num_clients": k,
-            "blind_modulus_bits": blind_modulus.bit_length() - 1,  # B = 2^k
-            "keygen_s": keygen_total,
-            "phase1_s": phase1_end,
-            "channels": channels,
-            "ring_channels": ring_channels,
-        }
-        for channel in channels + ring_channels:
-            channel.drain_check()
-        return SumRunResult(
+        return self.build_result(
             value=total,
-            n=n,
+            database=database,
             m=m,
             breakdown=breakdown,
             makespan_s=makespan,
-            bytes_up=bytes_up,
-            bytes_down=bytes_down,
-            messages=messages,
-            scheme=scheme.name,
-            link=ctx.link.name,
-            protocol=self.protocol_name,
-            metadata=metadata,
+            channels=channels + ring_channels,
+            metadata={
+                "num_clients": k,
+                "blind_modulus_bits": blind_modulus.bit_length() - 1,  # B = 2^k
+                "keygen_s": keygen_total,
+                "phase1_s": phase1_end,
+                "channels": channels,
+                "ring_channels": ring_channels,
+            },
         )

@@ -41,8 +41,8 @@ from repro.crypto.scheme import SchemeKeyPair
 from repro.crypto.serialization import FRAME_HEADER_BYTES
 from repro.datastore.database import ServerDatabase
 from repro.exceptions import ParameterError, ProtocolError
-from repro.spfe.base import MSG_ENC_INDEX, MSG_RESULT, SelectedSumBase
-from repro.spfe.context import CLIENT, ExecutionContext
+from repro.spfe.base import SelectedSumBase
+from repro.spfe.context import CLIENT, SERVER, ExecutionContext
 from repro.spfe.result import SumRunResult
 from repro.timing.clock import VirtualClock
 from repro.timing.costmodel import Op
@@ -105,11 +105,8 @@ class DistributedSelectedSumProtocol(SelectedSumBase):
         )
         m = self.validate_inputs(combined, selection)
 
-        keygen_s = 0.0
-        if keypair is None:
-            keypair, keygen_s = ctx.generate_keypair(CLIENT)
-        public, private = keypair.public, keypair.private
-        self.check_capacity(combined, selection, public)
+        keypair, keygen_s = self.setup_keys(combined, selection, keypair)
+        public = keypair.public
 
         blinds = (
             self._blinds(combined, len(databases)) if self.hide_partials else None
@@ -123,14 +120,10 @@ class DistributedSelectedSumProtocol(SelectedSumBase):
                     "blinded distributed sum can wrap the plaintext space"
                 )
 
-        channels = [ctx.new_channel() for _ in databases]
-        client_clock = VirtualClock()
-        server_clocks = [VirtualClock() for _ in databases]
-
         # Client encrypts the whole vector once.
-        with ctx.compute(CLIENT, Op.ENCRYPT, total_n) as enc_block:
-            ciphertexts = scheme.encrypt_vector(public, selection, ctx.rng)
-        client_clock.advance(enc_block.seconds)
+        client_clock = VirtualClock()
+        ciphertexts, encrypt_s = self.encrypt(public, selection)
+        client_clock.advance(encrypt_s)
 
         # Coordinator blinding distribution: server 0 sends each peer its
         # share over server-to-server links (same medium), off the
@@ -153,47 +146,37 @@ class DistributedSelectedSumProtocol(SelectedSumBase):
         # clock advances to the *latest* reply arrival, so the makespan
         # reflects genuinely parallel servers.
         server_s = comm_s = 0.0
-        fan_out_time = client_clock.now
+        rounds = []
         reply_arrivals = []
         offset = 0
         for j, database in enumerate(databases):
-            channel = channels[j]
-            srv_clock = server_clocks[j]
+            rnd = self.open_round(keypair, client=client_clock)
+            rounds.append(rnd)
+            received, comm_up_s = self.upload(
+                rnd, ciphertexts[offset : offset + len(database)]
+            )
+            comm_s += comm_up_s
 
-            t_pk = channel.client_send(self.public_key_message(public), fan_out_time)
-            srv_clock.wait_until(t_pk)
-            channel.server_recv()
-
-            slice_cts = ciphertexts[offset : offset + len(database)]
-            last_arrival = fan_out_time
-            for ct in slice_cts:
-                msg = self.ciphertext_message(MSG_ENC_INDEX, ct, public, CLIENT)
-                last_arrival = channel.client_send(msg, fan_out_time)
-            comm_s += last_arrival - fan_out_time
-            srv_clock.wait_until(last_arrival)
-            received = [channel.server_recv()[0].payload for _ in slice_cts]
-
-            with ctx.compute("server", Op.WEIGHTED_STEP, len(database)) as srv_block:
+            with ctx.compute(SERVER, Op.WEIGHTED_STEP, len(database)) as srv_block:
                 partial = scheme.weighted_product(public, received, database.values)
             step_s = srv_block.seconds
             if blinds is not None:
-                with ctx.compute("server", Op.ENCRYPT, 1) as blind_enc:
+                with ctx.compute(SERVER, Op.ENCRYPT, 1) as blind_enc:
                     enc_blind = scheme.encrypt(public, blinds[j], ctx.rng)
-                with ctx.compute("server", Op.CIPHER_ADD, 1) as blind_add:
+                with ctx.compute(SERVER, Op.CIPHER_ADD, 1) as blind_add:
                     partial = scheme.ciphertext_add(public, partial, enc_blind)
                 step_s += blind_enc.seconds + blind_add.seconds
-            srv_clock.advance(step_s)
+            rnd.server.advance(step_s)
             server_s += step_s
 
-            reply = self.ciphertext_message(MSG_RESULT, partial, public, "server")
-            reply_started = srv_clock.now
-            arrival = channel.server_send(reply, srv_clock.now)
+            reply_started = rnd.server.now
+            arrival = self.reply(rnd, partial)
             comm_s += arrival - reply_started
             reply_arrivals.append(arrival)
             offset += len(database)
 
         client_clock.wait_until(max(reply_arrivals))
-        replies = [channel.client_recv()[0].payload for channel in channels]
+        replies = [rnd.channel.client_recv()[0].payload for rnd in rounds]
 
         # Client combines the k encrypted partials and decrypts once.
         with ctx.compute(CLIENT, Op.CIPHER_ADD, len(replies) - 1) as add_block:
@@ -202,9 +185,8 @@ class DistributedSelectedSumProtocol(SelectedSumBase):
                 aggregate = scheme.ciphertext_add(public, aggregate, reply)
         client_clock.advance(add_block.seconds)
 
-        with ctx.compute(CLIENT, Op.DECRYPT, 1) as dec_block:
-            raw_value = scheme.decrypt(private, aggregate)
-        client_clock.advance(dec_block.seconds)
+        # every round runs on the one client clock under the one key pair
+        raw_value, decrypt_s = self.decrypt(rounds[0], aggregate)
 
         if blinds is not None:
             # Sum of blinds ≡ 0 (mod B); the raw value carries the exact
@@ -213,29 +195,21 @@ class DistributedSelectedSumProtocol(SelectedSumBase):
         else:
             value = raw_value
 
-        for channel in channels:
-            channel.drain_check()
+        channels = [rnd.channel for rnd in rounds]
         breakdown = TimingBreakdown(
-            client_encrypt_s=enc_block.seconds,
+            client_encrypt_s=encrypt_s,
             server_compute_s=server_s,
             communication_s=comm_s + blind_comm_s,
-            client_decrypt_s=dec_block.seconds,
+            client_decrypt_s=decrypt_s,
             combine_s=add_block.seconds,
         )
-        return SumRunResult(
+        return self.build_result(
             value=value,
-            n=total_n,
+            database=combined,
             m=m,
             breakdown=breakdown,
             makespan_s=client_clock.now,
-            bytes_up=sum(c.bytes_up for c in channels),
-            bytes_down=sum(c.bytes_down for c in channels),
-            messages=sum(
-                c.uplink.messages_sent + c.downlink.messages_sent for c in channels
-            ),
-            scheme=scheme.name,
-            link=ctx.link.name,
-            protocol=self.protocol_name,
+            channels=channels,
             metadata={
                 "keygen_s": keygen_s,
                 "num_servers": len(databases),

@@ -29,11 +29,10 @@ from typing import Tuple
 
 from repro.datastore.database import ServerDatabase
 from repro.exceptions import ParameterError
-from repro.spfe.base import MSG_ENC_INDEX, MSG_RESULT, SelectedSumBase
+from repro.spfe.base import SelectedSumBase
 from repro.spfe.context import CLIENT, SERVER
 from repro.spfe.result import SumRunResult
 from repro.spfe.selected_sum import SelectedSumProtocol
-from repro.timing.clock import VirtualClock
 from repro.timing.costmodel import Op
 from repro.timing.report import TimingBreakdown
 
@@ -86,33 +85,19 @@ class SquareRootPIRProtocol(SelectedSumBase):
         target_row, target_col = divmod(index, cols)
 
         keypair, keygen_s = ctx.generate_keypair(CLIENT)
-        public, private = keypair.public, keypair.private
+        public = keypair.public
         # Capacity: the fold is sum of a one-hot against one column.
         if 2**database.value_bits >= scheme.plaintext_modulus(public):
             raise ParameterError("element range exceeds plaintext space")
 
-        channel = ctx.new_channel()
-        client_clock = VirtualClock()
-        server_clock = VirtualClock()
-
-        t_pk = channel.client_send(self.public_key_message(public), client_clock.now)
-        server_clock.wait_until(t_pk)
-        channel.server_recv()
+        rnd = self.open_round(keypair)
 
         # Client: encrypted one-hot ROW indicator (rows ciphertexts).
         indicator = [1 if r == target_row else 0 for r in range(rows)]
-        with ctx.compute(CLIENT, Op.ENCRYPT, rows) as enc_block:
-            enc_indicator = scheme.encrypt_vector(public, indicator, ctx.rng)
-        client_clock.advance(enc_block.seconds)
-
-        send_started = client_clock.now
-        last_arrival = send_started
-        for ct in enc_indicator:
-            msg = self.ciphertext_message(MSG_ENC_INDEX, ct, public, CLIENT)
-            last_arrival = channel.client_send(msg, client_clock.now)
-        comm_s = (last_arrival - send_started) + t_pk
-        server_clock.wait_until(last_arrival)
-        received = [channel.server_recv()[0].payload for _ in enc_indicator]
+        enc_indicator, encrypt_s = self.encrypt(public, indicator)
+        rnd.client.advance(encrypt_s)
+        received, comm_up_s = self.upload(rnd, enc_indicator)
+        comm_s = comm_up_s + rnd.key_arrival
 
         # Server: fold every column against the indicator.
         with ctx.compute(SERVER, Op.WEIGHTED_STEP, rows * cols) as srv_block:
@@ -125,38 +110,35 @@ class SquareRootPIRProtocol(SelectedSumBase):
                 column_folds.append(
                     scheme.weighted_product(public, received, column)
                 )
-        server_clock.advance(srv_block.seconds)
+        rnd.server.advance(srv_block.seconds)
 
         # Server returns one ciphertext per column (the chosen row,
         # encrypted element-wise).
-        reply_started = server_clock.now
+        reply_started = rnd.server.now
         arrival = reply_started
         for fold in column_folds:
-            msg = self.ciphertext_message(MSG_RESULT, fold, public, SERVER)
-            arrival = channel.server_send(msg, server_clock.now)
+            arrival = self.reply(rnd, fold)
         comm_s += arrival - reply_started
-        client_clock.wait_until(arrival)
-        payloads = [channel.client_recv()[0].payload for _ in column_folds]
+        rnd.client.wait_until(arrival)
+        payloads = [rnd.channel.client_recv()[0].payload for _ in column_folds]
 
         # Client decrypts only the column it needs (could decrypt all —
         # the whole row is information-theoretically in its hands).
-        with ctx.compute(CLIENT, Op.DECRYPT, 1) as dec_block:
-            value = scheme.decrypt(private, payloads[target_col])
-        client_clock.advance(dec_block.seconds)
+        value, decrypt_s = self.decrypt(rnd, payloads[target_col])
 
         breakdown = TimingBreakdown(
-            client_encrypt_s=enc_block.seconds,
+            client_encrypt_s=encrypt_s,
             server_compute_s=srv_block.seconds,
             communication_s=comm_s,
-            client_decrypt_s=dec_block.seconds,
+            client_decrypt_s=decrypt_s,
         )
-        result = self.build_result(
+        return self.build_result(
             value=value,
             database=database,
             m=1,
             breakdown=breakdown,
-            makespan_s=client_clock.now,
-            channel=channel,
+            makespan_s=rnd.client.now,
+            channels=[rnd.channel],
             metadata={
                 "keygen_s": keygen_s,
                 "grid": (rows, cols),
@@ -164,7 +146,6 @@ class SquareRootPIRProtocol(SelectedSumBase):
                 "reveals_to_client": "one row (%d elements)" % cols,
                 "uplink_ciphertexts": rows,
                 "downlink_ciphertexts": cols,
-                "channel": channel,
+                "channel": rnd.channel,
             },
         )
-        return result

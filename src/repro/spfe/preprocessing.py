@@ -21,18 +21,16 @@ single-use and counts underflows.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.rng import as_random_source
-from repro.crypto.scheme import AdditiveHomomorphicScheme, SchemeKeyPair
+from repro.crypto.scheme import AdditiveHomomorphicScheme
 from repro.datastore.database import ServerDatabase
 from repro.exceptions import ParameterError, ProtocolError
-from repro.spfe.base import MSG_ENC_INDEX, MSG_RESULT, SelectedSumBase
-from repro.spfe.context import CLIENT, SERVER
-from repro.spfe.result import SumRunResult
-from repro.timing.clock import VirtualClock
+from repro.spfe.base import SelectedSumBase
+from repro.spfe.context import CLIENT
+from repro.spfe.selected_sum import SelectedSumProtocol
 from repro.timing.costmodel import Op
-from repro.timing.report import TimingBreakdown
 
 __all__ = ["EncryptionPool", "PreprocessedSelectedSumProtocol"]
 
@@ -88,12 +86,85 @@ class EncryptionPool:
         return len(self._store[bit])
 
 
-class PreprocessedSelectedSumProtocol(SelectedSumBase):
-    """Selected sum with the §3.3 offline-encryption optimization.
+class PooledClient(SelectedSumBase):
+    """The §3.3 ciphertext source, for any round that takes the
+    :meth:`~repro.spfe.base.SelectedSumBase.client_ciphertexts` hook.
+
+    Offline, the client fills an :class:`EncryptionPool` with
+    ``pool_zeros`` 0-bits and ``pool_ones`` 1-bits (each defaults to the
+    database size, enough for any selection: the paper's "large
+    number"), charged at :attr:`Op.ENCRYPT`.  Online it fetches one
+    pooled ciphertext per bit, charged at :attr:`Op.POOL_FETCH`; a bit
+    the dry pool had to encrypt online is charged at full encryption
+    cost on top.
 
     Only 0/1 selections are supported: the preprocessing trick relies on
     the index alphabet being tiny.  (Weighted sums would need a pool per
     weight value; the paper does not pursue that and neither do we.)
+    """
+
+    pool_zeros: Optional[int]
+    pool_ones: Optional[int]
+
+    def validate_inputs(
+        self, database: ServerDatabase, selection: Sequence[int]
+    ) -> int:
+        """The base checks, plus a 0/1 selection (pools are per bit)."""
+        m = super().validate_inputs(database, selection)
+        if any(w not in (0, 1) for w in selection):
+            raise ProtocolError(
+                "%s protocol requires a 0/1 selection vector "
+                "(pools are per index value)" % self.protocol_name
+            )
+        return m
+
+    def pool_sizes(self, database: ServerDatabase) -> Tuple[int, int]:
+        """How many 0-bits and 1-bits the offline phase encrypts."""
+        zeros = self.pool_zeros if self.pool_zeros is not None else len(database)
+        ones = self.pool_ones if self.pool_ones is not None else len(database)
+        return zeros, ones
+
+    def prepare_client(
+        self, database: ServerDatabase, public_key: Any
+    ) -> Tuple[EncryptionPool, float]:
+        """Offline: fill the pool, charged at :attr:`Op.ENCRYPT`."""
+        zeros, ones = self.pool_sizes(database)
+        pool = EncryptionPool(self.ctx.scheme, public_key, self.ctx.rng)
+        with self.ctx.compute(CLIENT, Op.ENCRYPT, zeros + ones) as block:
+            pool.fill(zeros, ones)
+        return pool, block.seconds
+
+    def client_ciphertexts(
+        self, prepared: EncryptionPool, public_key: Any, weights: Sequence[int]
+    ) -> Tuple[List[Any], float]:
+        """Online: one pooled ciphertext per bit, plus any dry-pool
+        encryptions charged at full cost."""
+        ctx = self.ctx
+        misses_before = prepared.misses
+        with ctx.compute(CLIENT, Op.POOL_FETCH, len(weights)) as fetch_block:
+            ciphertexts = [prepared.take(bit) for bit in weights]
+        seconds = fetch_block.seconds
+        new_misses = prepared.misses - misses_before
+        if new_misses:
+            with ctx.compute(CLIENT, Op.ENCRYPT, new_misses) as miss_block:
+                pass
+            seconds += miss_block.seconds
+        return ciphertexts, seconds
+
+    def client_metadata(
+        self, database: ServerDatabase, prepared: EncryptionPool
+    ) -> Dict[str, Any]:
+        """How many bits the dry pool had to encrypt online."""
+        return {"pool_misses": prepared.misses}
+
+
+class PreprocessedSelectedSumProtocol(PooledClient, SelectedSumProtocol):
+    """Selected sum with the §3.3 offline-encryption optimization: the
+    plain round of :class:`~repro.spfe.selected_sum.SelectedSumProtocol`
+    over a :class:`PooledClient` ciphertext source.
+
+    The online client time (``client_encrypt_s``) is the pool fetches
+    plus any dry-pool encryptions; the fill is ``offline_precompute_s``.
     """
 
     protocol_name = "preprocessed"
@@ -110,98 +181,13 @@ class PreprocessedSelectedSumProtocol(SelectedSumBase):
         self.pool_zeros = pool_zeros
         self.pool_ones = pool_ones
 
-    def run(
-        self,
-        database: ServerDatabase,
-        selection: Sequence[int],
-        keypair: Optional[SchemeKeyPair] = None,
-    ) -> SumRunResult:
-        """Fill the pool offline, then run the online phase (see class docstring)."""
-        ctx = self.ctx
-        scheme = ctx.scheme
-        m = self.validate_inputs(database, selection)
-        if any(w not in (0, 1) for w in selection):
-            raise ProtocolError(
-                "preprocessing requires a 0/1 selection vector "
-                "(pools are per index value)"
-            )
-
-        keygen_s = 0.0
-        if keypair is None:
-            keypair, keygen_s = ctx.generate_keypair(CLIENT)
-        public, private = keypair.public, keypair.private
-        self.check_capacity(database, selection, public)
-
-        # ---- offline phase: fill the pool before the query exists ----
-        zeros = self.pool_zeros if self.pool_zeros is not None else len(database)
-        ones = self.pool_ones if self.pool_ones is not None else len(database)
-        pool = EncryptionPool(scheme, public, ctx.rng)
-        with ctx.compute(CLIENT, Op.ENCRYPT, zeros + ones) as off_block:
-            pool.fill(zeros, ones)
-        offline_s = off_block.seconds
-
-        # ---- online phase -------------------------------------------------
-        channel = ctx.new_channel()
-        client_clock = VirtualClock()
-        server_clock = VirtualClock()
-
-        t_pk = channel.client_send(self.public_key_message(public), client_clock.now)
-        server_clock.wait_until(t_pk)
-        channel.server_recv()
-
-        with ctx.compute(CLIENT, Op.POOL_FETCH, len(selection)) as fetch_block:
-            ciphertexts = [pool.take(bit) for bit in selection]
-        client_clock.advance(fetch_block.seconds)
-        online_misses = pool.misses
-        if online_misses:  # charge dry-pool encryptions at full cost
-            with ctx.compute(CLIENT, Op.ENCRYPT, online_misses) as miss_block:
-                pass
-            client_clock.advance(miss_block.seconds)
-            fetch_block.seconds += miss_block.seconds
-
-        send_started = client_clock.now
-        last_arrival = send_started
-        for ct in ciphertexts:
-            message = self.ciphertext_message(MSG_ENC_INDEX, ct, public, CLIENT)
-            last_arrival = channel.client_send(message, client_clock.now)
-        comm_up_s = last_arrival - send_started
-        server_clock.wait_until(last_arrival)
-        received = [channel.server_recv()[0].payload for _ in ciphertexts]
-
-        with ctx.compute(SERVER, Op.WEIGHTED_STEP, len(database)) as srv_block:
-            aggregate = scheme.weighted_product(public, received, database.values)
-        server_clock.advance(srv_block.seconds)
-
-        result_message = self.ciphertext_message(MSG_RESULT, aggregate, public, SERVER)
-        reply_started = server_clock.now
-        arrival = channel.server_send(result_message, server_clock.now)
-        comm_down_s = arrival - reply_started
-        client_clock.wait_until(arrival)
-        payload = channel.client_recv()[0].payload
-
-        with ctx.compute(CLIENT, Op.DECRYPT, 1) as dec_block:
-            value = scheme.decrypt(private, payload)
-        client_clock.advance(dec_block.seconds)
-
-        breakdown = TimingBreakdown(
-            client_encrypt_s=fetch_block.seconds,  # online client processing
-            server_compute_s=srv_block.seconds,
-            communication_s=comm_up_s + comm_down_s,
-            client_decrypt_s=dec_block.seconds,
-            offline_precompute_s=offline_s,
-        )
-        return self.build_result(
-            value=value,
-            database=database,
-            m=m,
-            breakdown=breakdown,
-            makespan_s=client_clock.now,
-            channel=channel,
-            metadata={
-                "keygen_s": keygen_s,
-                "pool_zeros": zeros,
-                "pool_ones": ones,
-                "pool_misses": online_misses,
-                "channel": channel,
-            },
-        )
+    def client_metadata(
+        self, database: ServerDatabase, prepared: EncryptionPool
+    ) -> Dict[str, Any]:
+        """The pool's fill sizes as well as its misses."""
+        zeros, ones = self.pool_sizes(database)
+        return {
+            "pool_zeros": zeros,
+            "pool_ones": ones,
+            **super().client_metadata(database, prepared),
+        }

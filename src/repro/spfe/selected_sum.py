@@ -26,14 +26,9 @@ from typing import Optional, Sequence
 
 from repro.crypto.scheme import SchemeKeyPair
 from repro.datastore.database import ServerDatabase
-from repro.spfe.base import (
-    MSG_ENC_INDEX,
-    MSG_RESULT,
-    SelectedSumBase,
-)
-from repro.spfe.context import CLIENT, SERVER, ExecutionContext
+from repro.spfe.base import SelectedSumBase
+from repro.spfe.context import SERVER, ExecutionContext
 from repro.spfe.result import SumRunResult
-from repro.timing.clock import VirtualClock
 from repro.timing.costmodel import Op
 from repro.timing.report import TimingBreakdown
 
@@ -41,7 +36,12 @@ __all__ = ["SelectedSumProtocol", "private_selected_sum"]
 
 
 class SelectedSumProtocol(SelectedSumBase):
-    """The plain (unoptimized) client/server protocol of Figure 1."""
+    """The plain (unoptimized) client/server protocol of Figure 1.
+
+    Its :meth:`run` is the unpipelined round for any ciphertext source:
+    :class:`~repro.spfe.preprocessing.PreprocessedSelectedSumProtocol`
+    runs it with pooled ciphertexts.
+    """
 
     protocol_name = "plain"
 
@@ -66,72 +66,46 @@ class SelectedSumProtocol(SelectedSumBase):
             component breakdown of Figures 2/3.
         """
         ctx = self.ctx
-        scheme = ctx.scheme
         m = self.validate_inputs(database, selection)
+        keypair, keygen_s = self.setup_keys(database, selection, keypair)
+        public = keypair.public
+        prepared, offline_s = self.prepare_client(database, public)
+        rnd = self.open_round(keypair)
 
-        keygen_s = 0.0
-        if keypair is None:
-            keypair, keygen_s = ctx.generate_keypair(CLIENT)
-        public, private = keypair.public, keypair.private
-        self.check_capacity(database, selection, public)
-
-        channel = ctx.new_channel()
-        client_clock = VirtualClock()
-        server_clock = VirtualClock()
-
-        # Client announces its public key (tiny, one-time).
-        t_pk = channel.client_send(self.public_key_message(public), client_clock.now)
-        server_clock.wait_until(t_pk)
-        channel.server_recv()
-
-        # Phase 1 — client encrypts its whole weight vector.
-        with ctx.compute(CLIENT, Op.ENCRYPT, len(selection)) as enc_block:
-            ciphertexts = scheme.encrypt_vector(public, selection, ctx.rng)
-        client_clock.advance(enc_block.seconds)
+        # Phase 1 — the client produces its whole ciphertext vector.
+        ciphertexts, client_s = self.client_ciphertexts(prepared, public, selection)
+        rnd.client.advance(client_s)
 
         # Phase 2 — ship every ciphertext (one framed message each).
-        send_started = client_clock.now
-        last_arrival = send_started
-        for ct in ciphertexts:
-            message = self.ciphertext_message(MSG_ENC_INDEX, ct, public, CLIENT)
-            last_arrival = channel.client_send(message, client_clock.now)
-        comm_up_s = last_arrival - send_started
-        server_clock.wait_until(last_arrival)
-
-        received = [channel.server_recv()[0].payload for _ in ciphertexts]
+        received, comm_up_s = self.upload(rnd, ciphertexts)
 
         # Phase 3 — the server's single pass: v = prod E(I_i)^{x_i}.
         with ctx.compute(SERVER, Op.WEIGHTED_STEP, len(database)) as srv_block:
-            aggregate = scheme.weighted_product(public, received, database.values)
-        server_clock.advance(srv_block.seconds)
+            aggregate = ctx.scheme.weighted_product(public, received, database.values)
+        rnd.server.advance(srv_block.seconds)
 
-        # Phase 4 — return the (single) encrypted sum.
-        result_message = self.ciphertext_message(MSG_RESULT, aggregate, public, SERVER)
-        reply_started = server_clock.now
-        arrival = channel.server_send(result_message, server_clock.now)
-        comm_down_s = arrival - reply_started
-        client_clock.wait_until(arrival)
-        payload = channel.client_recv()[0].payload
-
-        # Phase 5 — client decrypts the sum.
-        with ctx.compute(CLIENT, Op.DECRYPT, 1) as dec_block:
-            value = scheme.decrypt(private, payload)
-        client_clock.advance(dec_block.seconds)
+        # Phase 4 — return the (single) encrypted sum; the client decrypts.
+        value, comm_down_s, decrypt_s = self.reply_and_decrypt(rnd, aggregate)
 
         breakdown = TimingBreakdown(
-            client_encrypt_s=enc_block.seconds,
+            client_encrypt_s=client_s,
             server_compute_s=srv_block.seconds,
             communication_s=comm_up_s + comm_down_s,
-            client_decrypt_s=dec_block.seconds,
+            client_decrypt_s=decrypt_s,
+            offline_precompute_s=offline_s,
         )
         return self.build_result(
             value=value,
             database=database,
             m=m,
             breakdown=breakdown,
-            makespan_s=client_clock.now,
-            channel=channel,
-            metadata={"keygen_s": keygen_s, "channel": channel},
+            makespan_s=rnd.client.now,
+            channels=[rnd.channel],
+            metadata={
+                "keygen_s": keygen_s,
+                **self.client_metadata(database, prepared),
+                "channel": rnd.channel,
+            },
         )
 
 

@@ -31,10 +31,9 @@ from repro.crypto.serialization import FRAME_HEADER_BYTES
 from repro.datastore.database import ServerDatabase
 from repro.exceptions import ParameterError
 from repro.net.wire import Message
-from repro.spfe.base import MSG_ENC_INDEX, MSG_RESULT, SelectedSumBase
+from repro.spfe.base import SelectedSumBase
 from repro.spfe.context import CLIENT, SERVER
 from repro.spfe.result import SumRunResult
-from repro.timing.clock import VirtualClock
 from repro.timing.costmodel import Op
 from repro.timing.report import TimingBreakdown
 
@@ -77,27 +76,19 @@ class PartialPrivacySumProtocol(SelectedSumBase):
     ) -> SumRunResult:
         """Reveal the decoy superset, then run the private sum over it."""
         ctx = self.ctx
-        scheme = ctx.scheme
         m = self.validate_inputs(database, selection)
         if any(w not in (0, 1) for w in selection):
             raise ParameterError("partial-privacy protocol needs a 0/1 selection")
         if m == 0:
             raise ParameterError("empty selection")
 
-        keypair, keygen_s = ctx.generate_keypair(CLIENT)
-        public, private = keypair.public, keypair.private
-        self.check_capacity(database, selection, public)
+        keypair, keygen_s = self.setup_keys(database, selection)
+        public = keypair.public
 
         superset = self.build_superset(len(database), selection)
         s = len(superset)
 
-        channel = ctx.new_channel()
-        client_clock = VirtualClock()
-        server_clock = VirtualClock()
-
-        t_pk = channel.client_send(self.public_key_message(public), client_clock.now)
-        server_clock.wait_until(t_pk)
-        channel.server_recv()
+        rnd = self.open_round(keypair)
 
         # The superset travels in the clear — this is the revealed part.
         superset_msg = Message(
@@ -106,61 +97,45 @@ class PartialPrivacySumProtocol(SelectedSumBase):
             s * _INDEX_BYTES + FRAME_HEADER_BYTES,
             CLIENT,
         )
-        arrival = channel.client_send(superset_msg, client_clock.now)
-        comm_s = arrival - client_clock.now + t_pk
-        server_clock.wait_until(arrival)
-        channel.server_recv()
+        arrival = rnd.channel.client_send(superset_msg, rnd.client.now)
+        comm_s = arrival - rnd.client.now + rnd.key_arrival
+        rnd.server.wait_until(arrival)
+        rnd.channel.server_recv()
 
         # Private protocol over the s candidates only.
         sub_selection = [selection[i] for i in superset]
-        with ctx.compute(CLIENT, Op.ENCRYPT, s) as enc_block:
-            ciphertexts = scheme.encrypt_vector(public, sub_selection, ctx.rng)
-        client_clock.advance(enc_block.seconds)
-
-        send_started = client_clock.now
-        last_arrival = send_started
-        for ct in ciphertexts:
-            msg = self.ciphertext_message(MSG_ENC_INDEX, ct, public, CLIENT)
-            last_arrival = channel.client_send(msg, client_clock.now)
-        comm_s += last_arrival - send_started
-        server_clock.wait_until(last_arrival)
-        received = [channel.server_recv()[0].payload for _ in ciphertexts]
+        ciphertexts, encrypt_s = self.encrypt(public, sub_selection)
+        rnd.client.advance(encrypt_s)
+        received, comm_up_s = self.upload(rnd, ciphertexts)
+        comm_s += comm_up_s
 
         sub_values = [database[i] for i in superset]
         with ctx.compute(SERVER, Op.WEIGHTED_STEP, s) as srv_block:
-            aggregate = scheme.weighted_product(public, received, sub_values)
-        server_clock.advance(srv_block.seconds)
+            aggregate = ctx.scheme.weighted_product(public, received, sub_values)
+        rnd.server.advance(srv_block.seconds)
 
-        result_msg = self.ciphertext_message(MSG_RESULT, aggregate, public, SERVER)
-        reply_started = server_clock.now
-        arrival = channel.server_send(result_msg, server_clock.now)
-        comm_s += arrival - reply_started
-        client_clock.wait_until(arrival)
-        payload = channel.client_recv()[0].payload
-
-        with ctx.compute(CLIENT, Op.DECRYPT, 1) as dec_block:
-            value = scheme.decrypt(private, payload)
-        client_clock.advance(dec_block.seconds)
+        value, comm_down_s, decrypt_s = self.reply_and_decrypt(rnd, aggregate)
+        comm_s += comm_down_s
 
         breakdown = TimingBreakdown(
-            client_encrypt_s=enc_block.seconds,
+            client_encrypt_s=encrypt_s,
             server_compute_s=srv_block.seconds,
             communication_s=comm_s,
-            client_decrypt_s=dec_block.seconds,
+            client_decrypt_s=decrypt_s,
         )
         return self.build_result(
             value=value,
             database=database,
             m=m,
             breakdown=breakdown,
-            makespan_s=client_clock.now,
-            channel=channel,
+            makespan_s=rnd.client.now,
+            channels=[rnd.channel],
             metadata={
                 "keygen_s": keygen_s,
                 "superset_size": s,
                 "anonymity_ratio": m / s,
                 "candidate_fraction": s / len(database),
                 "leaks": ["candidate-superset"],
-                "channel": channel,
+                "channel": rnd.channel,
             },
         )

@@ -5,7 +5,7 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.timing.clock import PipelineSchedule, Stopwatch, VirtualClock
+    from repro.timing.clock import PipelineSchedule, VirtualClock
     from repro.timing.costmodel import HardwareProfile, Op, calibrate_profile, profiles
     from repro.timing.report import TimingBreakdown, seconds_to_minutes
 
@@ -13,7 +13,6 @@ __all__ = [
     "HardwareProfile",
     "Op",
     "PipelineSchedule",
-    "Stopwatch",
     "TimingBreakdown",
     "VirtualClock",
     "calibrate_profile",
@@ -22,7 +21,7 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.timing.clock": ("PipelineSchedule", "Stopwatch", "VirtualClock"),
+    "repro.timing.clock": ("PipelineSchedule", "VirtualClock"),
     "repro.timing.costmodel": (
         "HardwareProfile",
         "Op",

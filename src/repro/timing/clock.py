@@ -5,8 +5,10 @@ Two ways a protocol run gets its durations:
 * **Modelled** (the default for paper-scale experiments): a
   :class:`VirtualClock` advances by cost-model charges; nothing waits in
   real time.
-* **Measured** (live runs of the real cryptosystem): a :class:`Stopwatch`
-  measures each phase with ``time.perf_counter``.
+* **Measured** (live runs of the real cryptosystem): each block of
+  party work is timed with ``time.perf_counter`` by
+  :class:`~repro.spfe.context.ComputeBlock`, and the clock advances by
+  the measured seconds.
 
 :class:`PipelineSchedule` implements the timing recurrence of the
 paper's §3.2 batching optimization: three resources (client CPU, link,
@@ -17,13 +19,12 @@ makespan is what Figure 4 plots.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.exceptions import ParameterError
 
-__all__ = ["VirtualClock", "Stopwatch", "PipelineSchedule"]
+__all__ = ["VirtualClock", "PipelineSchedule"]
 
 
 class VirtualClock:
@@ -48,28 +49,6 @@ class VirtualClock:
         if t > self._now:
             self._now = t
         return self._now
-
-
-class Stopwatch:
-    """Accumulating wall-clock stopwatch (context-manager based).
-
-    >>> sw = Stopwatch()
-    >>> with sw:
-    ...     _ = sum(range(1000))
-    >>> sw.elapsed > 0
-    True
-    """
-
-    def __init__(self) -> None:
-        self.elapsed = 0.0
-        self._entered_at = 0.0
-
-    def __enter__(self) -> "Stopwatch":
-        self._entered_at = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.elapsed += time.perf_counter() - self._entered_at
 
 
 @dataclass

@@ -1,12 +1,10 @@
 """Tests for :mod:`repro.timing.clock` and :mod:`repro.timing.report`."""
 
-import time
-
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.exceptions import ParameterError
-from repro.timing.clock import PipelineSchedule, Stopwatch, VirtualClock
+from repro.timing.clock import PipelineSchedule, VirtualClock
 from repro.timing.report import TimingBreakdown, seconds_to_minutes
 
 
@@ -27,23 +25,6 @@ class TestVirtualClock:
         assert clock.now == 10.0
         clock.wait_until(12.0)
         assert clock.now == 12.0
-
-
-class TestStopwatch:
-    def test_measures_elapsed(self):
-        sw = Stopwatch()
-        with sw:
-            time.sleep(0.01)
-        assert sw.elapsed >= 0.009
-
-    def test_accumulates(self):
-        sw = Stopwatch()
-        with sw:
-            time.sleep(0.005)
-        first = sw.elapsed
-        with sw:
-            time.sleep(0.005)
-        assert sw.elapsed > first
 
 
 class TestPipelineSchedule:
