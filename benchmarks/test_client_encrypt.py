@@ -1,20 +1,25 @@
 """Client encryption gate: the per-prime fixed-base obfuscator sampler.
 
-:class:`~repro.spfe.session.ClientSession` encrypts through
-``PaillierPrivateKey.encrypt_raw_crt``, which draws each obfuscator
-from two per-prime fixed-base tables of a certified generator instead
-of computing ``r^n mod n^2``.  At the paper's 512-bit keys and 200
-seeded draws this asserts three things: every ciphertext decrypts to
-its plaintext; the sampler is at least ``MIN_SPEEDUP`` times faster
-than the textbook ``pow(r, n, n^2)`` obfuscator; and each per-prime
+The key owner's ``PaillierPrivateKey.encrypt_raw_crt`` draws each
+obfuscator from two per-prime fixed-base tables of a certified
+generator instead of computing ``r^n mod n^2``.  At the paper's
+512-bit keys and 200 seeded draws this asserts three things: every
+ciphertext decrypts to its plaintext; the sampler is at least
+``MIN_SPEEDUP`` times faster than the textbook ``pow(r, n, n^2)``
+obfuscator; and each per-prime
 :class:`~repro.crypto.multiexp.TeichmullerTable` (half-width residues
 mod ``p`` and their Fermat quotients) returns what a full-width
 :class:`~repro.crypto.multiexp.FixedBaseTable` of the same lift mod
 ``p^2`` returns, at least ``MIN_HALF_WIDTH_SPEEDUP`` times faster.  The
-tables are built before timing (a one-time per-key cost).  Exactness
-in distribution is checked exhaustively on small keys in
-``tests/crypto/test_paillier.py``; seeded bytes differ from the
-textbook path by design.
+tables are built before timing (a one-time per-key cost).
+
+:class:`~repro.spfe.session.ClientSession` encrypts each chunk through
+the batch path ``encrypt_raw_crt_many`` (one randomness call per round
+of draws, the plaintext applied in the CRT halves).  Its ciphertexts
+must decrypt too, and its per-element time is printed beside the
+one-call path's, without a gate.  Exactness in distribution is checked
+exhaustively on small keys in ``tests/crypto/test_paillier.py``;
+seeded bytes differ from the textbook path by design.
 
 Run with ``PYTHONPATH=src python -m pytest -q -s
 benchmarks/test_client_encrypt.py``.
@@ -33,6 +38,7 @@ MIN_SPEEDUP = 5.0
 #: half-width rows against full-width rows of the same lift, per prime
 MIN_HALF_WIDTH_SPEEDUP = 1.4
 HALF_WIDTH_ROUNDS = 3  # of best-of-ROUNDS each, interleaved
+CHUNK = 64  # ClientSession's default chunk size
 
 
 def _best_of(fn):
@@ -100,3 +106,35 @@ def test_half_width_table_equals_and_beats_full_width():
         assert speedup >= MIN_HALF_WIDTH_SPEEDUP, (
             "half-width table only %.2fx faster than full-width" % speedup
         )
+
+
+def test_batch_path_decrypts_beside_the_per_element_path():
+    """The chunk path ClientSession runs, timed beside one call per
+    element over the same plaintexts and chunking (no gate)."""
+    keypair = generate_keypair(KEY_BITS, "client-encrypt-bench")
+    sk = keypair.private
+    plaintexts = [i % 2 for i in range(DRAWS)]
+    chunks = [plaintexts[i : i + CHUNK] for i in range(0, DRAWS, CHUNK)]
+    sk.sampler_tables()
+
+    def per_element():
+        rng = DeterministicRandom("client-encrypt-draws")
+        return [sk.encrypt_raw_crt(m, rng) for m in plaintexts]
+
+    def batched():
+        rng = DeterministicRandom("client-encrypt-draws")
+        return [c for chunk in chunks for c in sk.encrypt_raw_crt_many(chunk, rng)]
+
+    assert [sk.raw_decrypt(c) for c in batched()] == plaintexts
+
+    t_single = t_batch = float("inf")
+    for _ in range(HALF_WIDTH_ROUNDS):
+        t_single = min(t_single, _best_of(per_element))
+        t_batch = min(t_batch, _best_of(batched))
+    print(
+        "\n%d-bit encryption over %d draws in %d-element chunks: per element "
+        "%.1f us, batch %.1f us, %.2fx" % (
+            KEY_BITS, DRAWS, CHUNK, t_single / DRAWS * 1e6,
+            t_batch / DRAWS * 1e6, t_single / t_batch,
+        )
+    )

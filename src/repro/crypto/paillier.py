@@ -210,9 +210,11 @@ class PaillierPrivateKey:
     Holds the prime factors ``p`` and ``q`` of the public modulus and the
     per-prime decryption constants; ``decrypt`` runs the two half-size
     exponentiations and recombines via the Chinese remainder theorem.
-    The key owner also encrypts through it (:meth:`encrypt_raw_crt`),
-    drawing each obfuscator from two per-prime fixed-base tables built
-    on first use.
+    The key owner also encrypts through it, drawing each obfuscator
+    from two per-prime fixed-base tables built on first use:
+    :meth:`encrypt_raw_crt` one plaintext at a time, and
+    :meth:`encrypt_raw_crt_many` a batch with one randomness call, as
+    :class:`~repro.spfe.session.ClientSession` encrypts each chunk.
 
     Raises :class:`KeyGenerationError` when ``gcd(n, phi(n)) != 1``:
     then ``r -> r^n`` is not a permutation of the ``(p-1)``-th roots of
@@ -269,7 +271,7 @@ class PaillierPrivateKey:
     # -- fixed-base obfuscator sampler (key-owning clients) ----------------
 
     def sampler_tables(self) -> Tuple[TeichmullerTable, TeichmullerTable]:
-        """The two per-prime tables :meth:`encrypt_raw_crt` draws from.
+        """The two per-prime tables the key owner's encryption draws from.
 
         Built on first call and kept: for each prime ``p``, the smallest
         generator ``g`` of Z_p* and a :class:`TeichmullerTable` of its
@@ -304,11 +306,12 @@ class PaillierPrivateKey:
         :meth:`sampler_tables` (``w_p = g_p^p mod p^2``, the lifted
         generator; each lookup multiplies half-width residues mod ``p``
         into a ``p^2`` accumulator and corrects it once through their
-        Fermat quotients) and recombines them with one Garner step.
+        Fermat quotients), applies the plaintext in each half and
+        recombines the halves with one Garner step.
 
-        The result has exactly the distribution of ``r^n mod n^2`` for
-        uniform ``r`` in Z*_n.  ``r^n mod p^2`` is the Teichmüller lift
-        of ``(r mod p)^q``; ``r -> r^q`` permutes Z_p* when
+        The obfuscator has exactly the distribution of ``r^n mod n^2``
+        for uniform ``r`` in Z*_n.  ``r^n mod p^2`` is the Teichmüller
+        lift of ``(r mod p)^q``; ``r -> r^q`` permutes Z_p* when
         ``gcd(n, phi(n)) = 1``; and the lift of ``g^x`` is ``w_p^x``.
         Likewise mod ``q^2``, and the CRT halves of a uniform ``r`` are
         independent.  So the ciphertexts are not the bytes
@@ -316,18 +319,54 @@ class PaillierPrivateKey:
         have its distribution; ``tests/crypto/test_paillier.py`` checks
         the two multisets exhaustively on small keys.
         """
-        public = self.public_key
         index = as_random_source(rng).randrange(0, (self.p - 1) * (self.q - 1))
-        return public.raw_encrypt(plaintext % public.n, self._obfuscator(index))
+        return self._encrypt_indexed([plaintext], [index])[0]
 
-    def _obfuscator(self, index: int) -> int:
-        """The obfuscator for ``index = x*(q-1) + y`` in ``[0, phi(n))``."""
-        table_p, table_q = self.sampler_tables()
-        x, y = divmod(index, self.q - 1)
-        cp = table_p.pow(x)
-        return cp + self._psquare * (
-            (table_q.pow(y) - cp) * self._inv_psquare % self._qsquare
+    def encrypt_raw_crt_many(
+        self, plaintexts: Sequence[int], rng: Optional[RandomSource] = None
+    ) -> List[int]:
+        """:meth:`encrypt_raw_crt` of each plaintext, with one batched draw.
+
+        The table indices come from one
+        :meth:`~repro.crypto.rng.RandomSource.randbelow_many` call below
+        ``phi(n)`` instead of one ``randrange`` per plaintext, so a
+        seeded source gives other bytes than a loop of
+        :meth:`encrypt_raw_crt`; every index is still uniform and
+        independent, so the ciphertexts have the same distribution.
+        :class:`~repro.spfe.session.ClientSession` encrypts each chunk
+        through here.
+        """
+        indices = as_random_source(rng).randbelow_many(
+            (self.p - 1) * (self.q - 1), len(plaintexts)
         )
+        return self._encrypt_indexed(plaintexts, indices)
+
+    def _encrypt_indexed(
+        self, plaintexts: Sequence[int], indices: Sequence[int]
+    ) -> List[int]:
+        """The ciphertext of each plaintext under its table index.
+
+        ``index = x*(q-1) + y`` in ``[0, phi(n))`` selects the halves
+        ``c_p = w_p^x mod p^2`` and ``c_q = w_q^y mod q^2``.  The
+        plaintext enters each half directly: ``(1 + m*n) mod p^2`` is
+        ``1 + p*(m*q mod p)``, and ``c_p * p*k mod p^2`` is
+        ``p*(c_p*k mod p)``, so the half is ``c_p + p*(c_p*(m*q mod p)
+        mod p) mod p^2`` (likewise mod ``q^2``), and the Garner step
+        yields ``(1 + m*n) * c mod n^2`` itself.
+        """
+        table_p, table_q = self.sampler_tables()
+        pow_p, pow_q = table_p.pow, table_q.pow
+        p, q, psquare, qsquare = self.p, self.q, self._psquare, self._qsquare
+        q_minus_1, inv_psquare = q - 1, self._inv_psquare
+        ciphertexts = []
+        for m, index in zip(plaintexts, indices):
+            x, y = divmod(index, q_minus_1)
+            cp = pow_p(x)
+            cp = (cp + p * (cp * (m * q % p) % p)) % psquare
+            cq = pow_q(y)
+            cq = (cq + q * (cq * (m * p % q) % q)) % qsquare
+            ciphertexts.append(cp + psquare * ((cq - cp) * inv_psquare % qsquare))
+        return ciphertexts
 
     def __repr__(self) -> str:
         return "PaillierPrivateKey(bits=%d)" % self.public_key.bits

@@ -11,8 +11,8 @@ Two sources are provided behind one tiny interface:
   workloads, repeated sweeps) requires.
 
 The interface is intentionally minimal — ``randbits``, ``randbelow``,
-``randrange`` — because that is all the key generators and encryptors
-need.
+``randbelow_many``, ``randrange`` — because that is all the key
+generators and encryptors need.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import secrets
-from typing import Union
+from typing import List, Union
 
 __all__ = ["RandomSource", "SecureRandom", "DeterministicRandom", "as_random_source"]
 
@@ -41,6 +41,37 @@ class RandomSource:
             candidate = self.randbits(bits)
             if candidate < upper:
                 return candidate
+
+    def randbelow_many(self, upper: int, count: int) -> List[int]:
+        """``count`` uniform integers in ``[0, upper)``, one
+        :meth:`randbytes` call per round of rejection sampling.
+
+        Each round asks :meth:`randbytes` for ``width * need`` bytes at
+        once (``width = (upper.bit_length() + 7) // 8`` and ``need`` the
+        indices still missing), cuts them into ``width``-byte big-endian
+        slices, shifts each right to ``upper.bit_length()`` bits and
+        rejects it unless below ``upper`` — the test :meth:`randbelow`
+        applies to each ``randbits`` draw.  Every accepted slice is used
+        once, in stream order.  A deterministic source's stream is read
+        in fewer, longer generate calls, so its values differ from
+        ``count`` calls of :meth:`randbelow`; their distribution does
+        not.
+        """
+        if upper <= 0:
+            raise ValueError("upper bound must be positive")
+        if count < 0:
+            raise ValueError("count must be non-negative")
+        bits = upper.bit_length()
+        width = (bits + 7) // 8
+        shift = 8 * width - bits
+        accepted: List[int] = []
+        while len(accepted) < count:
+            raw = self.randbytes(width * (count - len(accepted)))
+            for start in range(0, len(raw), width):
+                candidate = int.from_bytes(raw[start : start + width], "big") >> shift
+                if candidate < upper:
+                    accepted.append(candidate)
+        return accepted
 
     def randrange(self, lower: int, upper: int) -> int:
         """Return a uniform integer in ``[lower, upper)``."""

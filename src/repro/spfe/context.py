@@ -66,6 +66,7 @@ class ComputeBlock:
         count: int,
         key_bits: int,
         tracer: Optional[Tracer] = None,
+        phase: Optional[str] = None,
     ) -> None:
         self._mode = mode
         self._profile = profile
@@ -73,6 +74,7 @@ class ComputeBlock:
         self._count = count
         self._key_bits = key_bits
         self._tracer = tracer
+        self._phase = phase if phase is not None else _OP_PHASE.get(op, op.value)
         self._started = 0.0
         self.seconds = 0.0
 
@@ -94,9 +96,7 @@ class ComputeBlock:
             # Both timing modes flow into the same tracer: measured
             # blocks as wall-clock spans, modelled ones as recorded
             # charges — so traced runs always produce a breakdown.
-            self._tracer.record(
-                _OP_PHASE.get(self._op, self._op.value), self.seconds
-            )
+            self._tracer.record(self._phase, self.seconds)
 
 
 class ExecutionContext:
@@ -114,7 +114,8 @@ class ExecutionContext:
         rng: randomness for key generation / encryption; seeds accepted.
         tracer: optional :class:`~repro.obs.tracing.Tracer`; every
             compute block (measured or modelled) records its duration
-            there under the op's canonical phase name, so a traced run
+            there under its phase (by default the op's canonical phase
+            name; see :meth:`compute`), so a traced run
             yields both per-phase histograms and a
             :meth:`~repro.obs.tracing.Tracer.breakdown`.
     """
@@ -169,13 +170,21 @@ class ExecutionContext:
 
     # -- timing -------------------------------------------------------------------
 
-    def compute(self, party: str, op: Op, count: int = 1) -> ComputeBlock:
-        """Duration of a block of ``count`` operations by ``party``."""
+    def compute(
+        self, party: str, op: Op, count: int = 1, phase: Optional[str] = None
+    ) -> ComputeBlock:
+        """Duration of a block of ``count`` operations by ``party``.
+
+        The block is charged at ``op``'s cost and records in the tracer
+        under ``phase``, by default the op's canonical phase name; a
+        caller whose op is spent in another phase of the round (the
+        §3.3 pool fill is encryption done offline) names it here.
+        """
         if count < 0:
             raise ParameterError("operation count must be non-negative")
         return ComputeBlock(
             self.mode, self.profile_for(party), op, count, self.key_bits,
-            tracer=self.tracer,
+            tracer=self.tracer, phase=phase,
         )
 
     def op_cost(self, party: str, op: Op) -> float:

@@ -16,12 +16,14 @@ broadcasts it (Figure 8).
 assumes a common plaintext modulus M, but each client generates its own
 key (with its own M_i).  We therefore blind over a server-published
 *combining modulus* ``B = 2**(value_bits + ceil(log2 n) + sigma)``:
-R_1..R_{k-1} are uniform mod B, R_k makes the sum 0 mod B.  Because
-``B`` (with sigma = 40 statistical-hiding bits of headroom) is far below
-every client's M_i, the homomorphic addition P_i + R_i never wraps M_i,
-decryption recovers the exact integer, and combining mod B unblinds
-exactly.  Each partial sum is statistically hidden (to within 2^-sigma)
-from its own client.  DESIGN.md §3 records this substitution.
+R_1..R_{k-1} are uniform mod B, R_k makes the sum 0 mod B
+(:mod:`repro.spfe.blinding`, shared with the multi-database
+extension).  Because ``B`` (with sigma = 40 statistical-hiding bits of
+headroom) is far below every client's M_i, the homomorphic addition
+P_i + R_i never wraps M_i, decryption recovers the exact integer, and
+combining mod B unblinds exactly.  Each partial sum is statistically
+hidden (to within 2^-sigma) from its own client.  DESIGN.md §3
+records this substitution.
 
 **Server concurrency (modelling note).**  The paper's ~2.99x speedup at
 k = 3 implies the server overlaps its per-client work (its experiments
@@ -40,6 +42,7 @@ from repro.datastore.database import ServerDatabase
 from repro.exceptions import ParameterError, ProtocolError
 from repro.net.wire import Message
 from repro.spfe.base import SelectedSumBase
+from repro.spfe.blinding import DEFAULT_SIGMA, blinding_modulus, blinding_shares
 from repro.spfe.context import SERVER
 from repro.spfe.result import SumRunResult
 from repro.timing.costmodel import Op
@@ -48,7 +51,6 @@ from repro.timing.report import TimingBreakdown
 __all__ = ["MultiClientSelectedSumProtocol", "PAPER_CLIENT_COUNT"]
 
 PAPER_CLIENT_COUNT = 3  # Figure 9 measures k = 3
-DEFAULT_SIGMA = 40  # statistical-hiding parameter for the blinding
 
 MSG_BLINDED_PARTIAL = "blinded-partial"
 MSG_RING_FORWARD = "ring-forward"
@@ -75,10 +77,6 @@ class MultiClientSelectedSumProtocol(SelectedSumBase):
         self.sigma = sigma
 
     # -- helpers ---------------------------------------------------------------
-
-    def _combining_modulus(self, database: ServerDatabase) -> int:
-        n_bits = max(1, (len(database)).bit_length())
-        return 2 ** (database.value_bits + n_bits + self.sigma)
 
     def _slices(self, n: int) -> List[range]:
         """Split [0, n) into num_clients near-equal contiguous slices."""
@@ -108,13 +106,12 @@ class MultiClientSelectedSumProtocol(SelectedSumBase):
                 % (self.num_clients, n)
             )
 
-        blind_modulus = self._combining_modulus(database)
+        blind_modulus = blinding_modulus(database, self.sigma)
         slices = self._slices(n)
         k = self.num_clients
 
         # The server draws blinding values summing to 0 mod B.
-        blinds = [ctx.rng.randbelow(blind_modulus) for _ in range(k - 1)]
-        blinds.append(-sum(blinds) % blind_modulus)
+        blinds = blinding_shares(blind_modulus, k, ctx.rng)
 
         # ---- phase 1: k independent client/server interactions -------------
         # one server worker per client, so each round has its own clocks

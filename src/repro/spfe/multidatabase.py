@@ -22,8 +22,8 @@ Two privacy postures for the partials:
 * ``hide_partials=True``: the servers jointly insist the client learn
   only the *global* sum.  Server 0 acts as coordinator and distributes
   blinding values R_1..R_k with sum 0 (mod B) over server-to-server
-  channels (same statistical-blinding construction as the §3.5
-  multi-client protocol, see DESIGN.md §3 substitution 6); each server
+  channels (the §3.5 multi-client protocol's statistical blinding,
+  :mod:`repro.spfe.blinding`; see DESIGN.md §3 substitution 6); each server
   adds E(R_j) before replying, so individual replies decrypt to noise
   while their homomorphic sum is exact.
 
@@ -34,7 +34,7 @@ the sequential prefix, as in the plain protocol.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.crypto.ntheory import bytes_for_bits
 from repro.crypto.scheme import SchemeKeyPair
@@ -42,6 +42,7 @@ from repro.crypto.serialization import FRAME_HEADER_BYTES
 from repro.datastore.database import ServerDatabase
 from repro.exceptions import ParameterError, ProtocolError
 from repro.spfe.base import SelectedSumBase
+from repro.spfe.blinding import DEFAULT_SIGMA, blinding_modulus, blinding_shares
 from repro.spfe.context import CLIENT, SERVER, ExecutionContext
 from repro.spfe.result import SumRunResult
 from repro.timing.clock import VirtualClock
@@ -49,8 +50,6 @@ from repro.timing.costmodel import Op
 from repro.timing.report import TimingBreakdown
 
 __all__ = ["DistributedSelectedSumProtocol"]
-
-DEFAULT_SIGMA = 40
 
 
 class DistributedSelectedSumProtocol(SelectedSumBase):
@@ -108,13 +107,16 @@ class DistributedSelectedSumProtocol(SelectedSumBase):
         keypair, keygen_s = self.setup_keys(combined, selection, keypair)
         public = keypair.public
 
+        blind_modulus = blinding_modulus(combined, self.sigma)
         blinds = (
-            self._blinds(combined, len(databases)) if self.hide_partials else None
+            blinding_shares(blind_modulus, len(databases), ctx.rng)
+            if self.hide_partials
+            else None
         )
         if blinds is not None:
             worst = sum(selection) * (2**combined.value_bits - 1) + len(
                 databases
-            ) * self._blind_modulus(combined)
+            ) * blind_modulus
             if worst >= scheme.plaintext_modulus(public):
                 raise ProtocolError(
                     "blinded distributed sum can wrap the plaintext space"
@@ -132,8 +134,7 @@ class DistributedSelectedSumProtocol(SelectedSumBase):
         blind_bytes = 0
         if blinds is not None:
             share_bytes = (
-                bytes_for_bits(self._blind_modulus(combined).bit_length())
-                + FRAME_HEADER_BYTES
+                bytes_for_bits(blind_modulus.bit_length()) + FRAME_HEADER_BYTES
             )
             for _ in range(1, len(databases)):
                 blind_comm_s += ctx.link.seconds_per_message(share_bytes)
@@ -191,7 +192,7 @@ class DistributedSelectedSumProtocol(SelectedSumBase):
         if blinds is not None:
             # Sum of blinds ≡ 0 (mod B); the raw value carries the exact
             # integer sum of (partials + blinds), so reduce mod B.
-            value = raw_value % self._blind_modulus(combined)
+            value = raw_value % blind_modulus
         else:
             value = raw_value
 
@@ -219,19 +220,6 @@ class DistributedSelectedSumProtocol(SelectedSumBase):
                 "channels": channels,
             },
         )
-
-    # -- blinding helpers ---------------------------------------------------
-
-    def _blind_modulus(self, combined: ServerDatabase) -> int:
-        n_bits = max(1, len(combined).bit_length())
-        return 2 ** (combined.value_bits + n_bits + self.sigma)
-
-    def _blinds(self, combined: ServerDatabase, num_servers: int) -> List[int]:
-        """Coordinator-drawn shares R_1..R_k with sum ≡ 0 (mod B)."""
-        modulus = self._blind_modulus(combined)
-        shares = [self.ctx.rng.randbelow(modulus) for _ in range(num_servers - 1)]
-        shares.append(-sum(shares) % modulus)
-        return shares
 
     def run(self, database: ServerDatabase, selection: Sequence[int]) -> SumRunResult:
         """Not supported directly; use :meth:`run_distributed`."""

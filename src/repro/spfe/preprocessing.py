@@ -127,10 +127,13 @@ class PooledClient(SelectedSumBase):
     def prepare_client(
         self, database: ServerDatabase, public_key: Any
     ) -> Tuple[EncryptionPool, float]:
-        """Offline: fill the pool, charged at :attr:`Op.ENCRYPT`."""
+        """Offline: fill the pool, charged at :attr:`Op.ENCRYPT` and
+        traced as ``offline_precompute``."""
         zeros, ones = self.pool_sizes(database)
         pool = EncryptionPool(self.ctx.scheme, public_key, self.ctx.rng)
-        with self.ctx.compute(CLIENT, Op.ENCRYPT, zeros + ones) as block:
+        with self.ctx.compute(
+            CLIENT, Op.ENCRYPT, zeros + ones, phase="offline_precompute"
+        ) as block:
             pool.fill(zeros, ones)
         return pool, block.seconds
 
@@ -138,10 +141,13 @@ class PooledClient(SelectedSumBase):
         self, prepared: EncryptionPool, public_key: Any, weights: Sequence[int]
     ) -> Tuple[List[Any], float]:
         """Online: one pooled ciphertext per bit, plus any dry-pool
-        encryptions charged at full cost."""
+        encryptions charged at full cost; both traced as ``encrypt``,
+        the client's online phase."""
         ctx = self.ctx
         misses_before = prepared.misses
-        with ctx.compute(CLIENT, Op.POOL_FETCH, len(weights)) as fetch_block:
+        with ctx.compute(
+            CLIENT, Op.POOL_FETCH, len(weights), phase="encrypt"
+        ) as fetch_block:
             ciphertexts = [prepared.take(bit) for bit in weights]
         seconds = fetch_block.seconds
         new_misses = prepared.misses - misses_before

@@ -13,10 +13,11 @@ same protocol runs over a real socket, a pipe, or any
 * :class:`ClientSession` holds the selection and the key pair.
   :meth:`initial_bytes` yields the entire outgoing stream (HELLO,
   public key, encrypted chunks); :meth:`receive_bytes` consumes the
-  server's reply and exposes :attr:`result`.  It encrypts through its
-  own private key (``PaillierPrivateKey.encrypt_raw_crt``), whose
-  per-prime fixed-base tables draw obfuscators with exactly the
-  public-key path's distribution at a fraction of its cost.
+  server's reply and exposes :attr:`result`.  It encrypts each chunk
+  through its own private key (``PaillierPrivateKey.encrypt_raw_crt_many``,
+  one randomness call per chunk), whose per-prime fixed-base tables
+  draw obfuscators with exactly the public-key path's distribution at
+  a fraction of its cost.
 
 Resilience: every frame carries a CRC and chunk frames carry their
 absolute index, and sessions are *resumable*.  The client advertises a
@@ -193,9 +194,7 @@ class ClientSession:
             start = index * self.chunk_size
             chunk = self.selection[start : start + self.chunk_size]
             encrypt_started = time.perf_counter()
-            ciphertexts = [
-                self._private_key.encrypt_raw_crt(w, self._rng) for w in chunk
-            ]
+            ciphertexts = self._private_key.encrypt_raw_crt_many(chunk, self._rng)
             if self.tracer is not None:
                 self.tracer.record(
                     "encrypt", time.perf_counter() - encrypt_started

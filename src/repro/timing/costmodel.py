@@ -194,9 +194,12 @@ def calibrate_profile(
 
     With ``use_kernels`` (the default) client encryption, the server
     step and the offline obfuscator are charged at the kernel rates the
-    deployed system executes.  Encryption is the key owner's
-    :meth:`~repro.crypto.paillier.PaillierPrivateKey.encrypt_raw_crt`,
-    which is what :class:`~repro.spfe.session.ClientSession` runs;
+    deployed system executes.  Encryption is one call of the key
+    owner's
+    :meth:`~repro.crypto.paillier.PaillierPrivateKey.encrypt_raw_crt_many`
+    over ``iterations`` plaintexts, divided by ``iterations``: one
+    batched draw and the per-prime table walks, which is what
+    :class:`~repro.spfe.session.ClientSession` runs for each chunk;
     without kernels it is the textbook ``encrypt_raw``.  The server
     step is a query's run of the fold programs of an n = 1000 database
     of random 32-bit values, spread over its elements; the obfuscator is
@@ -228,7 +231,10 @@ def calibrate_profile(
         # Build the key's sampler tables first: a one-time cost, which a
         # lazy build would otherwise charge to the first timed encryption.
         sk.sampler_tables()
-        t_encrypt = measure(lambda i: sk.encrypt_raw_crt(i, rng))
+        plaintexts = list(range(iterations))
+        start = clock()
+        sk.encrypt_raw_crt_many(plaintexts, rng)
+        t_encrypt = (clock() - start) / iterations
         # Offline obfuscator via the fixed-base byte-digit table (the
         # RandomnessPool fixed-base path): exclude the one-time table
         # build, measure per-lookup cost.

@@ -492,6 +492,36 @@ class _EnumeratingRandom(RandomSource):
         return next(self._values)
 
 
+class _EveryValueBytes(RandomSource):
+    """Stands in for a random source: its byte stream is every
+    ``width``-byte big-endian value once, in order, served to
+    successive ``randbytes`` calls; reading past the end fails."""
+
+    def __init__(self, width):
+        self._stream = b"".join(
+            v.to_bytes(width, "big") for v in range(256**width)
+        )
+        self._offset = 0
+
+    def randbytes(self, length):
+        assert self._offset + length <= len(self._stream), "stream exhausted"
+        chunk = self._stream[self._offset : self._offset + length]
+        self._offset += length
+        return chunk
+
+
+def _crt_reference(sk, plaintext, index):
+    """Textbook ciphertext for a table index: ``pow`` of each prime's
+    lifted generator, a textbook CRT, then ``(1 + m*n) * r^n``."""
+    p, q, p2, q2 = sk.p, sk.q, sk.p**2, sk.q**2
+    n, nsquare = p * q, p2 * q2
+    x, y = divmod(index, q - 1)
+    cp = pow(pow(smallest_generator(p), p, p2), x, p2)
+    cq = pow(pow(smallest_generator(q), q, q2), y, q2)
+    obfuscator = (cp * q2 * pow(q2, -1, p2) + cq * p2 * pow(p2, -1, q2)) % nsquare
+    return (1 + plaintext * n) * obfuscator % nsquare
+
+
 class TestCrtEncryption:
     """Key-owner encryption: per-prime fixed-base tables of a certified
     generator, exact in distribution against ``r^n mod n^2``."""
@@ -583,6 +613,74 @@ class TestCrtEncryption:
             ) % pk.nsquare
             expected = (1 + m * pk.n) * obfuscator % pk.nsquare
             assert sk.encrypt_raw_crt(m, sampler) == expected, m
+
+
+    @pytest.mark.parametrize("p, q", [(5, 7), (59, 83), (107, 167)])
+    @pytest.mark.parametrize("plaintext", ["zero", "p+2", "n-1"])
+    def test_batch_multiset_equals_textbook_times_plaintext(self, p, q, plaintext):
+        """Fed every slice-width value once, the batch draw accepts every
+        index below phi(n) equally often, and the batch's ciphertexts
+        are the textbook ``r^n mod n^2`` multiset times ``1 + m*n``."""
+        sk = _small_private_key(p, q)
+        n, nsquare = p * q, p * p * q * q
+        phi = (p - 1) * (q - 1)
+        m = {"zero": 0, "p+2": p + 2, "n-1": n - 1}[plaintext]
+        width = (phi.bit_length() + 7) // 8
+        repeats = 2 ** (8 * width - phi.bit_length())
+        count = repeats * phi
+        indices = collections.Counter(
+            _EveryValueBytes(width).randbelow_many(phi, count)
+        )
+        assert indices == {index: repeats for index in range(phi)}
+        textbook = collections.Counter(
+            (1 + m * n) * pow(r, n, nsquare) % nsquare
+            for r in range(1, n)
+            if math.gcd(r, n) == 1
+        )
+        sampled = collections.Counter(
+            sk.encrypt_raw_crt_many([m] * count, _EveryValueBytes(width))
+        )
+        assert sampled == {c: repeats * k for c, k in textbook.items()}
+
+    @pytest.mark.parametrize("bits", [16, 128, 512])
+    def test_batch_equals_an_independent_reference(self, bits):
+        """Each batch ciphertext is the textbook one for the index the
+        batched draw gave it, weights of p and above included."""
+        keypair = generate_keypair(bits, "crt-batch-reference-%d" % bits)
+        pk, sk = keypair.public, keypair.private
+        p, q = sk.p, sk.q
+        plaintexts = [0, 1, 2, p - 1, p, p + 1, 3 * p + 7, q, 5 * q + 3]
+        plaintexts += [pk.n - 1, pk.n, pk.n + p] + list(range(1000, 1020))
+        indices = DeterministicRandom("crt-batch-draws").randbelow_many(
+            (p - 1) * (q - 1), len(plaintexts)
+        )
+        batch = sk.encrypt_raw_crt_many(
+            plaintexts, DeterministicRandom("crt-batch-draws")
+        )
+        assert batch == [
+            _crt_reference(sk, m, index) for m, index in zip(plaintexts, indices)
+        ]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(0, 2**200), max_size=40), st.integers())
+    def test_weighted_batch_decrypts_exactly(self, keypair, weights, seed):
+        """Weights of p and above, where ``m*q mod p`` wraps, decrypt to
+        themselves mod n."""
+        sk = keypair.private
+        weights = weights + [sk.p, sk.q, sk.p * sk.q - 1, 7 * sk.p + 1]
+        batch = sk.encrypt_raw_crt_many(weights, DeterministicRandom(seed))
+        assert len(batch) == len(weights)
+        n = keypair.public.n
+        assert [sk.raw_decrypt(c) for c in batch] == [w % n for w in weights]
+
+    def test_single_encryption_is_a_batch_of_one_index(self, keypair):
+        """``encrypt_raw_crt`` draws its index with ``randrange`` and
+        encrypts it as the batch path does."""
+        sk = keypair.private
+        phi = (sk.p - 1) * (sk.q - 1)
+        index = DeterministicRandom("one-index").randrange(0, phi)
+        single = sk.encrypt_raw_crt(12345, DeterministicRandom("one-index"))
+        assert single == _crt_reference(sk, 12345, index)
 
 
 class TestTakeMany:

@@ -100,6 +100,71 @@ class TestRangeHelpers:
         assert 0 <= rng.randbelow(upper) < upper
 
 
+class _ScriptedBytes(RandomSource):
+    """Serves fixed byte strings, one per ``randbytes`` call, and records
+    each length asked for."""
+
+    def __init__(self, *chunks):
+        self._chunks = list(chunks)
+        self.requests = []
+
+    def randbytes(self, length):
+        self.requests.append(length)
+        chunk = self._chunks.pop(0)
+        assert len(chunk) == length
+        return chunk
+
+
+def _slices(width, shift, *values):
+    """Big-endian ``width``-byte slices that shift down to ``values``;
+    the discarded low bits are all set, so a mask in place of the shift
+    would read other values."""
+    return b"".join(
+        ((v << shift) | ((1 << shift) - 1)).to_bytes(width, "big") for v in values
+    )
+
+
+class TestRandbelowMany:
+    def test_rejected_slices_skipped_accepted_used_once_in_order(self):
+        # upper = 300: 9 bits, 2-byte slices shifted right by 7.
+        source = _ScriptedBytes(
+            _slices(2, 7, 10, 400, 299),
+            _slices(2, 7, 511),
+            _slices(2, 7, 0),
+        )
+        assert source.randbelow_many(300, 3) == [10, 299, 0]
+        assert source.requests == [6, 2, 2]
+
+    def test_one_round_when_every_slice_is_accepted(self):
+        source = _ScriptedBytes(_slices(3, 0, 5, 1, 2**24 - 2, 5))
+        assert source.randbelow_many(2**24 - 1, 4) == [5, 1, 2**24 - 2, 5]
+        assert source.requests == [12]
+
+    def test_zero_count_draws_nothing(self):
+        source = _ScriptedBytes()
+        assert source.randbelow_many(7, 0) == []
+        assert source.requests == []
+
+    @pytest.mark.parametrize("upper, count", [(0, 1), (-3, 1), (5, -1)])
+    def test_rejects_bad_arguments(self, upper, count):
+        with pytest.raises(ValueError):
+            DeterministicRandom("x").randbelow_many(upper, count)
+
+    @given(st.integers(1, 2**600), st.integers(0, 2**32))
+    def test_one_value_reads_the_stream_as_randbelow_does(self, upper, seed):
+        """A deterministic source's ``randbelow`` draws ``width`` bytes per
+        attempt, so a batch of one reads the same bytes the same way."""
+        assert DeterministicRandom(seed).randbelow_many(upper, 1) == [
+            DeterministicRandom(seed).randbelow(upper)
+        ]
+
+    @pytest.mark.parametrize("source", [DeterministicRandom("many"), SecureRandom()])
+    def test_values_in_range_and_cover_it(self, source):
+        values = source.randbelow_many(10, 400)
+        assert len(values) == 400
+        assert set(values) == set(range(10))
+
+
 class TestSecureRandom:
     def test_basic_ranges(self):
         rng = SecureRandom()

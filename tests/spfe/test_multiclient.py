@@ -7,6 +7,7 @@ from repro.crypto.paillier import PaillierScheme
 from repro.datastore.database import ServerDatabase
 from repro.datastore.workload import WorkloadGenerator
 from repro.exceptions import ParameterError, ProtocolError
+from repro.spfe.blinding import DEFAULT_SIGMA, blinding_modulus
 from repro.spfe.context import ExecutionContext
 from repro.spfe.multiclient import (
     PAPER_CLIENT_COUNT,
@@ -121,11 +122,10 @@ class TestBlinding:
         first_hop = ring[0].server_view.payloads("ring-forward")
         assert first_hop and first_hop[0] != 300
 
-    def test_combining_modulus_grows_with_n(self, ctx):
-        small = MultiClientSelectedSumProtocol(ctx, num_clients=2)
-        assert small._combining_modulus(
-            ServerDatabase([1] * 4)
-        ) < small._combining_modulus(ServerDatabase([1] * 4000))
+    def test_combining_modulus_grows_with_n(self):
+        assert blinding_modulus(
+            ServerDatabase([1] * 4), DEFAULT_SIGMA
+        ) < blinding_modulus(ServerDatabase([1] * 4000), DEFAULT_SIGMA)
 
 
 class TestTiming:

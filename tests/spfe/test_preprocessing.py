@@ -8,6 +8,7 @@ from repro.crypto.simulated import SimulatedPaillier
 from repro.datastore.database import ServerDatabase
 from repro.datastore.workload import WorkloadGenerator
 from repro.exceptions import ParameterError, ProtocolError
+from repro.obs.tracing import Tracer
 from repro.spfe.context import ExecutionContext
 from repro.spfe.preprocessing import (
     EncryptionPool,
@@ -164,3 +165,32 @@ class TestUndersizedPool:
             result.breakdown.client_encrypt_s
             > full.breakdown.client_encrypt_s
         )
+
+
+class TestTracedPhases:
+    """A traced §3.3 run files the pool fill as offline work and the
+    fetches and dry-pool encryptions as the client's online encryption,
+    so the tracer's breakdown is the result's."""
+
+    @pytest.mark.parametrize("mode", ["measured", "modelled"])
+    def test_tracer_breakdown_equals_result_breakdown(self, mode):
+        generator = WorkloadGenerator("traced-pool")
+        database = generator.database(60)
+        selection = generator.random_selection(60, 6)
+        tracer = Tracer()
+        ctx = ExecutionContext(
+            key_bits=256, mode=mode, rng="traced-pool", tracer=tracer
+        )
+        result = PreprocessedSelectedSumProtocol(ctx, pool_ones=0).run(
+            database, selection
+        )
+        assert result.value == database.select_sum(selection)
+        assert result.metadata["pool_misses"] == 6
+        traced = tracer.breakdown()
+        assert traced.client_encrypt_s == result.breakdown.client_encrypt_s
+        assert (
+            traced.offline_precompute_s
+            == result.breakdown.offline_precompute_s
+        )
+        assert traced.offline_precompute_s > 0
+        assert "pool-fetch" not in tracer.totals()

@@ -335,6 +335,22 @@ class TestClientEncryption:
         assert [keypair.private.raw_decrypt(c) for c in ciphertexts] == selection
         assert len(set(ciphertexts)) == len(ciphertexts)
 
+    def test_weights_above_the_primes_sum_exactly(self):
+        """Each chunk is one batch encryption; weights of p and above,
+        where the plaintext wraps inside each CRT half, still sum
+        exactly through the server's fold."""
+        keypair = generate_keypair(128, "weighted-frames-key")
+        p, q = keypair.private.p, keypair.private.q
+        selection = [p, 0, q + 5, 1, 3 * p + 1, p - 1, 2**70, 0, q]
+        database = ServerDatabase(list(range(3, 3 + len(selection))))
+        client = ClientSession(
+            selection, key_bits=128, chunk_size=4,
+            rng=DeterministicRandom("weighted-frames"), keypair=keypair,
+        )
+        value = run_sessions_in_memory(client, ServerSession(database))
+        assert value == database.select_sum(selection)
+        assert client.encryptions == len(selection)
+
     def test_uncertifiable_key_refused_before_any_frame(self, plain_prime_keypair):
         """Plain primes whose p - 1 leaves a composite cofactor give the
         sampler no generator: the session refuses them at construction."""

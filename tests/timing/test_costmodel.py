@@ -98,20 +98,21 @@ class TestCalibration:
     def test_encrypt_timed_on_the_path_the_client_runs(
         self, monkeypatch, use_kernels
     ):
-        """With kernels, Op.ENCRYPT times the key owner's encryption,
-        which ClientSession runs; without, the textbook public-key one."""
+        """With kernels, Op.ENCRYPT times one batch of the key owner's
+        encryption over every iteration, as ClientSession encrypts a
+        chunk; without, the textbook public-key one."""
         from repro.crypto.paillier import PaillierPrivateKey
 
         calls = []
-        real = PaillierPrivateKey.encrypt_raw_crt
+        real = PaillierPrivateKey.encrypt_raw_crt_many
 
-        def counting(self, *args, **kwargs):
-            calls.append(args)
-            return real(self, *args, **kwargs)
+        def counting(self, plaintexts, *args, **kwargs):
+            calls.append(len(plaintexts))
+            return real(self, plaintexts, *args, **kwargs)
 
-        monkeypatch.setattr(PaillierPrivateKey, "encrypt_raw_crt", counting)
+        monkeypatch.setattr(PaillierPrivateKey, "encrypt_raw_crt_many", counting)
         calibrate_profile(key_bits=64, iterations=3, use_kernels=use_kernels)
-        assert len(calls) == (3 if use_kernels else 0)
+        assert calls == ([3] if use_kernels else [])
 
     def test_encrypt_timed_loop_builds_no_table(self, monkeypatch):
         """The sampler tables are built before Op.ENCRYPT is timed: no
@@ -120,7 +121,7 @@ class TestCalibration:
 
         builds = []
         real_table = paillier.TeichmullerTable
-        real_encrypt = paillier.PaillierPrivateKey.encrypt_raw_crt
+        real_encrypt = paillier.PaillierPrivateKey.encrypt_raw_crt_many
 
         def counting_table(*args, **kwargs):
             builds.append(args)
@@ -135,10 +136,12 @@ class TestCalibration:
             return result
 
         monkeypatch.setattr(paillier, "TeichmullerTable", counting_table)
-        monkeypatch.setattr(paillier.PaillierPrivateKey, "encrypt_raw_crt", encrypt)
+        monkeypatch.setattr(
+            paillier.PaillierPrivateKey, "encrypt_raw_crt_many", encrypt
+        )
         calibrate_profile(key_bits=64, iterations=3, use_kernels=True)
         assert len(builds) == 2
-        assert during == [0, 0, 0]
+        assert during == [0]
 
     def test_fold_timed_over_a_full_query_of_block_programs(
         self, monkeypatch
